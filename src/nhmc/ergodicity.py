@@ -143,7 +143,7 @@ def dobrushin_delta(P, method: str = "dense", bandwidth: int = 1) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def delta_sequence(family: KernelFamily, k_max: int, method: str = "auto") -> np.ndarray:
+def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     """delta(P_k) for k = 1..k_max.
 
     For the built-in lump-policy families the deviation from the limit kernel
@@ -155,21 +155,12 @@ def delta_sequence(family: KernelFamily, k_max: int, method: str = "auto") -> np
     if k_max < 1:
         raise KernelValidationError("k_max must be >= 1")
     ks = np.arange(1, k_max + 1)
-    if family.structure is not None:
-        scales = np.atleast_1d(family.perturbation_scale(ks)).astype(float)
-        if not scales.any():
-            return np.full(k_max, dobrushin_delta(family.limit, method="dense"))
-        k_ref = 2 if k_max >= 2 else 1
-        s_ref = float(family.perturbation_scale(k_ref))
-        if s_ref == 0.0:
-            k_ref = int(ks[scales > 0][0])
-            s_ref = float(family.perturbation_scale(k_ref))
-        delta_ref = dobrushin_delta(
-            family.kernel_at(k_ref), method="banded" if method in ("auto", "banded") else "dense"
-        )
-        return scales * (delta_ref / s_ref)
     if family.kind == "constant":
         return np.full(k_max, dobrushin_delta(family.limit, method="dense"))
+    if family.structure is not None:
+        # the reference step k = 2 has s(2) > 0 in both built-in families
+        delta_ref = dobrushin_delta(family.kernel_at(2), method="banded")
+        return family.perturbation_scale(ks) * (delta_ref / float(family.perturbation_scale(2)))
     if family.kind != "table" and k_max > 20000:
         raise KernelValidationError(
             "per-step delta evaluation over a horizon this long is not tractable; "
@@ -212,28 +203,29 @@ class ConditionProfile:
             yield (self.condition.value, int(n), self.m_sup_range, float(v))
 
 
+def _kernel_distance(a: TruncatedKernel, b: TruncatedKernel) -> float:
+    """||a - b||: max over rows of the L1 distance, tail masses included."""
+    gap = np.abs(a.rows - b.rows).sum(axis=1) + np.abs(a.tail_mass - b.tail_mass)
+    return float(gap.max())
+
+
 def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     """||P_k - P|| for k = 1..k_max."""
     if family.structure is not None:
-        scales = np.atleast_1d(family.perturbation_scale(np.arange(1, k_max + 1)))
-        return 2.0 * float(family.structure.pert.max()) * scales.astype(float)
+        scales = family.perturbation_scale(np.arange(1, k_max + 1))
+        return 2.0 * float(family.structure.pert.max()) * scales
+    out = np.zeros(k_max)
     if family.kind == "constant":
-        return np.zeros(k_max)
-    if family.kind == "table":
-        out = np.zeros(k_max)
-        for k in range(1, min(k_max, len(family.table)) + 1):
-            out[k - 1] = sup_row_norm(
-                _as_matrix_with_tail(family.kernel_at(k)) - _as_matrix_with_tail(family.limit)
-            )
         return out
-    if k_max > 20000:
+    if family.kind == "table":
+        k_max = min(k_max, len(family.table))  # later steps use the limit itself
+    elif k_max > 20000:
         raise KernelValidationError(
             "per-step deviation over a horizon this long is not tractable for this family"
         )
-    lim = _as_matrix_with_tail(family.limit)
-    return np.array(
-        [sup_row_norm(_as_matrix_with_tail(family.kernel_at(k)) - lim) for k in range(1, k_max + 1)]
-    )
+    for k in range(1, k_max + 1):
+        out[k - 1] = _kernel_distance(family.kernel_at(k), family.limit)
+    return out
 
 
 def _windowed_average_sup(seq: np.ndarray, n_grid: np.ndarray, m_range: int):
@@ -292,9 +284,7 @@ def condition_profile(
         running_tail = np.zeros(family.size)
         grid_pos = 0
         for t in range(1, n_max + 1):
-            step = family.kernel_at(m + t)
-            tail = tail + rows @ step.tail_mass
-            rows = rows @ step.rows
+            rows, tail = family.kernel_at(m + t).push(rows, tail)
             running += rows
             running_tail += tail
             if grid_pos < len(n_grid) and t == n_grid[grid_pos]:
@@ -418,8 +408,7 @@ def strong_ergodicity_profile(
     tail = np.zeros(P.size)
     pos = 0
     for k in range(1, int(k_grid[-1]) + 1):
-        tail = tail + power @ P.tail_mass
-        power = power @ P.rows
+        power, tail = P.push(power, tail)
         if k == k_grid[pos]:
             out[pos] = float((np.abs(power - R).sum(axis=1) + tail).max())
             pos += 1

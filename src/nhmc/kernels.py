@@ -133,6 +133,11 @@ class TruncatedKernel:
         """Row-wise expectation of a state function: (P h)(i)."""
         return self.rows @ np.asarray(values, dtype=float) + self.tail_mass * tail_value
 
+    def push(self, probs: np.ndarray, tail):
+        """One forward step of a law, or of a stack of row laws, with the tail
+        absorbing: (p P, tail + p . tail_mass)."""
+        return probs @ self.rows, tail + probs @ self.tail_mass
+
 
 @dataclass(frozen=True, eq=False)
 class InitialDistribution:
@@ -318,17 +323,36 @@ class _RankOneBand:
     base_cdf: np.ndarray
     pert: np.ndarray
 
-    def conditional_mean(self, values: np.ndarray, scale: float) -> np.ndarray:
-        """(P_k h)(i) for all i, with P_k at perturbation scale ``scale``."""
-        base = float(self.base_row @ values)
-        step = np.zeros_like(self.pert)
+
+@dataclass(frozen=True, eq=False)
+class _BandStep:
+    """The step kernel ``ones * base_row + scale * B`` applied in O(N) per step,
+    with the same ``push`` and ``apply_to_function`` as a TruncatedKernel."""
+
+    band: _RankOneBand
+    scale: float
+
+    def apply_to_function(self, values: np.ndarray, tail_value: float = 0.0) -> np.ndarray:
+        """(P_k h)(i) for all i; no mass escapes, so the tail value never enters."""
+        base = float(self.band.base_row @ values)
+        step = np.zeros_like(self.band.pert)
         step[:-1] = values[1:] - values[:-1]
-        return base + scale * self.pert * step
+        return base + self.scale * self.band.pert * step
+
+    def push(self, probs: np.ndarray, tail):
+        """(p P_k, tail): the retained mass 1 - tail moves to the base row, and
+        the band shifts ``scale * p * pert`` one state up."""
+        moved = probs * self.band.pert
+        return (1.0 - tail) * self.band.base_row + self.scale * (
+            np.concatenate(([0.0], moved[:-1])) - moved
+        ), tail
 
 
 def _make_structure(base_row: np.ndarray, pert: np.ndarray) -> _RankOneBand:
     base_row = _readonly(base_row)
-    return _RankOneBand(base_row, _readonly(np.cumsum(base_row)), _readonly(pert))
+    cdf = np.cumsum(base_row)
+    cdf[-1] = 1.0  # a rounded-down end would let a uniform fall past state N
+    return _RankOneBand(base_row, _readonly(cdf), _readonly(pert))
 
 
 def _zeta_structure(kind: str, size: int) -> _RankOneBand:
@@ -374,11 +398,10 @@ def make_limit_kernel(kind: str, size: int, tail_policy: TailPolicy = TailPolicy
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
     if size < 3:
         raise KernelValidationError("need N >= 3")
-    w = _zeta_weights(kind, size)
     if tail_policy == TailPolicy.LUMP:
-        row = w.copy()
-        row[-1] = 1.0 - row[:-1].sum()
+        row = _zeta_structure(kind, size).base_row
     else:
+        w = _zeta_weights(kind, size)
         row = w / w.sum()
     return TruncatedKernel(np.tile(row, (size, 1)), np.zeros(size))
 
@@ -404,19 +427,17 @@ def make_kernel(
     if k < 1:
         raise KernelValidationError(f"time index k must be >= 1, got {k}")
     s = _zeta_scale(kind, alpha, beta, k)
-    w = _zeta_weights(kind, size)
     if tail_policy == TailPolicy.LUMP:
         struct = _zeta_structure(kind, size)
-        rows = np.tile(struct.base_row, (size, 1))
-        idx = np.arange(size - 1)
-        rows[idx, idx] -= s * struct.pert[:-1]
-        rows[idx, idx + 1] += s * struct.pert[:-1]
+        row, pert = struct.base_row, struct.pert
     else:
-        rows = np.tile(w, (size, 1))
-        idx = np.arange(size - 1)
-        rows[idx, idx] -= s * w[:-1]
-        rows[idx, idx + 1] += s * w[:-1]
-        rows[size - 1, size - 1] -= s * w[-1]  # its band partner lies beyond N
+        row = pert = _zeta_weights(kind, size)
+    rows = np.tile(row, (size, 1))
+    idx = np.arange(size - 1)
+    rows[idx, idx] -= s * pert[:-1]
+    rows[idx, idx + 1] += s * pert[:-1]
+    if tail_policy == TailPolicy.RENORMALIZE:
+        rows[size - 1, size - 1] -= s * pert[-1]  # its band partner lies beyond N
         rows /= rows.sum(axis=1, keepdims=True)
     return TruncatedKernel(rows, np.zeros(size))
 
@@ -452,6 +473,14 @@ class KernelFamily:
         if self.kind == "table":
             return self.table[k - 1] if k <= len(self.table) else self.limit
         return make_kernel(self.kind, k, self.size, self.alpha, self.beta, self.tail_policy)
+
+    def steps(self, n: int):
+        """The step operators P_1..P_n: O(N) band steps for the families with
+        the rank-one-plus-band structure, the kernels themselves otherwise."""
+        if self.structure is not None:
+            scales = self.perturbation_scale(np.arange(1, n + 1))
+            return (_BandStep(self.structure, s) for s in scales)
+        return (self.kernel_at(k) for k in range(1, n + 1))
 
     def perturbation_scale(self, k) -> np.ndarray | float:
         """Scale s(k) of the rank-one-plus-band decomposition; 0 off the built-ins."""
@@ -560,36 +589,20 @@ def kernel_product(family: KernelFamily, m: int, n: int) -> TruncatedKernel:
     """
     if n <= m or m < 0:
         raise KernelValidationError(f"need n > m >= 0, got m={m}, n={n}")
-    first = family.kernel_at(m + 1)
-    rows = first.rows.copy()
-    tail = first.tail_mass.copy()
-    for k in range(m + 2, n + 1):
-        step = family.kernel_at(k)
-        tail = tail + rows @ step.tail_mass
-        rows = rows @ step.rows
+    rows, tail = np.eye(family.size), np.zeros(family.size)
+    for k in range(m + 1, n + 1):
+        rows, tail = family.kernel_at(k).push(rows, tail)
     return TruncatedKernel(rows, tail)
 
 
 def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
-    """Yield (k, probs, tail) for k = 1..n, propagating one vector-kernel product per step."""
+    """Yield (step, probs, tail) for k = 1..n: the step operator P_k and the law of X_k."""
     if mu0.size != family.size:
         raise KernelValidationError("initial distribution size does not match family")
-    probs = mu0.probs.copy()
-    tail = float(mu0.tail_mass)
-    struct = family.structure
-    fast = struct is not None and tail == 0.0
-    kernel = None
-    for k in range(1, n + 1):
-        if fast:
-            s = family.perturbation_scale(k)
-            moved = probs * struct.pert
-            probs = struct.base_row + s * (np.concatenate(([0.0], moved[:-1])) - moved)
-        else:
-            if kernel is None or family.is_time_varying:
-                kernel = family.kernel_at(k)
-            tail = tail + float(probs @ kernel.tail_mass)
-            probs = probs @ kernel.rows
-        yield k, probs, tail
+    probs, tail = mu0.probs, float(mu0.tail_mass)
+    for step in family.steps(n):
+        probs, tail = step.push(probs, tail)
+        yield step, probs, float(tail)
 
 
 def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> DistributionVector:
@@ -621,6 +634,6 @@ def expected_step_values(
     vals = obs.value_matrix()
     tails = obs.tail_values()
     out = np.empty((n, len(obs)))
-    for k, probs, tail in _propagation_steps(mu0, family, n):
-        out[k - 1] = vals @ probs + tail * tails
+    for k, (_, probs, tail) in enumerate(_propagation_steps(mu0, family, n)):
+        out[k] = vals @ probs + tail * tails
     return out

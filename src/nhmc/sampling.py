@@ -41,6 +41,7 @@ def _uniforms(seeds: np.ndarray, count: int) -> np.ndarray:
 
 def _initial_states(mu0: InitialDistribution, u0: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(mu0.probs)
+    cdf[-1] = 1.0
     return np.searchsorted(cdf, u0, side="left")
 
 
@@ -81,6 +82,7 @@ def _sample_block_general(family, mu0, n: int, u: np.ndarray) -> np.ndarray:
                     "cannot sample a kernel with unresolved tail mass"
                 )
             row_cdfs = np.cumsum(kernel.rows, axis=1)
+            row_cdfs[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
         rows = row_cdfs[state]
         # count of CDF entries strictly below U == min{j : C[j] >= U}
         state = (rows < u[:, k, None]).sum(axis=1)
@@ -90,7 +92,7 @@ def _sample_block_general(family, mu0, n: int, u: np.ndarray) -> np.ndarray:
 
 def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
     u = _uniforms(seeds, n + 1)
-    if family.structure is not None and mu0.tail_mass == 0.0:
+    if family.structure is not None:
         return _sample_block_structured(family, mu0, n, u)
     return _sample_block_general(family, mu0, n, u)
 

@@ -25,6 +25,7 @@ from .kernels import (
     KernelValidationError,
     Observable,
     ObservableSet,
+    _propagation_steps,
     _readonly,
     expected_step_values,
     expected_sum,
@@ -274,14 +275,6 @@ class MartingaleResult:
         object.__setattr__(self, "variance_values", _readonly(self.variance_values))
 
 
-def _conditional_mean_at(family: KernelFamily, g: Observable, k: int) -> np.ndarray:
-    """(P_k g)(i) for all states i, exact from the kernel rows."""
-    struct = family.structure
-    if struct is not None:
-        return struct.conditional_mean(g.values, float(family.perturbation_scale(k)))
-    return family.kernel_at(k).apply_to_function(g.values, g.tail_value)
-
-
 def martingale_check(
     family: KernelFamily,
     mu0: InitialDistribution,
@@ -303,32 +296,22 @@ def martingale_check(
 
         theta_value = asymptotic_variance(stationary(family.limit), family.limit, g)
 
-    # exact pass: E g(X_k) and E[D_k^2] per step via propagation
-    step_mean = expected_step_values(mu0, family, ObservableSet((g,)), n_max)[:, 0]
+    # exact pass, one propagation: P_k g, E[D_k^2] from the law of X_{k-1}, E g(X_k)
     g2 = Observable(g.values**2, g.tail_value**2)
-    struct = family.structure
-    var_cum = np.zeros(n_max)
-    probs = mu0.probs.copy()
-    tail = float(mu0.tail_mass)
+    g_row = g.values[None, :]  # the (1, N) product expected_step_values uses, bit for bit
+    step_mean = np.empty(n_max)
+    var_cum = np.empty(n_max)
     total = 0.0
     cond_means = []
-    for k in range(1, n_max + 1):
-        if struct is not None:
-            s = float(family.perturbation_scale(k))
-            pg = struct.conditional_mean(g.values, s)
-            pg2 = struct.conditional_mean(g2.values, s)
-            total += float(probs @ (pg2 - pg**2))
-            moved = probs * struct.pert
-            probs = struct.base_row + s * (np.concatenate(([0.0], moved[:-1])) - moved)
-        else:
-            kern = family.kernel_at(k)
-            pg = kern.apply_to_function(g.values, g.tail_value)
-            pg2 = kern.apply_to_function(g2.values, g2.tail_value)
-            total += float(probs @ (pg2 - pg**2))  # tail states are absorbing: zero spread
-            tail = tail + float(probs @ kern.tail_mass)
-            probs = probs @ kern.rows
-        var_cum[k - 1] = total
+    law = mu0.probs
+    for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
+        pg = step.apply_to_function(g.values, g.tail_value)
+        pg2 = step.apply_to_function(g2.values, g2.tail_value)
+        total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
+        var_cum[k] = total
+        step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
         cond_means.append(pg)
+        law = probs
     variance_values = var_cum[n_grid - 1] / n_grid
 
     # Monte Carlo pass: pathwise drift and the decomposition residual

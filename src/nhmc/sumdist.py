@@ -71,17 +71,17 @@ class SumDistribution:
 # exact state merging for the structured families
 # ---------------------------------------------------------------------------
 
-def _merge_states(family: KernelFamily, f: Observable):
-    """Coarsest partition of the states that the DP may use in place of 1..N.
+def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable):
+    """The DP's inputs on the coarsest partition of the states it may use in place of 1..N.
 
     Valid merge criterion: states in one class share the f value, and move
-    identical perturbation mass into every class.  Returns (labels, classes)
-    or None when the family carries no rank-one-plus-band structure.
+    identical perturbation mass into every class.  Returns the class-level
+    base masses, perturbation coefficients, f values and start law, or None
+    when the family carries no rank-one-plus-band structure.
     """
     struct = family.structure
     if struct is None:
         return None
-    pert = struct.pert
     n = family.size
     _, labels = np.unique(np.round(f.values).astype(np.int64), return_inverse=True)
     while True:
@@ -89,33 +89,18 @@ def _merge_states(family: KernelFamily, f: Observable):
         chi = np.zeros((n, m))
         chi[np.arange(n), labels] = 1.0
         chi_next = np.vstack([chi[1:], chi[-1:]])  # pert[-1] == 0 makes the pad irrelevant
-        coeff = pert[:, None] * (chi_next - chi)
+        coeff = struct.pert[:, None] * (chi_next - chi)  # constant within final classes
         sig = np.concatenate([labels[:, None].astype(float), coeff], axis=1)
         _, new_labels = np.unique(sig, axis=0, return_inverse=True)
         if new_labels.max() + 1 == m:
-            return labels, m
+            break
         labels = new_labels
-
-
-def _lumped_inputs(family, mu0, f, labels, m):
-    """Class-level base masses, perturbation coefficients, f values, start law."""
-    struct = family.structure
-    n = family.size
+    first = np.unique(labels, return_index=True)[1]  # one member per class
     base = np.zeros(m)
     np.add.at(base, labels, struct.base_row)
-    chi = np.zeros((n, m))
-    chi[np.arange(n), labels] = 1.0
-    chi_next = np.vstack([chi[1:], chi[-1:]])
-    coeff_states = struct.pert[:, None] * (chi_next - chi)  # constant within classes
-    first = np.full(m, -1, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if first[lab] < 0:
-            first[lab] = i
-    coeff = coeff_states[first]
-    values = np.round(f.values[first]).astype(np.int64)
     start = np.zeros(m)
     np.add.at(start, labels, mu0.probs)
-    return base, coeff, values, start
+    return base, coeff[first], np.round(f.values[first]).astype(np.int64), start
 
 
 def exact_sum_distribution(
@@ -138,13 +123,13 @@ def exact_sum_distribution(
     if f.size != family.size or mu0.size != family.size:
         raise KernelValidationError("observable / initial distribution size mismatch")
 
-    merged = _merge_states(family, f) if merge else None
-    if merged is not None:
-        labels, m = merged
-        base, coeff, values, start = _lumped_inputs(family, mu0, f, labels, m)
+    lumped = _lumped_chain(family, mu0, f) if merge else None
+    if lumped is not None:
+        base, coeff, values, start = lumped
+        m = base.size
+        scales = family.perturbation_scale(np.arange(1, n + 1))
     else:
         # raw states, plus one absorbing pseudo-state for escaped tail mass
-        base, coeff = None, None
         values = np.concatenate(
             [np.round(f.values).astype(np.int64), [int(round(f.tail_value))]]
         )
@@ -160,6 +145,7 @@ def exact_sum_distribution(
         )
     width = n * vrange + 1
     rel = values - vmin
+    shifts = [(g, rel == g) for g in np.unique(rel)]
 
     cur = np.zeros((m, width))
     cur[:, 0] = start
@@ -167,10 +153,9 @@ def exact_sum_distribution(
     for k in range(1, n + 1):
         prev_w = (k - 1) * vrange + 1
         sub = cur[:, :prev_w]
-        if merged is not None:
-            s = float(family.perturbation_scale(k))
+        if lumped is not None:
             col = sub.sum(axis=0)
-            mass = base[:, None] * col[None, :] + s * (coeff.T @ sub)
+            mass = base[:, None] * col[None, :] + scales[k - 1] * (coeff.T @ sub)
         else:
             kern = family.kernel_at(k)
             trans = np.zeros((m, m))
@@ -183,8 +168,7 @@ def exact_sum_distribution(
         if vrange == 0:
             nxt[:, :prev_w] = mass
         else:
-            for g in np.unique(rel):
-                rowsel = rel == g
+            for g, rowsel in shifts:
                 nxt[rowsel, g : g + prev_w] = mass[rowsel]
         cur, nxt = nxt, cur
 

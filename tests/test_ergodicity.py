@@ -115,6 +115,15 @@ class TestConditionProfiles:
         slope = np.polyfit(np.log10(grid), np.log10(prof.values), 1)[0]
         assert -0.80 <= slope <= -0.70
 
+    def test_table_limit_with_tail_mass(self):
+        """A stochastic step kernel against a limit that loses 0.1 per row:
+        the deviation counts the tail, 0.1 in the rows plus 0.1 escaped."""
+        k1 = TruncatedKernel(random_stochastic(np.random.default_rng(5), 3), np.zeros(3))
+        lim = TruncatedKernel(0.9 * k1.rows, np.full(3, 0.1))
+        prof = condition_profile(nhmc.table_family([k1], lim), "mean_kernel_deviation",
+                                 [2, 4], 3)
+        np.testing.assert_allclose(prof.values, [0.1, 0.05], atol=1e-15)
+
     def test_delta_sum_profile_matches_direct_summation(self):
         fam = zeta4_family(0.75, 1.0, 80)
         grid = [10, 100, 1000]

@@ -150,13 +150,17 @@ class TestPropagate:
         out = propagate(mu0, iid_family, 1)
         np.testing.assert_allclose(out.probs, iid_family.limit.rows[0], atol=1e-14)
 
-    def test_structured_path_matches_dense_propagation(self, zeta2_small, start200):
-        """The O(N) update must agree with explicit vector-kernel products."""
-        out = propagate(start200, zeta2_small, 25)
-        probs = start200.probs.copy()
+    @pytest.mark.parametrize("tail", [0.0, 0.1])
+    def test_structured_path_matches_dense_propagation(self, zeta2_small, start200, tail):
+        """The O(N) update must agree with explicit vector-kernel products,
+        also for a start law whose escaped mass stays in the tail."""
+        mu0 = nhmc.InitialDistribution((1.0 - tail) * start200.probs, tail)
+        out = propagate(mu0, zeta2_small, 25)
+        probs = mu0.probs.copy()
         for k in range(1, 26):
             probs = probs @ zeta2_small.kernel_at(k).rows
         np.testing.assert_allclose(out.probs, probs, atol=1e-13)
+        assert out.tail_mass == tail
 
     def test_monte_carlo_oracle(self):
         """Distribution at k=10 against 10^6 sampled trajectories, 3 SE per state."""

@@ -54,6 +54,18 @@ class TestSamplerCorrectness:
                 sample_trajectory(seed, start200, general, 80),
             )
 
+    def test_uniform_just_below_one_stays_on_the_states(self):
+        """The zeta4 base CDF sums to 1 - 5.6e-16 at N=150; both samplers
+        must still map the largest uniform below 1 onto state N."""
+        from nhmc.sampling import _sample_block_general, _sample_block_structured
+
+        fam = nhmc.zeta4_family(0.75, 1.0, 150)
+        mu0 = point_mass(1, 150)
+        u = np.full((2, 4), 1.0 - 2.0**-53)
+        for sampler in (_sample_block_structured, _sample_block_general):
+            paths = sampler(fam, mu0, 3, u)
+            np.testing.assert_array_equal(paths[:, 1:], 149)
+
     def test_law_of_large_numbers(self, iid_family, q_zeta2):
         """State-1 frequency over 10^6 steps of the identical-rows chain."""
         mu0 = point_mass(1, 200)

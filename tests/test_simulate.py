@@ -203,6 +203,19 @@ class TestMartingaleCheck:
         np.testing.assert_allclose(res.variance_values, direct, atol=1e-12)
         assert res.theta_g == pytest.approx(direct, abs=1e-12)
 
+    def test_band_step_matches_dense_step(self):
+        """The O(N) band pull and the dense kernel rows give the same variance profile."""
+        fam = zeta2_family(0.75, 60)
+        twin = nhmc.table_family([fam.kernel_at(k) for k in range(1, 41)], fam.limit)
+        obs = ObservableSet((indicator_observable(1, 60), indicator_observable(2, 60)))
+        mu0 = nhmc.point_mass(1, 60)
+        band, dense = (
+            martingale_check(f, mu0, obs, [1.0, -0.5], [10, 40], trials=16, base_seed=3)
+            for f in (fam, twin)
+        )
+        np.testing.assert_allclose(band.variance_values, dense.variance_values,
+                                   rtol=0, atol=1e-12)
+
     def test_pathwise_identity_residual_is_float_noise(self, zeta2_small, start200):
         obs = ObservableSet(
             (indicator_observable(1, 200), indicator_observable(3, 200))
