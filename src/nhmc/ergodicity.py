@@ -20,10 +20,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .kernels import KernelFamily, KernelValidationError, TruncatedKernel, _readonly
+from .kernels import (
+    ROW_TOL,
+    KernelFamily,
+    KernelValidationError,
+    TruncatedKernel,
+    _BandStep,
+    _readonly,
+)
 
 __all__ = [
     "ReducibleKernelError",
@@ -177,13 +185,18 @@ def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConditionProfile:
-    """Values of one convergence-condition statistic along an n grid."""
+    """Values of one convergence-condition statistic along an n grid.
+
+    ``error_bound`` bounds how far any value may lie from the statistic because
+    of terms the computation dropped (0 when none were dropped).
+    """
 
     condition: ConvergenceCondition
     n_grid: np.ndarray
     values: np.ndarray
     m_sup_range: int
     m_argmax: np.ndarray | None = None
+    error_bound: float = 0.0
 
     def __post_init__(self):
         grid = np.asarray(self.n_grid, dtype=np.int64)
@@ -194,6 +207,8 @@ class ConditionProfile:
             raise KernelValidationError("n_grid entries must be >= 1")
         if values.shape != grid.shape or np.any(values < 0):
             raise KernelValidationError("values must be nonnegative, one per n")
+        if not self.error_bound >= 0.0:
+            raise KernelValidationError("error_bound must be nonnegative")
         object.__setattr__(self, "n_grid", _readonly(grid).astype(np.int64))
         object.__setattr__(self, "values", _readonly(values))
 
@@ -241,6 +256,98 @@ def _windowed_average_sup(seq: np.ndarray, n_grid: np.ndarray, m_range: int):
     return values, argmax
 
 
+# The Cesaro scan advances at most this many starting times together, so its
+# working set does not grow with m_sup_range.
+_CESARO_CHUNK = 16
+# The band part c_t B^t of a structured product is carried while
+# max_m |c_t| ||B||^t exceeds this; the terms after it go into error_bound.
+_BAND_DROP = 2.0**-60
+
+
+def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarray,
+                       pi: np.ndarray) -> np.ndarray:
+    """gaps[i, g] = ||(1/n) sum_{t<=n} P^(m, m+t) - R|| for m = starts[i], n = n_grid[g].
+
+    Row stacks are pushed through dense kernels with k outer, so each P_k is
+    built once for all the starts it serves.
+    """
+    n_max = int(n_grid[-1])
+    size = family.size
+    R = np.tile(pi, (size, 1))
+    rows = [np.eye(size) for _ in starts]
+    tail = [np.zeros(size) for _ in starts]
+    running = [np.zeros_like(R) for _ in starts]
+    running_tail = [np.zeros(size) for _ in starts]
+    grid_pos = {int(n): g for g, n in enumerate(n_grid)}
+    gaps = np.zeros((len(starts), len(n_grid)))
+    for k in range(int(starts[0]) + 1, int(starts[-1]) + n_max + 1):
+        kernel = family.kernel_at(k)
+        for i, m in enumerate(starts):
+            t = k - int(m)
+            if not 1 <= t <= n_max:
+                continue
+            rows[i], tail[i] = kernel.push(rows[i], tail[i])
+            running[i] += rows[i]
+            running_tail[i] += tail[i]
+            if t in grid_pos:
+                gap = np.abs(running[i] / t - R).sum(axis=1) + running_tail[i] / t
+                gaps[i, grid_pos[t]] = float(gap.max())
+    return gaps
+
+
+def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarray,
+                      pi: np.ndarray) -> tuple[np.ndarray, float]:
+    """The dense scan's gaps for kernels ``1 b + s(k) B``, in O(N) per step and start.
+
+    Products are ``P^(m, m+t) = 1 r_t + c_t B^t`` with ``r_1 = b``,
+    ``r_{t+1} = b + s(m+t+1) r_t B`` and ``c_t = s(m+1)...s(m+t)``.  B^t is
+    banded, ``(B^t)[i, i+d]`` for d = 0..t, so with ``v = (1/n) sum r_t - pi``
+    and ``C = (1/n) sum c_t B^t`` row i's gap is
+    ``||v||_1 + sum_d (|v_{i+d} + C[i, i+d]| - |v_{i+d}|)``.  The powers are
+    carried up to the last t where some start has ``|c_t| ||B||^t`` above
+    ``_BAND_DROP``; the second value returned bounds what the later terms
+    could add to any gap.  The tail never enters: these kernels are stochastic.
+    """
+    n_max = int(n_grid[-1])
+    band = family.structure
+    s = family.perturbation_scale(starts[:, None] + np.arange(1, n_max + 1))  # s(m+t)
+    lowest = float((band.base_row - s.max() * band.pert).min())
+    if lowest < -ROW_TOL:  # the check TruncatedKernel makes on the largest step
+        raise KernelValidationError(f"step kernel entries below 0 beyond tolerance: min={lowest}")
+    coef = np.cumprod(s, axis=1)  # c_t
+    weight = np.cumprod(np.abs(s) * (2.0 * float(band.pert.max())), axis=1)
+    above = np.nonzero(weight.max(axis=0) > _BAND_DROP)[0]
+    width = int(above[-1]) + 1 if above.size else 0  # B^1..B^width are carried
+    weight[:, :width] = 0.0
+    dropped = np.cumsum(weight, axis=1)[:, n_grid - 1] / n_grid
+    error_bound = float(dropped.max())
+
+    pert_at = sliding_window_view(np.pad(band.pert, (0, width)), width + 1)  # pert[i+d]
+    power = np.zeros((family.size, width + 1))  # power[i, d] = (B^t)[i, i+d]
+    power[:, 0] = 1.0
+    band_sum = np.zeros((len(starts), family.size, width + 1))  # sum_t c_t B^t
+    r = np.tile(band.base_row, (len(starts), 1))
+    r_sum = np.zeros_like(r)
+    grid_pos = {int(n): g for g, n in enumerate(n_grid)}
+    gaps = np.zeros((len(starts), len(n_grid)))
+    for t in range(1, n_max + 1):
+        if t > 1:
+            r, _ = _BandStep(band, s[:, t - 1, None]).push(r, 0.0)
+        r_sum += r
+        if t <= width:
+            moved = power * pert_at
+            power = -moved
+            power[:, 1:] += moved[:, :-1]
+            band_sum += coef[:, t - 1, None, None] * power
+        if t in grid_pos:
+            v = r_sum / t - pi
+            v_at = sliding_window_view(np.pad(v, ((0, 0), (0, width))), width + 1, axis=1)
+            change = np.abs(v_at + band_sum / t) - np.abs(v_at)
+            gap = np.abs(v).sum(axis=1)[:, None] + change.sum(axis=2)
+            gaps[:, grid_pos[t]] = gap.max(axis=1)
+    return gaps, error_bound
+
+
 def condition_profile(
     family: KernelFamily,
     condition: ConvergenceCondition | str,
@@ -249,10 +356,12 @@ def condition_profile(
 ) -> ConditionProfile:
     """Evaluate one convergence-condition statistic along ``n_grid``.
 
-    The Cesaro profile multiplies dense kernels step by step and is meant for
-    desk-scale grids; the other two reduce to cumulative sums of per-step
-    scalars and handle grids up to millions of steps for the built-in
-    families.
+    The Cesaro profile advances every start m <= ``m_sup_range`` step by
+    step: in O(N) per step for families with the rank-one-plus-band structure
+    (with the bound on its dropped band terms in ``error_bound``), through
+    dense row stacks otherwise, so it is meant for desk-scale grids.  The
+    other two reduce to cumulative sums of per-step scalars and handle grids
+    up to millions of steps for the built-in families.
     """
     condition = ConvergenceCondition(condition)
     n_grid = np.asarray(sorted(int(n) for n in np.atleast_1d(n_grid)), dtype=np.int64)
@@ -272,29 +381,22 @@ def condition_profile(
         values, argmax = _windowed_average_sup(seq, n_grid, m_sup_range)
         return ConditionProfile(condition, n_grid, values, m_sup_range, argmax)
 
-    # Cesaro average of products, scanned over starting times
+    # Cesaro average of products, scanned over starting times in chunks
     pi = stationary(family.limit).pi
-    R = np.tile(pi, (family.size, 1))
-    values = np.zeros(len(n_grid))
-    argmax = np.zeros(len(n_grid), dtype=np.int64)
-    for m in range(m_sup_range + 1):
-        rows = np.eye(family.size)
-        tail = np.zeros(family.size)
-        running = np.zeros_like(R)
-        running_tail = np.zeros(family.size)
-        grid_pos = 0
-        for t in range(1, n_max + 1):
-            rows, tail = family.kernel_at(m + t).push(rows, tail)
-            running += rows
-            running_tail += tail
-            if grid_pos < len(n_grid) and t == n_grid[grid_pos]:
-                gap = np.abs(running / t - R).sum(axis=1) + running_tail / t
-                val = float(gap.max())
-                if val > values[grid_pos]:
-                    values[grid_pos] = val
-                    argmax[grid_pos] = m
-                grid_pos += 1
-    return ConditionProfile(condition, n_grid, values, m_sup_range, argmax)
+    gaps, error_bound = [], 0.0
+    for lo in range(0, m_sup_range + 1, _CESARO_CHUNK):
+        starts = np.arange(lo, min(lo + _CESARO_CHUNK, m_sup_range + 1))
+        if family.structure is not None:
+            chunk, bound = _cesaro_gaps_band(family, starts, n_grid, pi)
+            error_bound = max(error_bound, bound)
+        else:
+            chunk = _cesaro_gaps_dense(family, starts, n_grid, pi)
+        gaps.append(chunk)
+    gaps = np.concatenate(gaps)
+    # argmax keeps the first start that attains the sup, as a strict-> scan would
+    return ConditionProfile(
+        condition, n_grid, gaps.max(axis=0), m_sup_range, gaps.argmax(axis=0), error_bound
+    )
 
 
 # ---------------------------------------------------------------------------

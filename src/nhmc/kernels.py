@@ -341,11 +341,13 @@ class _BandStep:
 
     def push(self, probs: np.ndarray, tail):
         """(p P_k, tail): the retained mass 1 - tail moves to the base row, and
-        the band shifts ``scale * p * pert`` one state up."""
+        the band shifts ``scale * p * pert`` one state up.  ``probs`` may be a
+        stack of laws with a scalar tail, and ``scale`` a column of per-row
+        scales."""
         moved = probs * self.band.pert
-        return (1.0 - tail) * self.band.base_row + self.scale * (
-            np.concatenate(([0.0], moved[:-1])) - moved
-        ), tail
+        shifted = np.zeros_like(moved)
+        shifted[..., 1:] = moved[..., :-1]
+        return (1.0 - tail) * self.band.base_row + self.scale * (shifted - moved), tail
 
 
 def _make_structure(base_row: np.ndarray, pert: np.ndarray) -> _RankOneBand:

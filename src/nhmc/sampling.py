@@ -97,6 +97,12 @@ def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
     return _sample_block_general(family, mu0, n, u)
 
 
+def _require_resolved_start(mu0: InitialDistribution) -> None:
+    """Paths start on a state: reject a start law with tail mass."""
+    if mu0.tail_mass > 0.0:
+        raise KernelValidationError("initial distribution must resolve all mass onto 1..N")
+
+
 def sample_paths(
     seeds, mu0: InitialDistribution, family: KernelFamily, n: int
 ) -> np.ndarray:
@@ -105,8 +111,7 @@ def sample_paths(
         raise KernelValidationError(f"horizon must be >= 0, got {n}")
     if mu0.size != family.size:
         raise KernelValidationError("initial distribution size does not match family")
-    if mu0.tail_mass > 0.0:
-        raise KernelValidationError("initial distribution must resolve all mass onto 1..N")
+    _require_resolved_start(mu0)
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     blocks = [
         _sample_block(family, mu0, n, chunk)

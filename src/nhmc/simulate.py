@@ -31,7 +31,7 @@ from .kernels import (
     expected_sum,
 )
 from .rates import ThetaPositivityError, rate_1d
-from .sampling import iter_seed_blocks, sample_paths, trial_seeds
+from .sampling import _require_resolved_start, iter_seed_blocks, sample_paths, trial_seeds
 from .sumdist import exact_sum_distribution
 
 __all__ = [
@@ -287,6 +287,7 @@ def martingale_check(
     theta_value: float | None = None,
 ) -> MartingaleResult:
     """Exact variance profile plus Monte Carlo drift profile for g = sum z_l f_l."""
+    _require_resolved_start(mu0)  # the Monte Carlo pass needs it; fail before the exact one
     g = observables.combine(z)
     n_grid = np.asarray(sorted(int(v) for v in np.atleast_1d(n_grid)), dtype=np.int64)
     n_max = int(n_grid[-1])

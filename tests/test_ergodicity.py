@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,17 @@ from hypothesis import strategies as st
 
 import nhmc
 from nhmc import (
+    ConditionProfile,
     ConvergenceCondition,
+    KernelFamily,
+    KernelValidationError,
     ReducibleKernelError,
     TruncatedKernel,
     condition_profile,
     constant_family,
     delta_sequence,
     dobrushin_delta,
+    ergodicity,
     make_kernel,
     make_limit_kernel,
     period,
@@ -160,6 +166,96 @@ class TestConditionProfiles:
         assert rows[0][0] == "mean_kernel_deviation"
         assert [r[1] for r in rows] == [5, 10]
         assert all(r[2] == 7 for r in rows)
+
+
+def _count_kernel_at(monkeypatch):
+    """Patch KernelFamily.kernel_at to count its calls; returns the counter."""
+    calls = []
+    original = KernelFamily.kernel_at
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(KernelFamily, "kernel_at", counted)
+    return calls
+
+
+def _cesaro_by_start(family, n_grid, m_sup_range):
+    """The scan as a plain loop over starts: m outer, dense row stacks, strict-> argmax."""
+    pi = stationary(family.limit).pi
+    R = np.tile(pi, (family.size, 1))
+    values = np.zeros(len(n_grid))
+    argmax = np.zeros(len(n_grid), dtype=np.int64)
+    for m in range(m_sup_range + 1):
+        rows, tail = np.eye(family.size), np.zeros(family.size)
+        running, running_tail = np.zeros_like(R), np.zeros(family.size)
+        for t in range(1, n_grid[-1] + 1):
+            rows, tail = family.kernel_at(m + t).push(rows, tail)
+            running += rows
+            running_tail += tail
+            if t in n_grid:
+                g = n_grid.index(t)
+                val = float((np.abs(running / t - R).sum(axis=1) + running_tail / t).max())
+                if val > values[g]:
+                    values[g], argmax[g] = val, m
+    return values, argmax
+
+
+class TestCesaroScan:
+    # n = 1 and n past the carried band width (26 steps for zeta2, 61 for zeta4)
+    CASES = {
+        "zeta2": (lambda: zeta2_family(0.75, 40), [1, 3, 20, 60]),
+        "zeta4": (lambda: zeta4_family(0.75, 1.0, 50), [1, 3, 40, 100]),
+    }
+
+    @pytest.mark.parametrize("m_sup", [0, 2, 8])
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_structured_matches_dense_twin(self, kind, m_sup, monkeypatch):
+        make, grid = self.CASES[kind]
+        fam = make()
+        calls = _count_kernel_at(monkeypatch)
+        band = condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        assert calls == []
+        dense = condition_profile(
+            dataclasses.replace(fam, structure=None), "cesaro_product_average", grid, m_sup
+        )
+        assert len(calls) <= m_sup + grid[-1]
+        np.testing.assert_allclose(band.values, dense.values, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(band.m_argmax, dense.m_argmax)
+        assert 0.0 <= band.error_bound <= 1e-15
+        assert dense.error_bound == 0.0
+
+    def test_dense_scan_equals_the_loop_over_starts(self):
+        """k outer and chunked, the dense scan keeps every operation of the plain loop."""
+        fam = zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE)
+        grid, m_sup = [1, 5, 30], ergodicity._CESARO_CHUNK + 3
+        prof = condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        values, argmax = _cesaro_by_start(fam, grid, m_sup)
+        np.testing.assert_array_equal(prof.values, values)
+        np.testing.assert_array_equal(prof.m_argmax, argmax)
+
+    def test_chunked_starts_match_one_chunk(self, monkeypatch):
+        fam = zeta4_family(0.75, 1.0, 30)
+        grid, m_sup = [1, 10, 80], 2 * ergodicity._CESARO_CHUNK + 5
+        chunked = condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        monkeypatch.setattr(ergodicity, "_CESARO_CHUNK", m_sup + 1)
+        whole = condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(chunked.m_argmax, whole.m_argmax)
+        assert chunked.error_bound <= 1e-15
+
+    def test_scale_that_breaks_the_kernels_rejected(self):
+        """zeta4 with beta = 3 reaches s(55) = 3.19, so P_55 has negative entries."""
+        fam = zeta4_family(0.75, 3.0, 50)
+        for f in (fam, dataclasses.replace(fam, structure=None)):
+            with pytest.raises(KernelValidationError):
+                condition_profile(f, "cesaro_product_average", [60], 2)
+
+    def test_negative_error_bound_rejected(self):
+        with pytest.raises(KernelValidationError):
+            ConditionProfile(ConvergenceCondition.CESARO_PRODUCT_AVERAGE, [1], [0.5], 0,
+                             error_bound=-1.0)
 
 
 class TestStationary:

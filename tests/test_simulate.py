@@ -216,6 +216,17 @@ class TestMartingaleCheck:
         np.testing.assert_allclose(band.variance_values, dense.variance_values,
                                    rtol=0, atol=1e-12)
 
+    def test_start_with_tail_mass_rejected_before_exact_pass(self, zeta2_small,
+                                                            monkeypatch):
+        def no_propagation(*args):
+            raise AssertionError("the exact pass ran")
+
+        monkeypatch.setattr(nhmc.simulate, "_propagation_steps", no_propagation)
+        mu0 = nhmc.InitialDistribution(np.full(200, 0.9 / 200), tail_mass=0.1)
+        obs = ObservableSet((indicator_observable(1, 200),))
+        with pytest.raises(KernelValidationError, match="resolve all mass"):
+            martingale_check(zeta2_small, mu0, obs, [1.0], [10], trials=8, theta_value=0.2)
+
     def test_pathwise_identity_residual_is_float_noise(self, zeta2_small, start200):
         obs = ObservableSet(
             (indicator_observable(1, 200), indicator_observable(3, 200))
