@@ -25,7 +25,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .kernels import (
-    ROW_TOL,
     KernelFamily,
     KernelValidationError,
     TruncatedKernel,
@@ -311,9 +310,6 @@ def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarr
     n_max = int(n_grid[-1])
     band = family.structure
     s = family.perturbation_scale(starts[:, None] + np.arange(1, n_max + 1))  # s(m+t)
-    lowest = float((band.base_row - s.max() * band.pert).min())
-    if lowest < -ROW_TOL:  # the check TruncatedKernel makes on the largest step
-        raise KernelValidationError(f"step kernel entries below 0 beyond tolerance: min={lowest}")
     coef = np.cumprod(s, axis=1)  # c_t
     weight = np.cumprod(np.abs(s) * (2.0 * float(band.pert.max())), axis=1)
     above = np.nonzero(weight.max(axis=0) > _BAND_DROP)[0]

@@ -17,8 +17,8 @@ superdiagonal:
 * ``zeta4``: base row entries 90/(pi^4 j^4), perturbation scale
   (log k)^beta * k^(-alpha).
 
-Both require alpha > 1/2 (zeta4 additionally beta > 0), which keeps every
-entry nonnegative for all k >= 1.
+Both require alpha > 1/2 (zeta4 additionally beta > 0 and s(k) <= 1 at every
+integer k), which keeps every entry nonnegative for all k >= 1.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -137,6 +138,19 @@ class TruncatedKernel:
         """One forward step of a law, or of a stack of row laws, with the tail
         absorbing: (p P, tail + p . tail_mass)."""
         return probs @ self.rows, tail + probs @ self.tail_mass
+
+    @cached_property
+    def _row_cdf(self) -> np.ndarray:
+        if not self.is_stochastic:
+            raise KernelValidationError("cannot sample a kernel with unresolved tail mass")
+        cdf = np.cumsum(self.rows, axis=1)
+        cdf[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
+        return cdf
+
+    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next states ``min{j : C[state, j] >= u}`` (one uniform per state): the
+        count of row-CDF entries strictly below u."""
+        return (self._row_cdf[state] < u[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +341,7 @@ class _RankOneBand:
 @dataclass(frozen=True, eq=False)
 class _BandStep:
     """The step kernel ``ones * base_row + scale * B`` applied in O(N) per step,
-    with the same ``push`` and ``apply_to_function`` as a TruncatedKernel."""
+    with the same ``push``, ``apply_to_function`` and ``draw`` as a TruncatedKernel."""
 
     band: _RankOneBand
     scale: float
@@ -348,6 +362,17 @@ class _BandStep:
         shifted = np.zeros_like(moved)
         shifted[..., 1:] = moved[..., :-1]
         return (1.0 - tail) * self.band.base_row + self.scale * (shifted - moved), tail
+
+    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next states exactly as ``TruncatedKernel.draw``.  Row i is the base row
+        with ``scale * pert[i]`` mass moved from column i to i+1, which lowers its
+        CDF at index i alone: one base-CDF search serves every state, plus a
+        promotion to i+1 when the base draw is the current state i and u exceeds
+        ``C[i] - scale * pert[i]``."""
+        cdf = self.band.base_cdf
+        base = np.searchsorted(cdf, u, side="left")
+        promote = (base == state) & (u > cdf[state] - self.scale * self.band.pert[state])
+        return np.where(promote, state + 1, base)
 
 
 def _make_structure(base_row: np.ndarray, pert: np.ndarray) -> _RankOneBand:
@@ -371,6 +396,16 @@ def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -
         raise KernelValidationError(f"{kind} requires alpha > 1/2, got {alpha}")
     if kind == "zeta4" and (beta is None or beta <= 0.0):
         raise KernelValidationError(f"zeta4 requires beta > 0, got {beta}")
+    if kind == "zeta4":
+        # s(k) = (log k)^beta k^-alpha peaks at log k = beta/alpha, its integer maximum
+        # next to it; the cap keeps exp finite (s is far above 1 at the capped point)
+        peak = math.exp(min(beta / alpha, 700.0))
+        for k in (math.floor(peak), math.ceil(peak)):
+            if not (s := _zeta_scale(kind, alpha, beta, k)) <= 1.0:  # a nan from inf*0 too
+                raise KernelValidationError(
+                    f"zeta4 with alpha={alpha}, beta={beta} has s({k:.6g}) = {s:.4g} > 1, "
+                    f"which gives P_{k:.6g} a negative diagonal entry"
+                )
     if size < 3:
         raise KernelValidationError(
             f"N={size} too small to hold the (i-1, i, i+1) band; need N >= 3"
@@ -496,10 +531,6 @@ class KernelFamily:
         if self.kind in _ZETA_POWER:
             return float(1.0 - _zeta_weights(self.kind, self.size).sum())
         return float(self.limit.tail_mass.max())
-
-    @property
-    def is_time_varying(self) -> bool:
-        return self.kind != "constant"
 
 
 def zeta2_family(alpha: float, size: int, tail_policy: TailPolicy = TailPolicy.LUMP) -> KernelFamily:

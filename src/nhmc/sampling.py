@@ -6,13 +6,8 @@ inverse-CDF per row with the convention ``X = min{j : C[j] >= U}``, so a
 trajectory is a pure function of (family, initial distribution, seed) and is
 identical no matter how trials are partitioned into blocks or workers.
 
-For the built-in lump-policy families the step-k row of state i differs from
-the shared base row only by ``s(k) * pert[i]`` mass moved from column i to
-column i+1, which changes the row CDF at the single index i.  Inverse-CDF
-sampling therefore reduces to a base-CDF search plus a one-state promotion:
-if the base draw lands on the current state i and the uniform exceeds
-``C[i] - s(k) * pert[i]``, the sample is i+1.  This is exact and lets one
-searchsorted serve a whole block of trials.
+Each step is drawn by the step operator of ``KernelFamily.steps``: its
+``draw`` maps the current states and one uniform each to the next states.
 """
 
 from __future__ import annotations
@@ -45,56 +40,26 @@ def _initial_states(mu0: InitialDistribution, u0: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, u0, side="left")
 
 
-def _sample_block_structured(family, mu0, n: int, u: np.ndarray) -> np.ndarray:
-    struct = family.structure
-    paths = np.empty((u.shape[0], n + 1), dtype=np.int32)
-    paths[:, 0] = _initial_states(mu0, u[:, 0])
-    scales = family.perturbation_scale(np.arange(1, n + 1)) if n else np.zeros(0)
-    scales = np.atleast_1d(scales)
-    cdf = struct.base_cdf
-    if not scales.any():
-        # no perturbation at any step: every draw uses the shared base CDF
-        if n:
-            paths[:, 1:] = np.searchsorted(cdf, u[:, 1:], side="left")
-        return paths
-    state = paths[:, 0].astype(np.int64)
-    for k in range(1, n + 1):
-        uk = u[:, k]
-        base = np.searchsorted(cdf, uk, side="left")
-        # promotion: the perturbed CDF dips by s * pert[i] exactly at index i
-        thresh = cdf[state] - scales[k - 1] * struct.pert[state]
-        promote = (base == state) & (uk > thresh)
-        state = np.where(promote, state + 1, base)
-        paths[:, k] = state
-    return paths
-
-
-def _sample_block_general(family, mu0, n: int, u: np.ndarray) -> np.ndarray:
-    paths = np.empty((u.shape[0], n + 1), dtype=np.int32)
-    paths[:, 0] = _initial_states(mu0, u[:, 0])
-    state = paths[:, 0].astype(np.int64)
-    row_cdfs = None
-    for k in range(1, n + 1):
-        if row_cdfs is None or family.is_time_varying:
-            kernel = family.kernel_at(k)
-            if not kernel.is_stochastic:
-                raise KernelValidationError(
-                    "cannot sample a kernel with unresolved tail mass"
-                )
-            row_cdfs = np.cumsum(kernel.rows, axis=1)
-            row_cdfs[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
-        rows = row_cdfs[state]
-        # count of CDF entries strictly below U == min{j : C[j] >= U}
-        state = (rows < u[:, k, None]).sum(axis=1)
-        paths[:, k] = state
-    return paths
+def _walk(family: KernelFamily, mu0: InitialDistribution, n: int, u: np.ndarray):
+    """Yield (P_k, X_{k-1}, X_k) for k = 1..n, X_0 drawn with ``u[:, 0]`` and
+    X_k by ``P_k.draw`` with ``u[:, k]``, one row of uniforms per trial."""
+    state = _initial_states(mu0, u[:, 0])
+    for k, step in enumerate(family.steps(n), start=1):
+        prev, state = state, step.draw(state, u[:, k])
+        yield step, prev, state
 
 
 def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
     u = _uniforms(seeds, n + 1)
-    if family.structure is not None:
-        return _sample_block_structured(family, mu0, n, u)
-    return _sample_block_general(family, mu0, n, u)
+    paths = np.empty(u.shape, dtype=np.int32)
+    paths[:, 0] = _initial_states(mu0, u[:, 0])
+    if family.kind == "constant" and family.structure is not None:
+        # i.i.d. draws from one row: a single search over the whole tile
+        paths[:, 1:] = np.searchsorted(family.structure.base_cdf, u[:, 1:], side="left")
+    else:
+        for k, (_, _, state) in enumerate(_walk(family, mu0, n, u), start=1):
+            paths[:, k] = state
+    return paths
 
 
 def _require_resolved_start(mu0: InitialDistribution) -> None:
@@ -120,10 +85,10 @@ def sample_paths(
     return np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
 
 
-def iter_seed_blocks(seeds: np.ndarray, n: int, block_bytes: int = _DEFAULT_BLOCK_BYTES):
+def iter_seed_blocks(seeds: np.ndarray, n: int):
     """Split seeds into blocks sized so a block's uniforms fit the buffer budget."""
     per_trial = 8 * (n + 1)
-    block = max(16, min(4096, block_bytes // max(per_trial, 1)))
+    block = max(16, min(4096, _DEFAULT_BLOCK_BYTES // max(per_trial, 1)))
     for start in range(0, len(seeds), block):
         yield seeds[start : start + block]
 

@@ -31,7 +31,9 @@ from .kernels import (
     expected_sum,
 )
 from .rates import ThetaPositivityError, rate_1d
-from .sampling import _require_resolved_start, iter_seed_blocks, sample_paths, trial_seeds
+from .sampling import (
+    _require_resolved_start, _uniforms, _walk, iter_seed_blocks, sample_paths, trial_seeds,
+)
 from .sumdist import exact_sum_distribution
 
 __all__ = [
@@ -303,7 +305,6 @@ def martingale_check(
     step_mean = np.empty(n_max)
     var_cum = np.empty(n_max)
     total = 0.0
-    cond_means = []
     law = mu0.probs
     for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
         pg = step.apply_to_function(g.values, g.tail_value)
@@ -311,25 +312,25 @@ def martingale_check(
         total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
         var_cum[k] = total
         step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
-        cond_means.append(pg)
         law = probs
     variance_values = var_cum[n_grid - 1] / n_grid
 
-    # Monte Carlo pass: pathwise drift and the decomposition residual
+    # Monte Carlo pass: pathwise drift and the decomposition residual, one step
+    # of the walk at a time, so memory beyond the block's uniforms is O(N + trials)
     seeds = trial_seeds(base_seed, trials)
     grid_pos = {int(n): i for i, n in enumerate(n_grid)}
 
     def one_block(seed_chunk):
-        paths = sample_paths(seed_chunk, mu0, family, n_max)
-        b = paths.shape[0]
+        b = len(seed_chunk)
         drift = np.zeros(b)
         mart = np.zeros(b)
         lhs = np.zeros(b)
         drift_at = np.zeros((b, len(n_grid)))
         resid = 0.0
-        for k in range(1, n_max + 1):
-            pg_prev = cond_means[k - 1][paths[:, k - 1]]
-            gk = g.values[paths[:, k]]
+        walk = _walk(family, mu0, n_max, _uniforms(seed_chunk, n_max + 1))
+        for k, (step, prev, state) in enumerate(walk, start=1):
+            pg_prev = step.apply_to_function(g.values, g.tail_value)[prev]
+            gk = g.values[state]
             drift += pg_prev - step_mean[k - 1]
             mart += gk - pg_prev
             lhs += gk - step_mean[k - 1]

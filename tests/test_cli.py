@@ -55,6 +55,12 @@ class TestValidate:
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
 
+    def test_zeta4_scale_above_one_exits_2(self, tmp_path):
+        cfg = base_config(tmp_path / "out", family={"kind": "zeta4", "alpha": 0.75,
+                                                    "beta": 3.0, "N": 50})
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+
     def test_band_overflow_exits_2(self, tmp_path):
         cfg = base_config(tmp_path / "out", family={"kind": "zeta2", "alpha": 0.75, "N": 2})
         path = write_config(tmp_path, "cfg.json", cfg)

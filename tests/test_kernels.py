@@ -97,6 +97,18 @@ class TestMakeKernel:
             assert kern.rows.min() >= 0.0
             np.testing.assert_allclose(kern.rows.sum(1) + kern.tail_mass, 1.0, atol=1e-12)
 
+    def test_zeta4_largest_scale_below_one_accepted(self):
+        """At alpha=0.75, beta=2 the largest s(k) is 0.962, at k=14."""
+        fam = zeta4_family(0.75, 2.0, 50)
+        scales = fam.perturbation_scale(np.arange(1, 10**5))
+        assert scales.max() == pytest.approx(0.962, abs=1e-3) and scales.argmax() + 1 == 14
+        assert fam.kernel_at(14).rows.min() >= 0.0
+
+    def test_zeta4_scale_above_one_rejected(self):
+        """beta=3 reaches s(54) = 3.19, which would make P_54's diagonal negative."""
+        with pytest.raises(KernelValidationError, match=r"s\(54\) = 3\.186"):
+            family_from_config({"kind": "zeta4", "alpha": 0.75, "beta": 3.0, "N": 50})
+
     def test_renormalize_policy_rows_sum_to_one(self):
         kern = make_kernel("zeta2", 7, 50, alpha=0.75, tail_policy=nhmc.TailPolicy.RENORMALIZE)
         np.testing.assert_allclose(kern.rows.sum(axis=1), 1.0, atol=1e-12)

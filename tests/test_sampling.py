@@ -44,9 +44,13 @@ class TestSamplerCorrectness:
         path = sample_trajectory(9, mu0, fam, 100)
         assert (path == 3).all()
 
-    def test_structured_and_general_paths_agree(self, start200):
-        """The base-CDF-plus-promotion shortcut must equal row-by-row inverse CDF."""
-        fam = zeta2_family(0.75, 200)
+    @pytest.mark.parametrize(
+        "fam",
+        [zeta2_family(0.75, 200), nhmc.zeta4_family(0.75, 1.0, 200)],
+        ids=["zeta2", "zeta4"],  # zeta4 has s(1) = 0: its first band step has zero scale
+    )
+    def test_structured_and_general_paths_agree(self, fam, start200):
+        """The base-CDF-plus-promotion draw must equal row-by-row inverse CDF."""
         general = table_family([fam.kernel_at(k) for k in range(1, 81)], fam.limit)
         for seed in (0, 1, 2, 3, 11):
             np.testing.assert_array_equal(
@@ -55,16 +59,14 @@ class TestSamplerCorrectness:
             )
 
     def test_uniform_just_below_one_stays_on_the_states(self):
-        """The zeta4 base CDF sums to 1 - 5.6e-16 at N=150; both samplers
-        must still map the largest uniform below 1 onto state N."""
-        from nhmc.sampling import _sample_block_general, _sample_block_structured
-
+        """The zeta4 base CDF sums to 1 - 5.6e-16 at N=150; the band step and
+        the dense kernel must still map the largest uniform below 1 onto state N."""
         fam = nhmc.zeta4_family(0.75, 1.0, 150)
-        mu0 = point_mass(1, 150)
-        u = np.full((2, 4), 1.0 - 2.0**-53)
-        for sampler in (_sample_block_structured, _sample_block_general):
-            paths = sampler(fam, mu0, 3, u)
-            np.testing.assert_array_equal(paths[:, 1:], 149)
+        state = np.array([0, 148, 149])
+        u = np.full(3, 1.0 - 2.0**-53)
+        *_, band_step = fam.steps(3)
+        for step in (band_step, fam.kernel_at(3)):
+            np.testing.assert_array_equal(step.draw(state, u), 149)
 
     def test_law_of_large_numbers(self, iid_family, q_zeta2):
         """State-1 frequency over 10^6 steps of the identical-rows chain."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ class TestMartingaleCheck:
         obs = ObservableSet((indicator_observable(1, 200),))
         with pytest.raises(KernelValidationError, match="resolve all mass"):
             martingale_check(zeta2_small, mu0, obs, [1.0], [10], trials=8, theta_value=0.2)
+
+    def test_monte_carlo_pass_memory_is_bounded(self):
+        """The pass walks the steps without keeping them: one length-N vector
+        per step alone would be 40 MB at N=1000 and n=5000."""
+        fam = zeta2_family(0.75, 1000)
+        obs = ObservableSet((indicator_observable(1, 1000),))
+        tracemalloc.start()
+        try:
+            martingale_check(fam, nhmc.point_mass(1, 1000), obs, [1.0], [5000], trials=16,
+                             base_seed=5, theta_value=0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_pathwise_identity_residual_is_float_noise(self, zeta2_small, start200):
         obs = ObservableSet(
