@@ -29,6 +29,7 @@ from .kernels import (
     KernelValidationError,
     TruncatedKernel,
     _BandStep,
+    _RankOneBand,
     _readonly,
 )
 
@@ -150,31 +151,45 @@ def dobrushin_delta(P, method: str = "dense", bandwidth: int = 1) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _band_delta(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
+    """delta(P_k) in closed form for the kernels of ``band`` at scales s >= 0.
+
+    Rows i, j < N differ only in their bands, by ``s (pert_i + pert_j)`` in
+    positive parts (adjacent rows too), so the two largest perts give the
+    in-band maximum.  Row N is ``b + s x (b - e_N)`` with
+    ``x = last / (1 - s last)``; against row i < N - 1 its positive parts are
+    ``s x (1 - b_N)`` at column N plus ``s (pert_i - x b_{i+1})^+`` at column
+    i+1, and against row N - 1, whose band ends in column N, the single part
+    ``s (x (1 - b_N) + pert_{N-1})``.  Lump bands have x = 0.
+    """
+    b, pert = band.base_row, band.pert
+    in_band = np.sort(pert)[-2:].sum()
+    x = band.last / (1.0 - s * band.last)
+    # lines pert_i - x b_{i+1} over i < N - 1: one whose higher end over the
+    # range of x lies below another's lower end is never the largest
+    icpt, slope = pert[:-2], b[1:-1]
+    ends = icpt[:, None] - slope[:, None] * np.array([x.min(), x.max()])
+    keep = ends.max(axis=1) >= ends.min(axis=1).max()
+    beside = (icpt[keep] - np.multiply.outer(x, slope[keep])).max(axis=1)
+    return s * np.maximum(in_band, x * (1.0 - b[-1]) + np.maximum(beside, pert[-2]))
+
+
 def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     """delta(P_k) for k = 1..k_max.
 
-    For the built-in lump-policy families the deviation from the limit kernel
-    is exactly linear in the perturbation scale s(k), so one banded evaluation
-    at a reference step fixes the whole sequence.  Constant families are
-    constant; anything else is evaluated kernel by kernel (guarded, since that
-    materializes k_max kernels).
+    Constant families are constant.  For the built-in families, under either
+    tail policy, each delta(P_k) is a closed form in s(k) and the band
+    structure (``_band_delta``), O(N + k_max) in all; anything else is
+    evaluated kernel by kernel with the dense scan.
     """
     if k_max < 1:
         raise KernelValidationError("k_max must be >= 1")
-    ks = np.arange(1, k_max + 1)
     if family.kind == "constant":
         return np.full(k_max, dobrushin_delta(family.limit, method="dense"))
     if family.structure is not None:
-        # the reference step k = 2 has s(2) > 0 in both built-in families
-        delta_ref = dobrushin_delta(family.kernel_at(2), method="banded")
-        return family.perturbation_scale(ks) * (delta_ref / float(family.perturbation_scale(2)))
-    if family.kind != "table" and k_max > 20000:
-        raise KernelValidationError(
-            "per-step delta evaluation over a horizon this long is not tractable; "
-            "use the lump tail policy for the built-in families"
-        )
+        return _band_delta(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
     return np.array(
-        [dobrushin_delta(family.kernel_at(int(k)), method="dense") for k in ks]
+        [dobrushin_delta(family.kernel_at(k), method="dense") for k in range(1, k_max + 1)]
     )
 
 
@@ -224,19 +239,22 @@ def _kernel_distance(a: TruncatedKernel, b: TruncatedKernel) -> float:
 
 
 def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
-    """||P_k - P|| for k = 1..k_max."""
+    """||P_k - P|| for k = 1..k_max.
+
+    For the built-in families row i < N sits ``2 s(k) pert_i`` from the base
+    row that P repeats, and row N ``2 s(k) x (1 - b_N)`` with
+    ``x = last / (1 - s(k) last)`` (see ``_band_delta``).
+    """
     if family.structure is not None:
+        band = family.structure
         scales = family.perturbation_scale(np.arange(1, k_max + 1))
-        return 2.0 * float(family.structure.pert.max()) * scales
+        last_row = 2.0 * band.last / (1.0 - scales * band.last) * (1.0 - band.base_row[-1])
+        return np.maximum(2.0 * float(band.pert.max()), last_row) * scales
     out = np.zeros(k_max)
     if family.kind == "constant":
         return out
     if family.kind == "table":
         k_max = min(k_max, len(family.table))  # later steps use the limit itself
-    elif k_max > 20000:
-        raise KernelValidationError(
-            "per-step deviation over a horizon this long is not tractable for this family"
-        )
     for k in range(1, k_max + 1):
         out[k - 1] = _kernel_distance(family.kernel_at(k), family.limit)
     return out
@@ -267,8 +285,8 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
                        pi: np.ndarray) -> np.ndarray:
     """gaps[i, g] = ||(1/n) sum_{t<=n} P^(m, m+t) - R|| for m = starts[i], n = n_grid[g].
 
-    Row stacks are pushed through dense kernels with k outer, so each P_k is
-    built once for all the starts it serves.
+    Row stacks are pushed through the step operators with k outer, so each
+    P_k serves every start it reaches.
     """
     n_max = int(n_grid[-1])
     size = family.size
@@ -279,13 +297,12 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
     running_tail = [np.zeros(size) for _ in starts]
     grid_pos = {int(n): g for g, n in enumerate(n_grid)}
     gaps = np.zeros((len(starts), len(n_grid)))
-    for k in range(int(starts[0]) + 1, int(starts[-1]) + n_max + 1):
-        kernel = family.kernel_at(k)
+    for k, step in enumerate(family.steps(int(starts[-1]) + n_max), start=1):
         for i, m in enumerate(starts):
             t = k - int(m)
             if not 1 <= t <= n_max:
                 continue
-            rows[i], tail[i] = kernel.push(rows[i], tail[i])
+            rows[i], tail[i] = step.push(rows[i], tail[i])
             running[i] += rows[i]
             running_tail[i] += tail[i]
             if t in grid_pos:
@@ -353,11 +370,14 @@ def condition_profile(
     """Evaluate one convergence-condition statistic along ``n_grid``.
 
     The Cesaro profile advances every start m <= ``m_sup_range`` step by
-    step: in O(N) per step for families with the rank-one-plus-band structure
-    (with the bound on its dropped band terms in ``error_bound``), through
-    dense row stacks otherwise, so it is meant for desk-scale grids.  The
-    other two reduce to cumulative sums of per-step scalars and handle grids
-    up to millions of steps for the built-in families.
+    step: in O(N) per step for the lump-policy built-ins and identical-rows
+    constant families (with the bound on its dropped band terms in
+    ``error_bound``), otherwise as row stacks pushed through
+    ``KernelFamily.steps`` (O(N^2) per step for renormalize built-ins, dense
+    products for the rest), so it is meant for desk-scale grids.  The other
+    two reduce to cumulative sums of per-step scalars, closed forms in s(k)
+    for the built-in families under either tail policy, and handle grids up
+    to millions of steps there.
     """
     condition = ConvergenceCondition(condition)
     n_grid = np.asarray(sorted(int(n) for n in np.atleast_1d(n_grid)), dtype=np.int64)
@@ -382,7 +402,7 @@ def condition_profile(
     gaps, error_bound = [], 0.0
     for lo in range(0, m_sup_range + 1, _CESARO_CHUNK):
         starts = np.arange(lo, min(lo + _CESARO_CHUNK, m_sup_range + 1))
-        if family.structure is not None:
+        if family.structure is not None and not family.structure.last:
             chunk, bound = _cesaro_gaps_band(family, starts, n_grid, pi)
             error_bound = max(error_bound, bound)
         else:

@@ -9,6 +9,10 @@ N is handled by one of two tail policies:
   families for every row below N);
 * ``renormalize``: each truncated row is divided by its retained mass.
 
+Under either policy every step kernel of a built-in family is a shared base
+row plus ``s(k)`` times a bidiagonal band, with one replaced last row under
+``renormalize``, so ``KernelFamily.steps`` applies it in O(N) per step.
+
 Two parametric families are built in, both with identical power-law base rows
 and a time-decaying perturbation that moves mass from the diagonal to the
 superdiagonal:
@@ -326,22 +330,28 @@ def _zeta_weights(kind: str, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _RankOneBand:
-    """Shared structure of the built-in lump-policy kernels.
+    """Shared structure of the built-in kernels.
 
-    Every step-k kernel equals ``ones * base_row + s(k) * B`` where row i of B
-    moves ``pert[i]`` units of mass from column i to column i+1 (and the last
-    row of B is zero).  ``base_row`` sums to exactly 1.
+    Every row i < N of the step-k kernel equals ``base_row + s(k) * B[i]``,
+    where row i of B moves ``pert[i]`` units of mass from column i to column
+    i+1 (``pert[N-1]`` is 0).  The last row is
+    ``(base_row - s(k) * last * e_N) / (1 - s(k) * last)``: ``last`` is 0
+    under ``lump``, where the last row is the base row itself, and the base
+    row's last entry under ``renormalize``, whose last row loses its band
+    partner beyond N.  ``base_row`` sums to 1.
     """
 
     base_row: np.ndarray
     base_cdf: np.ndarray
     pert: np.ndarray
+    last: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class _BandStep:
-    """The step kernel ``ones * base_row + scale * B`` applied in O(N) per step,
-    with the same ``push``, ``apply_to_function`` and ``draw`` as a TruncatedKernel."""
+    """The step kernel of a ``_RankOneBand`` at one scale, lump or renormalize,
+    applied in O(N) per step, with the same ``push``, ``apply_to_function``
+    and ``draw`` as a TruncatedKernel."""
 
     band: _RankOneBand
     scale: float
@@ -351,44 +361,73 @@ class _BandStep:
         base = float(self.band.base_row @ values)
         step = np.zeros_like(self.band.pert)
         step[:-1] = values[1:] - values[:-1]
-        return base + self.scale * self.band.pert * step
+        out = base + self.scale * self.band.pert * step
+        if self.band.last:
+            lost = self.scale * self.band.last
+            out[-1] = (base - lost * values[-1]) / (1.0 - lost)
+        return out
 
     def push(self, probs: np.ndarray, tail):
         """(p P_k, tail): the retained mass 1 - tail moves to the base row, and
         the band shifts ``scale * p * pert`` one state up.  ``probs`` may be a
-        stack of laws with a scalar tail, and ``scale`` a column of per-row
-        scales."""
+        stack of laws with a scalar tail or one tail per law, and ``scale`` a
+        column of per-row scales."""
         moved = probs * self.band.pert
-        shifted = np.zeros_like(moved)
-        shifted[..., 1:] = moved[..., :-1]
-        return (1.0 - tail) * self.band.base_row + self.scale * (shifted - moved), tail
+        out = np.zeros_like(moved)
+        out[..., 1:] = moved[..., :-1]
+        out -= moved
+        out *= self.scale  # in place: wide stacks pay for every new array
+        retained = 1.0 - tail
+        if isinstance(retained, np.ndarray):  # one tail per law of a stack
+            retained = retained[..., None]
+        if self.band.last:
+            # row N is the base row plus lost / (1 - lost) times (base_row - e_N)
+            lost = self.scale * self.band.last
+            extra = probs[..., -1:] * (lost / (1.0 - lost))
+            retained = retained + extra
+            out[..., -1:] -= extra
+        out += retained * self.band.base_row
+        return out, tail
 
     def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next states exactly as ``TruncatedKernel.draw``.  Row i is the base row
-        with ``scale * pert[i]`` mass moved from column i to i+1, which lowers its
-        CDF at index i alone: one base-CDF search serves every state, plus a
-        promotion to i+1 when the base draw is the current state i and u exceeds
-        ``C[i] - scale * pert[i]``."""
+        """Next states exactly as ``TruncatedKernel.draw``.  Row i < N is the base
+        row with ``scale * pert[i]`` mass moved from column i to i+1, which lowers
+        its CDF at index i alone: one base-CDF search serves every such state,
+        plus a promotion to i+1 when the base draw is the current state i and u
+        exceeds ``C[i] - scale * pert[i]``.  A draw from state N searches the
+        last row's own CDF."""
         cdf = self.band.base_cdf
         base = np.searchsorted(cdf, u, side="left")
         promote = (base == state) & (u > cdf[state] - self.scale * self.band.pert[state])
-        return np.where(promote, state + 1, base)
+        out = np.where(promote, state + 1, base)
+        if self.band.last:
+            at_last = state == cdf.size - 1
+            last_cdf = cdf / (1.0 - self.scale * self.band.last)
+            last_cdf[-1] = 1.0  # a rounded-down end would let a uniform fall past state N
+            out[at_last] = np.searchsorted(last_cdf, u[at_last], side="left")
+        return out
 
 
-def _make_structure(base_row: np.ndarray, pert: np.ndarray) -> _RankOneBand:
+def _make_structure(base_row: np.ndarray, pert: np.ndarray, last: float = 0.0) -> _RankOneBand:
     base_row = _readonly(base_row)
     cdf = np.cumsum(base_row)
     cdf[-1] = 1.0  # a rounded-down end would let a uniform fall past state N
-    return _RankOneBand(base_row, _readonly(cdf), _readonly(pert))
+    return _RankOneBand(base_row, _readonly(cdf), _readonly(pert), last)
 
 
-def _zeta_structure(kind: str, size: int) -> _RankOneBand:
+def _zeta_structure(kind: str, size: int, tail_policy: TailPolicy) -> _RankOneBand:
     w = _zeta_weights(kind, size)
-    base = w.copy()
-    base[-1] = 1.0 - base[:-1].sum()  # lump the tail into the last state
-    pert = w.copy()
-    pert[-1] = 0.0  # the last row's band overflows and cancels under lumping
-    return _make_structure(base, pert)
+    if tail_policy == TailPolicy.LUMP:
+        base = w.copy()
+        base[-1] = 1.0 - base[:-1].sum()  # lump the tail into the last state
+        pert = w.copy()
+        last = 0.0
+    else:
+        base = w / w.sum()
+        pert = base.copy()
+        last = float(base[-1])
+    pert[-1] = 0.0  # the last row's band partner lies beyond N
+    return _make_structure(base, pert, last)
 
 
 def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -> None:
@@ -396,14 +435,18 @@ def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -
         raise KernelValidationError(f"{kind} requires alpha > 1/2, got {alpha}")
     if kind == "zeta4" and (beta is None or beta <= 0.0):
         raise KernelValidationError(f"zeta4 requires beta > 0, got {beta}")
-    if kind == "zeta4":
-        # s(k) = (log k)^beta k^-alpha peaks at log k = beta/alpha, its integer maximum
-        # next to it; the cap keeps exp finite (s is far above 1 at the capped point)
+    if kind == "zeta4" and beta * math.log(beta / alpha) - beta > 0.0:
+        # s(k) = (log k)^beta k^-alpha peaks at log k = beta/alpha, where log s is
+        # beta log(beta/alpha) - beta, so only then can some s(k) exceed 1.  Its
+        # integer maximum lies next to the peak; decided in logs, nothing
+        # overflows, and the cap keeps exp finite (s is far above 1 there).
         peak = math.exp(min(beta / alpha, 700.0))
         for k in (math.floor(peak), math.ceil(peak)):
-            if not (s := _zeta_scale(kind, alpha, beta, k)) <= 1.0:  # a nan from inf*0 too
+            log_s = beta * math.log(math.log(k)) - alpha * math.log(k)
+            if log_s > 0.0:
+                s = f"{math.exp(log_s):.4g}" if log_s < 700.0 else f"exp({log_s:.4g})"
                 raise KernelValidationError(
-                    f"zeta4 with alpha={alpha}, beta={beta} has s({k:.6g}) = {s:.4g} > 1, "
+                    f"zeta4 with alpha={alpha}, beta={beta} has s({k:.6g}) = {s} > 1, "
                     f"which gives P_{k:.6g} a negative diagonal entry"
                 )
     if size < 3:
@@ -435,11 +478,7 @@ def make_limit_kernel(kind: str, size: int, tail_policy: TailPolicy = TailPolicy
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
     if size < 3:
         raise KernelValidationError("need N >= 3")
-    if tail_policy == TailPolicy.LUMP:
-        row = _zeta_structure(kind, size).base_row
-    else:
-        w = _zeta_weights(kind, size)
-        row = w / w.sum()
+    row = _zeta_structure(kind, size, tail_policy).base_row
     return TruncatedKernel(np.tile(row, (size, 1)), np.zeros(size))
 
 
@@ -465,7 +504,7 @@ def make_kernel(
         raise KernelValidationError(f"time index k must be >= 1, got {k}")
     s = _zeta_scale(kind, alpha, beta, k)
     if tail_policy == TailPolicy.LUMP:
-        struct = _zeta_structure(kind, size)
+        struct = _zeta_structure(kind, size, tail_policy)
         row, pert = struct.base_row, struct.pert
     else:
         row = pert = _zeta_weights(kind, size)
@@ -537,7 +576,7 @@ def zeta2_family(alpha: float, size: int, tail_policy: TailPolicy = TailPolicy.L
     """Built-in family with base row 6/(pi^2 j^2) and perturbation k^(-alpha)."""
     _check_zeta_params("zeta2", alpha, None, size)
     limit = make_limit_kernel("zeta2", size, tail_policy)
-    struct = _zeta_structure("zeta2", size) if tail_policy == TailPolicy.LUMP else None
+    struct = _zeta_structure("zeta2", size, tail_policy)
     return KernelFamily("zeta2", size, tail_policy, limit, alpha=alpha, structure=struct)
 
 
@@ -547,7 +586,7 @@ def zeta4_family(
     """Built-in family with base row 90/(pi^4 j^4) and perturbation (log k)^beta k^(-alpha)."""
     _check_zeta_params("zeta4", alpha, beta, size)
     limit = make_limit_kernel("zeta4", size, tail_policy)
-    struct = _zeta_structure("zeta4", size) if tail_policy == TailPolicy.LUMP else None
+    struct = _zeta_structure("zeta4", size, tail_policy)
     return KernelFamily("zeta4", size, tail_policy, limit, alpha=alpha, beta=beta, structure=struct)
 
 

@@ -3,13 +3,14 @@
 A forward dynamic program over (step, state, partial sum) yields the law of
 S_n exactly up to float rounding.  The raw table has N * (n * range + 1)
 cells, which is infeasible for long horizons, so the DP first merges states
-that are provably interchangeable: for the built-in families every step-k
-kernel is ``base_row + s(k) * B`` with B a fixed band matrix, so two states
-can be merged whenever they share an f value and inject identical
+that are provably interchangeable: for the lump-policy built-in families every
+step-k kernel is ``base_row + s(k) * B`` with B a fixed band matrix, so two
+states can be merged whenever they share an f value and inject identical
 B-coefficients into every class of the partition.  The coarsest such
 partition is found by signature refinement; it is exact (no approximation),
 and the result's mean is cross-checked against the unlumped propagation
-expectation.
+expectation.  Other families run on the raw states, each step pushed through
+``KernelFamily.steps`` (O(N) per cell column for the renormalize built-ins).
 """
 
 from __future__ import annotations
@@ -77,10 +78,11 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     Valid merge criterion: states in one class share the f value, and move
     identical perturbation mass into every class.  Returns the class-level
     base masses, perturbation coefficients, f values and start law, or None
-    when the family carries no rank-one-plus-band structure.
+    when the family carries no rank-one-plus-band structure or replaces its
+    last row (renormalize).
     """
     struct = family.structure
-    if struct is None:
+    if struct is None or struct.last:
         return None
     n = family.size
     _, labels = np.unique(np.round(f.values).astype(np.int64), return_inverse=True)
@@ -146,6 +148,7 @@ def exact_sum_distribution(
     width = n * vrange + 1
     rel = values - vmin
     shifts = [(g, rel == g) for g in np.unique(rel)]
+    raw_steps = family.steps(n) if lumped is None else None
 
     cur = np.zeros((m, width))
     cur[:, 0] = start
@@ -157,12 +160,14 @@ def exact_sum_distribution(
             col = sub.sum(axis=0)
             mass = base[:, None] * col[None, :] + scales[k - 1] * (coeff.T @ sub)
         else:
-            kern = family.kernel_at(k)
-            trans = np.zeros((m, m))
-            trans[: m - 1, : m - 1] = kern.rows
-            trans[: m - 1, m - 1] = kern.tail_mass
-            trans[m - 1, m - 1] = 1.0
-            mass = trans.T @ sub
+            # each partial sum's retained states as a law of its own, since a band
+            # step takes a law's retained mass to be one minus its tail
+            held = sub[:-1].sum(axis=0)
+            law = sub[:-1].T / np.where(held > 0.0, held, 1.0)[:, None]
+            probs, escaped = next(raw_steps).push(law, np.zeros(prev_w))
+            mass = np.empty_like(sub)
+            np.multiply(probs.T, held, out=mass[:-1])
+            mass[-1] = sub[-1] + escaped * held
         new_w = k * vrange + 1
         nxt[:, :new_w] = 0.0
         if vrange == 0:

@@ -91,6 +91,56 @@ class TestDobrushinDelta:
         perturbed[0, 1] -= 0.01
         assert dobrushin_delta(TruncatedKernel(perturbed, np.zeros(8))) > 0.0
 
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_closed_forms_match_dense_evaluation(self, kind, policy):
+        """delta(P_k) and ||P_k - P|| from the band structure against the dense
+        scan and the row distance, including the pairs with the last row."""
+        for size in (3, 4, 60, 150):
+            fam = (zeta2_family(0.75, size, policy) if kind == "zeta2"
+                   else zeta4_family(0.75, 1.0, size, policy))
+            deltas = delta_sequence(fam, 1000)
+            deviations = ergodicity._deviation_sequence(fam, 1000)
+            for k in (1, 2, 3, 10, 1000):
+                kern = fam.kernel_at(k)
+                assert deltas[k - 1] == pytest.approx(
+                    dobrushin_delta(kern, method="dense"), rel=1e-12, abs=0)
+                assert deviations[k - 1] == pytest.approx(
+                    ergodicity._kernel_distance(kern, fam.limit), rel=1e-12, abs=0)
+
+    def test_closed_forms_where_the_last_row_dominates(self):
+        """Bands whose replaced last row sits farther from the others than any
+        band row: the last-row terms of both closed forms decide the values.
+        In the last band the largest column-(i+1) term moves from i = 0 to
+        i = 1 as s(k) falls."""
+        rng = np.random.default_rng(11)
+        bands = []
+        for size in (3, 4, 7):
+            w = rng.random(size) + 0.1
+            w[-1] = w[:-1].sum()  # base_row[-1] = 0.5
+            base = w / w.sum()
+            pert = 0.05 * base * rng.random(size)
+            pert[-1] = 0.0
+            bands.append((base, pert))
+        bands.append((np.array([0.25, 0.2, 0.02, 0.03, 0.5]),
+                      np.array([0.2, 0.065, 0.001, 0.001, 0.0])))
+        for base, pert in bands:
+            size = base.size
+            band = nhmc.kernels._make_structure(base, pert, float(base[-1]))
+            limit = TruncatedKernel(np.tile(base, (size, 1)), np.zeros(size))
+            fam = dataclasses.replace(zeta2_family(0.75, size, nhmc.TailPolicy.RENORMALIZE),
+                                      structure=band, limit=limit)
+            deltas = delta_sequence(fam, 20)
+            deviations = ergodicity._deviation_sequence(fam, 20)
+            for k, step in enumerate(fam.steps(20), start=1):
+                rows, _ = step.push(np.eye(size), np.zeros(size))
+                kern = TruncatedKernel(rows, np.zeros(size))
+                assert deltas[k - 1] == pytest.approx(dobrushin_delta(kern), rel=1e-12, abs=0)
+                assert deltas[k - 1] > step.scale * np.sort(pert)[-2:].sum()
+                assert deviations[k - 1] == pytest.approx(
+                    ergodicity._kernel_distance(kern, limit), rel=1e-12, abs=0)
+                assert deviations[k - 1] > 2.0 * step.scale * pert.max()
+
     def test_delta_sequence_matches_per_step_evaluation(self):
         """The scale shortcut must equal direct evaluation at every sampled k."""
         fam = zeta4_family(0.75, 1.0, 120)
@@ -228,12 +278,27 @@ class TestCesaroScan:
 
     def test_dense_scan_equals_the_loop_over_starts(self):
         """k outer and chunked, the dense scan keeps every operation of the plain loop."""
-        fam = zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE)
+        fam = dataclasses.replace(zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE),
+                                  structure=None)
         grid, m_sup = [1, 5, 30], ergodicity._CESARO_CHUNK + 3
         prof = condition_profile(fam, "cesaro_product_average", grid, m_sup)
         values, argmax = _cesaro_by_start(fam, grid, m_sup)
         np.testing.assert_array_equal(prof.values, values)
         np.testing.assert_array_equal(prof.m_argmax, argmax)
+
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_renormalize_matches_dense_twin(self, kind, monkeypatch):
+        """Row stacks through the renormalize band steps against dense kernels."""
+        fam = (zeta2_family(0.75, 30, nhmc.TailPolicy.RENORMALIZE) if kind == "zeta2"
+               else zeta4_family(0.75, 1.0, 30, nhmc.TailPolicy.RENORMALIZE))
+        grid, m_sup = [1, 5, 40], ergodicity._CESARO_CHUNK + 2
+        calls = _count_kernel_at(monkeypatch)
+        band = condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        assert calls == []
+        dense = condition_profile(dataclasses.replace(fam, structure=None),
+                                  "cesaro_product_average", grid, m_sup)
+        np.testing.assert_allclose(band.values, dense.values, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(band.m_argmax, dense.m_argmax)
 
     def test_chunked_starts_match_one_chunk(self, monkeypatch):
         fam = zeta4_family(0.75, 1.0, 30)
@@ -255,6 +320,19 @@ class TestCesaroScan:
         with pytest.raises(KernelValidationError):
             ConditionProfile(ConvergenceCondition.CESARO_PRODUCT_AVERAGE, [1], [0.5], 0,
                              error_bound=-1.0)
+
+
+def test_renormalize_family_builds_no_dense_kernel(monkeypatch):
+    """The profiles, the sampler and the martingale check run on band steps."""
+    fam = zeta2_family(0.75, 40, nhmc.TailPolicy.RENORMALIZE)
+    mu0 = nhmc.point_mass(1, 40)
+    obs = nhmc.ObservableSet((nhmc.indicator_observable(1, 40),))
+    calls = _count_kernel_at(monkeypatch)
+    for condition in ConvergenceCondition:
+        condition_profile(fam, condition, [5, 50], 3)
+    nhmc.sample_paths([1, 2, 3], mu0, fam, 50)
+    nhmc.martingale_check(fam, mu0, obs, [1.0], [10, 50], trials=20, base_seed=4)
+    assert calls == []
 
 
 class TestStationary:

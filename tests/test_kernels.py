@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,9 +112,66 @@ class TestMakeKernel:
         with pytest.raises(KernelValidationError, match=r"s\(54\) = 3\.186"):
             family_from_config({"kind": "zeta4", "alpha": 0.75, "beta": 3.0, "N": 50})
 
+    def test_huge_zeta4_beta_rejected_without_overflow(self):
+        """The peak of s(k) lies near k = e^1333 here; it is decided in logs,
+        so numpy warns of no overflow and the message carries no inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelValidationError, match=r"exp\(6026\) > 1") as err:
+                zeta4_family(0.75, 1000.0, 50)
+        assert "inf" not in str(err.value)
+
     def test_renormalize_policy_rows_sum_to_one(self):
         kern = make_kernel("zeta2", 7, 50, alpha=0.75, tail_policy=nhmc.TailPolicy.RENORMALIZE)
         np.testing.assert_allclose(kern.rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+RENORMALIZE_FAMILIES = {
+    "zeta2": lambda n: zeta2_family(0.75, n, nhmc.TailPolicy.RENORMALIZE),
+    "zeta4": lambda n: zeta4_family(0.75, 1.0, n, nhmc.TailPolicy.RENORMALIZE),
+}
+
+
+class TestBandStep:
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_renormalize_step_matches_kernel(self, kind):
+        """Band rows below N plus the replaced last row equal the dense
+        renormalized kernel in push, apply_to_function and draw."""
+        size = 150
+        fam = RENORMALIZE_FAMILIES[kind](size)
+        steps = list(fam.steps(550))
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 3, 10, 550):
+            step, kern = steps[k - 1], fam.kernel_at(k)
+            p = rng.random(size)
+            p *= 0.9 / p.sum()
+            for got, want in zip(step.push(p, 0.1), kern.push(p, 0.1)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            h = rng.standard_normal(size)
+            np.testing.assert_allclose(step.apply_to_function(h, 3.0),
+                                       kern.apply_to_function(h, 3.0), rtol=0, atol=1e-14)
+            state = np.repeat([0, size - 2, size - 1], 400)
+            u = rng.random(state.size)
+            u[::400] = 1.0 - 2.0**-53
+            drawn = step.draw(state, u)
+            np.testing.assert_array_equal(drawn, kern.draw(state, u))
+            assert drawn.max() < size  # u = 1 - 2^-53 stays on the states
+
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    def test_stack_push_with_per_law_tails_matches_dense(self, policy):
+        """A stack of N laws, each with its own tail: a tail broadcast against
+        the columns would raise no shape error at this width."""
+        size = 40
+        fam = zeta2_family(0.75, size, policy)
+        step, kern = list(fam.steps(5))[-1], fam.kernel_at(5)
+        rng = np.random.default_rng(3)
+        tails = rng.random(size) * 0.5
+        laws = rng.random((size, size))
+        laws *= ((1.0 - tails) / laws.sum(axis=1))[:, None]
+        rows, tail = step.push(laws, tails)
+        want_rows, want_tail = kern.push(laws, tails)
+        np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(tail, want_tail)
 
 
 class TestKernelProduct:
@@ -211,6 +271,14 @@ class TestExpectedSum:
         sums = nhmc.simulate_sums(mu0, fam, f, 100, 10**6, 77)
         se = sums.std(ddof=1) / np.sqrt(len(sums))
         assert abs(sums.mean() - exact) <= 3 * se
+
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_renormalize_matches_dense_twin(self, kind):
+        fam = RENORMALIZE_FAMILIES[kind](60)
+        twin = dataclasses.replace(fam, structure=None)
+        mu0, f = nhmc.uniform_initial(60), nhmc.capped_identity_observable(3, 60)
+        assert expected_sum(mu0, fam, f, 300) == pytest.approx(
+            expected_sum(mu0, twin, f, 300), rel=1e-12, abs=0)
 
     def test_matches_stepwise_propagation(self, zeta2_small, start200, ind200):
         total = sum(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -216,6 +217,20 @@ class TestMartingaleCheck:
         )
         np.testing.assert_allclose(band.variance_values, dense.variance_values,
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_renormalize_variance_matches_dense_twin(self, kind):
+        fam = (zeta2_family(0.75, 60, nhmc.TailPolicy.RENORMALIZE) if kind == "zeta2"
+               else nhmc.zeta4_family(0.75, 1.0, 60, nhmc.TailPolicy.RENORMALIZE))
+        twin = dataclasses.replace(fam, structure=None)
+        obs = ObservableSet((indicator_observable(1, 60), indicator_observable(60, 60)))
+        mu0 = nhmc.uniform_initial(60)
+        band, dense = (
+            martingale_check(f, mu0, obs, [1.0, -0.5], [10, 80], trials=16, base_seed=3)
+            for f in (fam, twin)
+        )
+        np.testing.assert_allclose(band.variance_values, dense.variance_values,
+                                   rtol=1e-12, atol=0)
 
     def test_start_with_tail_mass_rejected_before_exact_pass(self, zeta2_small,
                                                             monkeypatch):

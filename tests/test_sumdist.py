@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -47,6 +49,18 @@ class TestExactSumDistribution:
         raw = exact_sum_distribution(start200, fam, f, 12, merge=False)
         np.testing.assert_allclose(merged.pmf, raw.pmf, atol=1e-13)
         assert merged.support_offset == 12
+
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_renormalize_raw_dp_matches_dense_twin(self, kind):
+        """Raw-state DP through the band steps, start tail mass included."""
+        fam = (zeta2_family(0.75, 40, nhmc.TailPolicy.RENORMALIZE) if kind == "zeta2"
+               else nhmc.zeta4_family(0.75, 1.0, 40, nhmc.TailPolicy.RENORMALIZE))
+        mu0 = nhmc.InitialDistribution(np.full(40, 0.9 / 40), tail_mass=0.1)
+        f = capped_identity_observable(3, 40)
+        band = exact_sum_distribution(mu0, fam, f, 60)
+        dense = exact_sum_distribution(mu0, dataclasses.replace(fam, structure=None), f, 60)
+        assert band.support_offset == dense.support_offset
+        np.testing.assert_allclose(band.pmf, dense.pmf, rtol=1e-12, atol=0)
 
     def test_monte_carlo_histogram_oracle(self, start200):
         """50-step pmf against 10^6 sampled trajectories, 4 SE per likely bin."""
