@@ -56,7 +56,7 @@ from .rates import (
     RateModel,
     build_rate_model,
 )
-from .sumdist import SumDistribution, exact_sum_distribution
+from .sumdist import DPConsistencyError, SumDistribution, exact_sum_distribution
 from .simulate import (
     SpeedFunction,
     CltDiagnostic,

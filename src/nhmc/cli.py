@@ -6,7 +6,9 @@ Each command reads one JSON config, writes CSV/JSON artifacts plus a manifest
 with per-file checksums into the output directory (NHMC_OUTPUT_DIR overrides
 the config's ``output_dir``), and exits 0 on success, 2 on an invalid config
 or kernel, 3 when the variance positivity hypothesis fails, 4 when the
-runtime budget is exceeded.
+runtime budget is exceeded, 5 when a numerical computation fails its own
+check (a stationary solve that does not converge, an inconsistent rate
+computation, an exact DP whose mean disagrees with propagation).
 
 Reruns with identical config and seed reproduce the CSV outputs byte for
 byte, regardless of the worker count.
@@ -30,18 +32,21 @@ from . import __version__
 from .config import ExperimentConfig, InvalidConfigError
 from .ergodicity import (
     ConvergenceCondition,
+    ConvergenceError,
     ReducibleKernelError,
     condition_profile,
     stationary,
 )
 from .kernels import KernelValidationError, expected_sum
-from .rates import ThetaPositivityError, build_rate_model, rate_1d
+from .rates import RateComputationError, ThetaPositivityError, build_rate_model, rate_1d
 from .simulate import clt_diagnostic, martingale_check, mdp_diagnostic, simulate_sums
+from .sumdist import DPConsistencyError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
+EXIT_NUMERICAL = 5
 
 THETA_MIN = 1e-12
 VALIDATE_STEP_SAMPLE = (1, 2, 10, 100, 10**3, 10**5)
@@ -523,6 +528,9 @@ def main(argv=None) -> int:
     except RuntimeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (ConvergenceError, RateComputationError, DPConsistencyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(json.dumps({"command": args.command, "ok": True, "summary": summary},
                      sort_keys=True, default=str))
     return EXIT_OK

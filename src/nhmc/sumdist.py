@@ -1,16 +1,32 @@
 """Exact distribution of S_n = f(X_1) + ... + f(X_n) for integer-valued f.
 
 A forward dynamic program over (step, state, partial sum) yields the law of
-S_n exactly up to float rounding.  The raw table has N * (n * range + 1)
-cells, which is infeasible for long horizons, so the DP first merges states
-that are provably interchangeable: for the lump-policy built-in families every
-step-k kernel is ``base_row + s(k) * B`` with B a fixed band matrix, so two
-states can be merged whenever they share an f value and inject identical
-B-coefficients into every class of the partition.  The coarsest such
-partition is found by signature refinement; it is exact (no approximation),
-and the result's mean is cross-checked against the unlumped propagation
-expectation.  Other families run on the raw states, each step pushed through
-``KernelFamily.steps`` (O(N) per cell column for the renormalize built-ins).
+S_n.  The raw table has N * (n * range + 1) cells, which is infeasible for
+long horizons, so the DP first merges states that are provably
+interchangeable: for the lump-policy built-in families every step-k kernel is
+``base_row + s(k) * B`` with B a fixed band matrix, so two states can be
+merged whenever they share an f value and inject identical B-coefficients
+into every class of the partition.  The coarsest such partition is found by
+signature refinement; it is exact (no approximation).
+
+On the merged path each step is one small class-level matrix
+``A_k = base 1^T + s(k) C^T``.  The classes come sorted by f value, so each
+value group is a row block whose product lands in one shifted slice of the
+next table.  The step sweeps only the window of partial sums that still hold
+mass: at the window's edges it drops the columns whose total is below the
+smallest normal float, whose subnormal arithmetic would otherwise dominate
+the sweep, and reports their total as ``SumDistribution.dropped_mass``.
+That is an absolute error bound on the pmf and on every tail probability
+(below 1e-303 up to n = 5e4 on the built-ins).  Other families
+(renormalize, tables, ``merge=False``) run on the raw states over every
+partial sum, each step pushed through ``KernelFamily.steps``.  Either way
+the result's mean is cross-checked against the unlumped propagation
+expectation.
+
+The DP holds two float64 tables of classes x (n * range + 1) cells, and the
+raw-state step about four more tables' worth of work arrays; the cell budget
+counts those cells and is checked before anything of their size is
+allocated.
 """
 
 from __future__ import annotations
@@ -28,19 +44,35 @@ from .kernels import (
     expected_sum,
 )
 
-__all__ = ["SumDistribution", "exact_sum_distribution", "DP_CELL_BUDGET"]
+__all__ = [
+    "SumDistribution",
+    "exact_sum_distribution",
+    "DP_CELL_BUDGET",
+    "DPConsistencyError",
+]
 
-DP_CELL_BUDGET = 2_000_000_000  # n * value_range * dp_states
+DP_CELL_BUDGET = 250_000_000  # float64 cells the DP holds at its peak: 2 GB
+
+
+class DPConsistencyError(RuntimeError):
+    """The DP's mean disagrees with the propagation expectation."""
 
 
 @dataclass(frozen=True, eq=False)
 class SumDistribution:
-    """Probability mass function of an integer-valued additive functional."""
+    """Probability mass function of an integer-valued additive functional.
+
+    ``dropped_mass`` is the total mass the DP dropped below the smallest
+    normal float at its window's edges: every pmf entry and every
+    ``tail_probability`` is exact up to float rounding and this absolute
+    error.
+    """
 
     n: int
     support_offset: int
     pmf: np.ndarray
     mean: float
+    dropped_mass: float = 0.0
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -76,10 +108,14 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     """The DP's inputs on the coarsest partition of the states it may use in place of 1..N.
 
     Valid merge criterion: states in one class share the f value, and move
-    identical perturbation mass into every class.  Returns the class-level
-    base masses, perturbation coefficients, f values and start law, or None
-    when the family carries no rank-one-plus-band structure or replaces its
-    last row (renormalize).
+    identical perturbation mass into every class.  Returns ``fixed`` and
+    ``coeff_t`` with the class-level step matrix ``A_k = fixed + s(k) *
+    coeff_t`` (column c holds where a unit of class-c mass goes), the class f
+    values in ascending order, and the class start law; or None when the
+    family carries no rank-one-plus-band structure or replaces its last row
+    (renormalize).  Start mass beyond N sits in an absorbing class with the
+    tail value, as on the raw path; the class exists only when that mass is
+    positive.
     """
     struct = family.structure
     if struct is None or struct.last:
@@ -92,6 +128,7 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
         chi[np.arange(n), labels] = 1.0
         chi_next = np.vstack([chi[1:], chi[-1:]])  # pert[-1] == 0 makes the pad irrelevant
         coeff = struct.pert[:, None] * (chi_next - chi)  # constant within final classes
+        # labels lead the signature, so classes stay sorted by f value
         sig = np.concatenate([labels[:, None].astype(float), coeff], axis=1)
         _, new_labels = np.unique(sig, axis=0, return_inverse=True)
         if new_labels.max() + 1 == m:
@@ -102,7 +139,83 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     np.add.at(base, labels, struct.base_row)
     start = np.zeros(m)
     np.add.at(start, labels, mu0.probs)
-    return base, coeff[first], np.round(f.values[first]).astype(np.int64), start
+    fixed = np.repeat(base[:, None], m, axis=1)
+    coeff_t = coeff[first].T
+    values = np.round(f.values[first]).astype(np.int64)
+    if mu0.tail_mass > 0.0:
+        tail = int(round(f.tail_value))
+        at = int(np.searchsorted(values, tail, side="right"))
+        fixed, coeff_t = (np.insert(np.insert(a, at, 0.0, axis=0), at, 0.0, axis=1)
+                          for a in (fixed, coeff_t))
+        fixed[at, at] = 1.0
+        values = np.insert(values, at, tail)
+        start = np.insert(start, at, mu0.tail_mass)
+    return fixed, coeff_t, values, start
+
+
+def _window_sweep(cur, fixed, coeff_t, rel, scales):
+    """The merged DP's steps from table ``cur`` over the live window ``[lo, hi)``
+    of partial sums.
+
+    Returns the final table, its window and the mass dropped at the window's
+    edges.  ``rel`` (the class values minus their minimum) is ascending, so
+    each value group is a row block.
+    """
+    nxt = np.zeros_like(cur)
+    tiny = np.finfo(float).tiny
+    vrange = int(rel[-1])
+    cuts = np.flatnonzero(np.diff(rel)) + 1
+    blocks = [(int(rel[a]), a, b) for a, b in zip(np.r_[0, cuts], np.r_[cuts, rel.size])]
+    step = np.empty_like(fixed)
+    lo, hi, dropped = 0, 1, 0.0
+    for s in scales:
+        np.multiply(coeff_t, s, out=step)
+        step += fixed
+        sub = cur[:, lo:hi]
+        nxt[:, lo:hi + vrange] = 0.0
+        for g, a, b in blocks:
+            np.matmul(step[a:b], sub, out=nxt[a:b, lo + g:hi + g])
+        hi += vrange
+        while hi - lo > 1 and (edge := nxt[:, lo].sum()) < tiny:
+            dropped += edge
+            lo += 1
+        while hi - lo > 1 and (edge := nxt[:, hi - 1].sum()) < tiny:
+            dropped += edge
+            hi -= 1
+        cur, nxt = nxt, cur
+    return cur, lo, hi, dropped
+
+
+def _raw_step(sub: np.ndarray, op) -> np.ndarray:
+    """One raw-state step of the partial-sum columns ``sub`` through ``op``,
+    before the shift by each state's value.  Each partial sum's retained
+    states are pushed as a law of their own, since a band step takes a law's
+    retained mass to be one minus its tail.  Its work arrays die on return."""
+    held = sub[:-1].sum(axis=0)
+    law = sub[:-1].T / np.where(held > 0.0, held, 1.0)[:, None]
+    probs, escaped = op.push(law, np.zeros(sub.shape[1]))
+    mass = np.empty_like(sub)
+    np.multiply(probs.T, held, out=mass[:-1])
+    mass[-1] = sub[-1] + escaped * held
+    return mass
+
+
+def _raw_sweep(cur, steps, rel):
+    """The raw-state DP's steps from table ``cur`` over every partial sum;
+    returns the final table.  The last row is the absorbing pseudo-state for
+    escaped tail mass."""
+    nxt = np.zeros_like(cur)
+    vrange = int(rel.max())
+    shifts = [(g, rel == g) for g in np.unique(rel)]
+    for k, op in enumerate(steps, 1):
+        prev_w = (k - 1) * vrange + 1
+        mass = _raw_step(cur[:, :prev_w], op)
+        nxt[:, :k * vrange + 1] = 0.0
+        for g, rowsel in shifts:
+            nxt[rowsel, g : g + prev_w] = mass[rowsel]
+        del mass  # one table less while the next step builds its work arrays
+        cur, nxt = nxt, cur
+    return cur
 
 
 def exact_sum_distribution(
@@ -113,10 +226,15 @@ def exact_sum_distribution(
     merge: bool = True,
     cell_budget: int = DP_CELL_BUDGET,
 ) -> SumDistribution:
-    """Exact pmf of S_n by forward DP; raises when the cell budget is exceeded.
+    """Exact pmf of S_n by forward DP.
 
-    ``merge=False`` forces the DP onto the raw states (useful as a
-    cross-check; only tractable for short horizons).
+    Raises KernelValidationError, before allocating anything of the DP's
+    size, when its float64 cells exceed ``cell_budget``: two tables of
+    classes x (n * range + 1) cells (on the raw states four more tables'
+    worth of per-step work arrays) and the n step scales.  Raises
+    DPConsistencyError when the DP's mean disagrees with the propagation
+    expectation.  ``merge=False`` forces the DP onto the raw states (useful
+    as a cross-check; only tractable for short horizons).
     """
     if n < 1:
         raise KernelValidationError(f"horizon must be >= 1, got {n}")
@@ -127,64 +245,46 @@ def exact_sum_distribution(
 
     lumped = _lumped_chain(family, mu0, f) if merge else None
     if lumped is not None:
-        base, coeff, values, start = lumped
-        m = base.size
-        scales = family.perturbation_scale(np.arange(1, n + 1))
+        fixed, coeff_t, values, start = lumped
     else:
         # raw states, plus one absorbing pseudo-state for escaped tail mass
         values = np.concatenate(
             [np.round(f.values).astype(np.int64), [int(round(f.tail_value))]]
         )
         start = np.concatenate([mu0.probs, [mu0.tail_mass]])
-        m = family.size + 1
-
+    m = values.size
     vmin = int(values.min())
-    vmax = int(values.max())
-    vrange = vmax - vmin
-    if n * max(vrange, 1) * m > cell_budget:
-        raise KernelValidationError(
-            f"DP budget exceeded: n*range*states = {n * max(vrange, 1) * m} > {cell_budget}"
-        )
+    vrange = int(values.max()) - vmin
     width = n * vrange + 1
-    rel = values - vmin
-    shifts = [(g, rel == g) for g in np.unique(rel)]
-    raw_steps = family.steps(n) if lumped is None else None
+    # a raw step also holds the laws, the push's work arrays and the pushed
+    # mass, each about one table; n more cells hold the step scales
+    tables = 2 if lumped is not None else 6
+    cells = tables * m * width + n
+    if cells > cell_budget:
+        raise KernelValidationError(
+            f"DP budget exceeded: {tables} tables x {m} states x {width} partial sums "
+            f"+ {n} step scales = {cells} cells > {cell_budget}"
+        )
 
-    cur = np.zeros((m, width))
-    cur[:, 0] = start
-    nxt = np.zeros_like(cur)
-    for k in range(1, n + 1):
-        prev_w = (k - 1) * vrange + 1
-        sub = cur[:, :prev_w]
-        if lumped is not None:
-            col = sub.sum(axis=0)
-            mass = base[:, None] * col[None, :] + scales[k - 1] * (coeff.T @ sub)
-        else:
-            # each partial sum's retained states as a law of its own, since a band
-            # step takes a law's retained mass to be one minus its tail
-            held = sub[:-1].sum(axis=0)
-            law = sub[:-1].T / np.where(held > 0.0, held, 1.0)[:, None]
-            probs, escaped = next(raw_steps).push(law, np.zeros(prev_w))
-            mass = np.empty_like(sub)
-            np.multiply(probs.T, held, out=mass[:-1])
-            mass[-1] = sub[-1] + escaped * held
-        new_w = k * vrange + 1
-        nxt[:, :new_w] = 0.0
-        if vrange == 0:
-            nxt[:, :prev_w] = mass
-        else:
-            for g, rowsel in shifts:
-                nxt[rowsel, g : g + prev_w] = mass[rowsel]
-        cur, nxt = nxt, cur
+    table = np.zeros((m, width))
+    table[:, 0] = start
+    if lumped is not None:
+        scales = family.perturbation_scale(np.arange(1, n + 1))
+        table, lo, hi, dropped = _window_sweep(table, fixed, coeff_t, values - vmin, scales)
+    else:
+        table = _raw_sweep(table, family.steps(n), values - vmin)
+        lo, hi, dropped = 0, width, 0.0
+    pmf = np.zeros(width)
+    pmf[lo:hi] = table[:, lo:hi].sum(axis=0)
+    del table  # the pmf's post-processing fits in the memory the tables held
 
-    pmf = cur.sum(axis=0)
     offset = n * vmin
     mean = float(pmf @ (offset + np.arange(width)))
     expected = expected_sum(mu0, family, f, n)
     # the DP accumulates O(n * eps) relative rounding in the pmf mass itself
     tol = max(1e-8, 64 * np.finfo(float).eps * n * max(1.0, abs(expected)))
     if abs(mean - expected) > tol:
-        raise RuntimeError(
+        raise DPConsistencyError(
             f"DP mean {mean} disagrees with propagation expectation {expected}"
         )
-    return SumDistribution(n, offset, pmf, mean)
+    return SumDistribution(n, offset, pmf, mean, dropped)

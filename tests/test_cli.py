@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nhmc import cli
+from nhmc import ConvergenceError, StationaryVector, cli, sumdist
 
 
 def base_config(out_dir, **overrides):
@@ -196,6 +196,30 @@ class TestArtifacts:
         cfg = base_config(tmp_path / "out", runtime_budget_seconds=1e-9, n_grid=[400])
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["clt", "--config", str(path)]) == cli.EXIT_BUDGET
+
+    def test_stationary_convergence_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(P):
+            raise ConvergenceError("stationary solve residual 1e-3 exceeds 1e-10")
+
+        monkeypatch.setattr(cli, "stationary", no_convergence)
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out"))
+        assert cli.main(["rate", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert "residual" in capsys.readouterr().err
+
+    def test_rate_consistency_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+        """A pi that is not stationary makes the two variance forms disagree."""
+        monkeypatch.setattr(cli, "stationary",
+                            lambda P: StationaryVector(np.full(P.size, 1.0 / P.size), 0.0))
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out"))
+        assert cli.main(["rate", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert "disagree" in capsys.readouterr().err
+
+    def test_dp_mean_mismatch_exits_5(self, tmp_path, monkeypatch, capsys):
+        real = sumdist.expected_sum
+        monkeypatch.setattr(sumdist, "expected_sum", lambda *args: real(*args) + 1.0)
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out"))
+        assert cli.main(["mdp", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert "DP mean" in capsys.readouterr().err
 
     def test_svg_flag_writes_plot(self, tmp_path):
         pytest.importorskip("matplotlib")

@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 import nhmc
@@ -17,7 +20,24 @@ from nhmc import (
     point_mass,
     simulate_sums,
     zeta2_family,
+    zeta4_family,
 )
+
+
+def full_sweep_dp(mu0, family, f, n):
+    """Plain forward DP over every (state, partial sum) on the dense kernels,
+    for a start law without tail mass; returns the pmf from n * min f."""
+    rel = np.round(f.values).astype(np.int64)
+    rel -= rel.min()
+    width = n * int(rel.max()) + 1
+    table = np.zeros((family.size, width))
+    table[:, 0] = mu0.probs
+    for k in range(1, n + 1):
+        moved = family.kernel_at(k).rows.T @ table
+        table = np.zeros_like(table)
+        for i, g in enumerate(rel):
+            table[i, g:] = moved[i, : width - g]
+    return table.sum(axis=0)
 
 
 class TestExactSumDistribution:
@@ -49,6 +69,44 @@ class TestExactSumDistribution:
         raw = exact_sum_distribution(start200, fam, f, 12, merge=False)
         np.testing.assert_allclose(merged.pmf, raw.pmf, atol=1e-13)
         assert merged.support_offset == 12
+
+    @pytest.mark.parametrize("observable", ["indicator", "capped_identity"])
+    def test_merged_keeps_start_tail_mass(self, observable):
+        """Start mass beyond N stays in an absorbing class with the tail value."""
+        fam = zeta2_family(0.75, 40)
+        mu0 = nhmc.InitialDistribution(np.full(40, 0.9 / 40), tail_mass=0.1)
+        f = (indicator_observable(1, 40) if observable == "indicator"
+             else capped_identity_observable(3, 40))
+        merged = exact_sum_distribution(mu0, fam, f, 60)
+        raw = exact_sum_distribution(mu0, fam, f, 60, merge=False)
+        assert merged.support_offset == raw.support_offset
+        np.testing.assert_allclose(merged.pmf, raw.pmf, rtol=0, atol=1e-13)
+
+    @given(st.sampled_from(["zeta2", "zeta4"]), st.floats(0.55, 2.0), st.integers(4, 12),
+           st.sampled_from(["indicator", "capped_identity"]), st.integers(1, 300))
+    @settings(max_examples=25, deadline=None)
+    @example("zeta4", 0.75, 8, "capped_identity", 300)
+    @example("zeta4", 0.75, 8, "indicator", 300)
+    def test_window_matches_full_sweep(self, kind, alpha, size, observable, n):
+        """The merged DP's live window drops no more than it reports."""
+        fam = zeta2_family(alpha, size) if kind == "zeta2" else zeta4_family(alpha, 1.0, size)
+        f = (indicator_observable(1, size) if observable == "indicator"
+             else capped_identity_observable(3, size))
+        mu0 = point_mass(1, size)
+        dist = exact_sum_distribution(mu0, fam, f, n)
+        assert 0.0 <= dist.dropped_mass <= 1e-290
+        reference = full_sweep_dp(mu0, fam, f, n)
+        assert dist.pmf.size == reference.size
+        assert np.abs(dist.pmf - reference).max() <= dist.dropped_mass + 1e-13
+
+    def test_window_drops_subnormal_columns(self, iid_family, start200, ind200, q_zeta2):
+        """At n = 3000 both tails of the binomial law fall below the smallest
+        normal float; the window drops them and bounds the error."""
+        dist = exact_sum_distribution(start200, iid_family, ind200, 3000)
+        assert 0.0 < dist.dropped_mass <= 1e-290
+        exact = binom.pmf(np.arange(3001), 3000, q_zeta2)
+        assert np.abs(dist.pmf - exact).max() <= dist.dropped_mass + 1e-13
+        assert dist.pmf[0] == 0.0  # (1 - q)^3000 is far below the smallest normal float
 
     @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
     def test_renormalize_raw_dp_matches_dense_twin(self, kind):
@@ -96,6 +154,47 @@ class TestExactSumDistribution:
         with pytest.raises(KernelValidationError):
             exact_sum_distribution(start200, iid_family, ind200, 10**5, merge=False,
                                    cell_budget=10**6)
+
+    @pytest.mark.parametrize("merge, states, n", [(True, 3, 2 * 10**4), (False, 201, 10**3)])
+    def test_budget_counts_the_tables_before_allocating(self, iid_family, start200,
+                                                        merge, states, n):
+        """A budget of n * range * states cells (capped_identity(3) has range
+        2) cannot hold the DP's tables of states x (n * range + 1) cells
+        (1.9 and 3.2 MB for two tables here): it is refused before anything
+        of the DP's size is allocated."""
+        f = capped_identity_observable(3, 200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(KernelValidationError, match="budget"):
+                exact_sum_distribution(start200, iid_family, f, n, merge=merge,
+                                       cell_budget=n * 2 * states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("kind", ["merged", "raw_band", "raw_dense"])
+    def test_budget_bounds_peak_memory(self, kind):
+        """The budget counts two tables of states x (n * range + 1) cells (six
+        on the raw states, whose step holds work arrays) plus n step scales;
+        a DP at exactly its count runs within 10% of that many float64s."""
+        renormalize = zeta2_family(0.75, 60, nhmc.TailPolicy.RENORMALIZE)
+        fam, n, cells = {
+            "merged": (zeta2_family(0.75, 60), 5000, 2 * 3 * 10001 + 5000),
+            "raw_band": (renormalize, 600, 6 * 61 * 1201 + 600),
+            "raw_dense": (dataclasses.replace(renormalize, structure=None), 600,
+                          6 * 61 * 1201 + 600),
+        }[kind]
+        mu0, f = point_mass(1, 60), capped_identity_observable(3, 60)
+        with pytest.raises(KernelValidationError, match="budget"):
+            exact_sum_distribution(mu0, fam, f, n, cell_budget=cells - 1)
+        tracemalloc.start()
+        try:
+            exact_sum_distribution(mu0, fam, f, n, cell_budget=cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * cells
 
     def test_tail_probability_thresholds(self, iid_family, start200, ind200):
         dist = exact_sum_distribution(start200, iid_family, ind200, 10)
