@@ -1,14 +1,15 @@
 """Config-driven experiment runner.
 
-    nhmc validate|conditions|rate|clt|mdp|martingale --config FILE [--workers K] [--svg]
+    nhmc validate|conditions|rate|clt|mdp|martingale --config FILE [--workers K]
 
 Each command reads one JSON config, writes CSV/JSON artifacts plus a manifest
 with per-file checksums into the output directory (NHMC_OUTPUT_DIR overrides
 the config's ``output_dir``), and exits 0 on success, 2 on an invalid config
 or kernel, 3 when the variance positivity hypothesis fails, 4 when the
-runtime budget is exceeded, 5 when a numerical computation fails its own
-check (a stationary solve that does not converge, an inconsistent rate
-computation, an exact DP whose mean disagrees with propagation).
+runtime budget is exceeded or the run runs out of memory, 5 when a numerical
+computation fails its own check (a stationary solve that does not converge,
+an inconsistent rate computation, an exact DP whose mean disagrees with
+propagation).
 
 Reruns with identical config and seed reproduce the CSV outputs byte for
 byte, regardless of the worker count.
@@ -104,25 +105,16 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _json_default(value):
+    """numpy arrays and scalars as the Python values ``json`` writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -159,32 +151,11 @@ def verify_manifest(out_dir: str | Path) -> bool:
     )
 
 
-def _maybe_svg(enabled: bool, path: Path, plot_fn) -> Path | None:
-    if not enabled:
-        return None
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not installed; skipping SVG output", file=sys.stderr)
-        return None
-    fig = plt.figure(figsize=(7, 4.5))
-    try:
-        plot_fn(plt)
-        plt.tight_layout()
-        fig.savefig(path, format="svg")
-    finally:
-        plt.close(fig)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int,
                  budget: _Budget) -> tuple[list[Path], dict]:
     family = cfg.family
     checks = []
@@ -219,7 +190,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
     return [path], report
 
 
-def cmd_conditions(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
+def cmd_conditions(cfg: ExperimentConfig, out_dir: Path, workers: int,
                    budget: _Budget) -> tuple[list[Path], dict]:
     profiles = []
     summary: dict = {"m_sup_range": cfg.m_sup_range}
@@ -259,20 +230,6 @@ def cmd_conditions(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool
     )
     files = [csv_path, out_dir / "conditions_summary.json"]
     _write_json(files[1], summary)
-
-    def plot(plt):
-        for prof in profiles:
-            mask = prof.values > 0
-            if mask.any():
-                plt.loglog(prof.n_grid[mask], prof.values[mask], marker="o",
-                           label=prof.condition.value)
-        plt.xlabel("n")
-        plt.ylabel("condition value")
-        plt.legend()
-
-    svg_path = _maybe_svg(svg, out_dir / "conditions.svg", plot)
-    if svg_path:
-        files.append(svg_path)
     return files, summary
 
 
@@ -287,7 +244,7 @@ def _rate_model(cfg: ExperimentConfig):
     return model
 
 
-def cmd_rate(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
+def cmd_rate(cfg: ExperimentConfig, out_dir: Path, workers: int,
              budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     budget.check("rate model")
@@ -305,13 +262,12 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
     return [json_path, table_path], payload
 
 
-def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
+def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
             budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     rows = []
     sample_rows = []
     summary = {"thresholds": {"ks_max": CLT_KS_MAX, "variance_ratio": CLT_VAR_RATIO}, "runs": []}
-    last_z = None
     for n in cfg.n_grid:
         sums = simulate_sums(cfg.initial, cfg.family, cfg.observables, n,
                              cfg.trials, cfg.base_seed, workers)
@@ -329,8 +285,6 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
                     "variance_pass": CLT_VAR_RATIO[0] <= diag.variance_ratio <= CLT_VAR_RATIO[1],
                 }
             )
-            if l == 0 and n == cfg.n_grid[-1]:
-                last_z = (sums[:, 0] - expected) / np.sqrt(n * model.theta(0))
             for t, s in enumerate(sums[:, l]):
                 sample_rows.append((l, n, t, float(s)))
         budget.check(f"clt n={n}")
@@ -340,22 +294,10 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
     _write_csv(samples_path, ("observable", "n", "trial", "sum"), sample_rows)
     files = [csv_path, samples_path, out_dir / "clt_summary.json"]
     _write_json(files[2], summary)
-
-    def plot(plt):
-        from scipy.stats import norm
-
-        plt.hist(last_z, bins=60, density=True, alpha=0.6, label="standardized sums")
-        grid = np.linspace(-4, 4, 200)
-        plt.plot(grid, norm.pdf(grid), label="standard normal")
-        plt.legend()
-
-    svg_path = _maybe_svg(svg and last_z is not None, out_dir / "clt.svg", plot)
-    if svg_path:
-        files.append(svg_path)
     return files, summary
 
 
-def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
+def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int,
             budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     f = cfg.observables[0]
@@ -399,25 +341,10 @@ def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
         summary["per_x"].append(entry)
     files = [csv_path, out_dir / "mdp_summary.json"]
     _write_json(files[1], summary)
-
-    def plot(plt):
-        for x in cfg.x_grid:
-            series = [e for e in estimates if e.x == x and math.isfinite(e.scaled)]
-            if series:
-                plt.semilogx([e.n for e in series], [e.scaled for e in series],
-                             marker="o", label=f"x={x}")
-                plt.axhline(series[0].target, linestyle="--", alpha=0.5)
-        plt.xlabel("n")
-        plt.ylabel("scaled log tail probability")
-        plt.legend()
-
-    svg_path = _maybe_svg(svg, out_dir / "mdp.svg", plot)
-    if svg_path:
-        files.append(svg_path)
     return files, summary
 
 
-def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool,
+def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int,
                    budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     g = cfg.observables.combine(cfg.z_weights)
@@ -459,18 +386,6 @@ def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int, svg: bool
     }
     files = [csv_path, out_dir / "martingale_summary.json"]
     _write_json(files[1], summary)
-
-    def plot(plt):
-        plt.semilogx(result.n_grid, result.drift_values, marker="o", label="scaled |drift|")
-        plt.semilogx(result.n_grid, result.variance_values, marker="s",
-                     label="variance profile")
-        plt.axhline(result.theta_g, linestyle="--", alpha=0.5, label="theta(g)")
-        plt.xlabel("n")
-        plt.legend()
-
-    svg_path = _maybe_svg(svg, out_dir / "martingale.svg", plot)
-    if svg_path:
-        files.append(svg_path)
     return files, summary
 
 
@@ -495,12 +410,12 @@ def _resolve_output_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def run(command: str, config_path: str, workers: int = 1, svg: bool = False) -> dict:
+def run(command: str, config_path: str, workers: int = 1) -> dict:
     """Run one command; returns its summary dict.  Raises on failure."""
     cfg = ExperimentConfig.from_file(config_path)
     out_dir = _resolve_output_dir(cfg)
     budget = _Budget(cfg.runtime_budget_seconds)
-    files, summary = COMMANDS[command](cfg, out_dir, workers, svg, budget)
+    files, summary = COMMANDS[command](cfg, out_dir, workers, budget)
     _write_manifest(out_dir, command, cfg, files, budget)
     return summary
 
@@ -515,10 +430,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--workers", type=int, default=1, help="worker pool cap")
-        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
     args = parser.parse_args(argv)
     try:
-        summary = run(args.command, args.config, args.workers, args.svg)
+        summary = run(args.command, args.config, args.workers)
     except (InvalidConfigError, KernelValidationError, ReducibleKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -527,6 +441,10 @@ def main(argv=None) -> int:
         return EXIT_HYPOTHESIS
     except RuntimeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(f"error: out of memory running {args.command!r}; reduce N, n_grid or trials",
+              file=sys.stderr)
         return EXIT_BUDGET
     except (ConvergenceError, RateComputationError, DPConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,6 +126,13 @@ class ExperimentConfig:
         trials = int(raw.get("trials", 10000))
         if trials < 1:
             raise InvalidConfigError("trials must be >= 1")
+        base_seed = int(raw.get("base_seed", 0))
+        # trial t draws from the stream seeded base_seed + t, an int64
+        if not 0 <= base_seed <= 2**63 - trials:
+            raise InvalidConfigError(
+                f"base_seed must lie in [0, 2**63 - trials] = [0, {2**63 - trials}], "
+                f"got {base_seed}"
+            )
         mdp_method = raw.get("mdp_method", "exact_dp")
         if mdp_method not in ("exact_dp", "monte_carlo"):
             raise InvalidConfigError(f"unknown mdp_method {mdp_method!r}")
@@ -146,7 +153,7 @@ class ExperimentConfig:
             x_grid=x_grid,
             m_sup_range=m_sup_range,
             trials=trials,
-            base_seed=int(raw.get("base_seed", 0)),
+            base_seed=base_seed,
             mdp_method=mdp_method,
             z_weights=z_weights,
             output_dir=Path(raw.get("output_dir", "nhmc_runs")),

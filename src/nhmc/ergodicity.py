@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+BAND_HALF_WIDTH = 1  # built-in rows differ from the base row only next to their own index
+STATIONARY_TOL = 1e-12
+STATIONARY_SWEEPS = 5000  # power-iteration sweeps before the linear-solve fallback
+
+
 class ReducibleKernelError(ValueError):
     """The kernel is not irreducible on the retained states."""
 
@@ -96,16 +101,16 @@ def _delta_dense(rows: np.ndarray) -> float:
     return best
 
 
-def _delta_banded(rows: np.ndarray, bandwidth: int) -> float:
+def _delta_banded(rows: np.ndarray) -> float:
     """Positive-part scan restricted to the rows' bands.
 
     Precondition: every row equals a shared base row outside its own band of
-    half-width ``bandwidth``.  Pairs whose bands may interact (adjacent bands,
-    or bands touching the last column, where lumped kernels deviate) fall back
-    to full-row differences.
+    half-width ``BAND_HALF_WIDTH``.  Pairs whose bands may interact (adjacent
+    bands, or bands touching the last column, where lumped kernels deviate)
+    fall back to full-row differences.
     """
     n = rows.shape[0]
-    bw = bandwidth
+    bw = BAND_HALF_WIDTH
     near_margin = 2 * bw + 1
     best = 0.0
     idx = np.arange(n)
@@ -133,12 +138,13 @@ def _delta_banded(rows: np.ndarray, bandwidth: int) -> float:
     return best
 
 
-def dobrushin_delta(P, method: str = "dense", bandwidth: int = 1) -> float:
+def dobrushin_delta(P, method: str = "dense") -> float:
     """Contraction coefficient: sup over row pairs of the summed positive parts.
 
     ``method="banded"`` is an O(N^2) shortcut valid when rows pairwise agree
-    outside bands of half-width ``bandwidth`` around their own index (true for
-    the built-in families); ``"dense"`` is the unconditional O(N^3) scan.
+    outside bands of half-width ``BAND_HALF_WIDTH`` around their own index
+    (true for the built-in families); ``"dense"`` is the unconditional O(N^3)
+    scan.
     """
     if isinstance(P, TruncatedKernel):
         rows = _as_matrix_with_tail(P)
@@ -147,7 +153,7 @@ def dobrushin_delta(P, method: str = "dense", bandwidth: int = 1) -> float:
     if method == "dense":
         return _delta_dense(rows)
     if method == "banded":
-        return _delta_banded(rows, bandwidth)
+        return _delta_banded(rows)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -446,28 +452,23 @@ def _check_irreducible(P: TruncatedKernel) -> None:
         )
 
 
-def stationary(
-    P: TruncatedKernel,
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
-    solve_after: int = 5000,
-) -> StationaryVector:
+def stationary(P: TruncatedKernel) -> StationaryVector:
     """Stationary vector of P: power iteration with a dense linear-solve fallback.
 
     Power iteration runs on the transpose with L1 normalization and stops when
-    successive iterates agree within ``tol``; if it has not converged after
-    ``solve_after`` sweeps (or ``max_iter``, whichever is smaller) the fixed
-    point is computed by solving (P^T - I) pi = 0 with a normalization row.
+    successive iterates agree within ``STATIONARY_TOL``; if it has not
+    converged after ``STATIONARY_SWEEPS`` sweeps the fixed point is computed
+    by solving (P^T - I) pi = 0 with a normalization row.
     """
     if not P.is_stochastic:
         raise KernelValidationError("stationary vector requires a stochastic kernel")
     _check_irreducible(P)
     n = P.size
     x = np.full(n, 1.0 / n)
-    for _ in range(min(max_iter, solve_after)):
+    for _ in range(STATIONARY_SWEEPS):
         y = x @ P.rows
         y /= y.sum()
-        if np.abs(y - x).sum() <= tol:
+        if np.abs(y - x).sum() <= STATIONARY_TOL:
             x = y
             break
         x = y

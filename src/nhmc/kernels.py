@@ -37,6 +37,7 @@ import numpy as np
 
 ROW_TOL = 1e-12
 MASS_TOL = 1e-10
+INTEGER_TOL = 1e-9  # how far an observable value may sit from an integer for the exact DP
 
 __all__ = [
     "ROW_TOL",
@@ -130,9 +131,9 @@ class TruncatedKernel:
         """True when no mass escapes the retained states."""
         return bool(self.tail_mass.max() == 0.0)
 
-    def has_identical_rows(self, tol: float = ROW_TOL) -> bool:
-        return bool(np.abs(self.rows - self.rows[0]).max() <= tol
-                    and np.abs(self.tail_mass - self.tail_mass[0]).max() <= tol)
+    def has_identical_rows(self) -> bool:
+        return bool(np.abs(self.rows - self.rows[0]).max() <= ROW_TOL
+                    and np.abs(self.tail_mass - self.tail_mass[0]).max() <= ROW_TOL)
 
     def apply_to_function(self, values: np.ndarray, tail_value: float = 0.0) -> np.ndarray:
         """Row-wise expectation of a state function: (P h)(i)."""
@@ -227,9 +228,9 @@ class Observable:
     def size(self) -> int:
         return self.values.shape[0]
 
-    def is_integer_valued(self, tol: float = 1e-9) -> bool:
-        ok = np.abs(self.values - np.round(self.values)).max() <= tol
-        return bool(ok and abs(self.tail_value - round(self.tail_value)) <= tol)
+    def is_integer_valued(self) -> bool:
+        ok = np.abs(self.values - np.round(self.values)).max() <= INTEGER_TOL
+        return bool(ok and abs(self.tail_value - round(self.tail_value)) <= INTEGER_TOL)
 
     def shifted(self, c: float) -> "Observable":
         return Observable(self.values + c, self.tail_value + c)

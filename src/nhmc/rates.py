@@ -102,18 +102,12 @@ def rate_1d(x: float, theta_value: float) -> float:
     return float(x) ** 2 / (2.0 * theta_value)
 
 
-def rate_multi(
-    x,
-    Q: np.ndarray,
-    eig_cutoff_rel: float = DEFAULT_PSD_TOL,
-    range_tol_rel: float = RANGE_TOL,
-    check_probes: int = 0,
-) -> float:
+def rate_multi(x, Q: np.ndarray, check_probes: int = 0) -> float:
     """sup_z { <x, z> - z'Qz/2 } for PSD Q: x'Q^+x/2 on range(Q), else +inf.
 
-    Eigenvalues below ``eig_cutoff_rel * lambda_max`` are treated as zero; x
+    Eigenvalues below ``DEFAULT_PSD_TOL * lambda_max`` are treated as zero; x
     is off-range when its component outside the retained eigenspace exceeds
-    ``||x|| * range_tol_rel``.  With ``check_probes > 0`` the value is
+    ``||x|| * RANGE_TOL``.  With ``check_probes > 0`` the value is
     verified to dominate ``<x, z> - z'Qz/2`` on that many deterministic probe
     directions.
     """
@@ -121,11 +115,11 @@ def rate_multi(
     Q = np.asarray(Q, dtype=float)
     lam, vec = np.linalg.eigh(0.5 * (Q + Q.T))
     lam_max = float(lam.max(initial=0.0))
-    keep = lam > eig_cutoff_rel * max(lam_max, 0.0) if lam_max > 0 else np.zeros_like(lam, bool)
+    keep = lam > DEFAULT_PSD_TOL * max(lam_max, 0.0) if lam_max > 0 else np.zeros_like(lam, bool)
     coeffs = vec.T @ x
     xnorm = float(np.linalg.norm(x))
     off_range = float(np.linalg.norm(coeffs[~keep]))
-    if off_range > xnorm * range_tol_rel:
+    if off_range > xnorm * RANGE_TOL:
         return math.inf
     value = 0.5 * float((coeffs[keep] ** 2 / lam[keep]).sum()) if keep.any() else 0.0
     if check_probes:
@@ -209,14 +203,13 @@ class RateModel:
     observables: ObservableSet
     theta_diag: np.ndarray
     Q: np.ndarray
-    psd_tolerance: float = DEFAULT_PSD_TOL
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
         theta = np.asarray(self.theta_diag, dtype=float)
         if np.abs(Q - Q.T).max() > 1e-12:
             raise RateComputationError("Q must be symmetric within 1e-12")
-        if np.linalg.eigvalsh(Q).min() < -self.psd_tolerance:
+        if np.linalg.eigvalsh(Q).min() < -DEFAULT_PSD_TOL:
             raise RateComputationError("Q must be PSD within tolerance")
         if np.abs(np.diag(Q) - theta).max() > 1e-12:
             raise RateComputationError("Q diagonal must match the per-observable variances")
@@ -241,11 +234,10 @@ def build_rate_model(
     P: TruncatedKernel,
     observables: ObservableSet,
     pi: StationaryVector | None = None,
-    psd_tolerance: float = DEFAULT_PSD_TOL,
 ) -> RateModel:
     """Compute the stationary vector (unless given), per-observable variances, and Q."""
     if pi is None:
         pi = stationary(P)
     theta = np.array([asymptotic_variance(pi, P, f) for f in observables])
     Q = covariance_matrix(pi, P, observables)
-    return RateModel(pi, P, observables, theta, Q, psd_tolerance)
+    return RateModel(pi, P, observables, theta, Q)

@@ -193,12 +193,12 @@ def mdp_diagnostic(
         )
     estimates = []
     for n in sorted(int(v) for v in np.atleast_1d(n_grid)):
-        expected = expected_sum(mu0, family, f, n)
         a = speed(n)
         if method == "exact_dp":
             dist = exact_sum_distribution(mu0, family, f, n)
-            probs = [(dist.tail_probability(expected + x * a), None) for x in x_grid]
+            probs = [(dist.tail_probability(dist.expected + x * a), None) for x in x_grid]
         else:
+            expected = expected_sum(mu0, family, f, n)
             samples = simulate_sums(mu0, family, f, n, trials, base_seed, workers)
             probs = []
             for x in x_grid:

@@ -62,16 +62,18 @@ class DPConsistencyError(RuntimeError):
 class SumDistribution:
     """Probability mass function of an integer-valued additive functional.
 
-    ``dropped_mass`` is the total mass the DP dropped below the smallest
-    normal float at its window's edges: every pmf entry and every
-    ``tail_probability`` is exact up to float rounding and this absolute
-    error.
+    ``mean`` is the pmf's mean and ``expected`` the propagation expectation
+    E S_n it was checked against.  ``dropped_mass`` is the total mass the DP
+    dropped below the smallest normal float at its window's edges: every pmf
+    entry and every ``tail_probability`` is exact up to float rounding and
+    this absolute error.
     """
 
     n: int
     support_offset: int
     pmf: np.ndarray
     mean: float
+    expected: float
     dropped_mass: float = 0.0
 
     def __post_init__(self):
@@ -287,4 +289,4 @@ def exact_sum_distribution(
         raise DPConsistencyError(
             f"DP mean {mean} disagrees with propagation expectation {expected}"
         )
-    return SumDistribution(n, offset, pmf, mean, dropped)
+    return SumDistribution(n, offset, pmf, mean, expected, dropped)

@@ -1,12 +1,11 @@
 import copy
 import hashlib
-import importlib.util
 import json
 
 import numpy as np
 import pytest
 
-from nhmc import ConvergenceError, StationaryVector, cli, sumdist
+from nhmc import ConvergenceError, ExperimentConfig, StationaryVector, cli, sumdist
 
 
 def base_config(out_dir, **overrides):
@@ -65,6 +64,14 @@ class TestValidate:
         cfg = base_config(tmp_path / "out", family={"kind": "zeta2", "alpha": 0.75, "N": 2})
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+
+    @pytest.mark.parametrize("seed", [-5, 2**63 - 1])
+    def test_base_seed_outside_int64_trial_streams_exits_2(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", base_seed=seed))
+        assert cli.main(["clt", "--config", str(path)]) == cli.EXIT_INVALID
+        assert "base_seed must lie in" in capsys.readouterr().err
+        last = 2**63 - 1200  # trials = 1200: the last trial's seed is 2**63 - 1
+        assert ExperimentConfig.from_dict(base_config(tmp_path, base_seed=last)).base_seed == last
 
     def test_missing_schema_version_exits_2(self, tmp_path):
         cfg = base_config(tmp_path / "out")
@@ -221,21 +228,18 @@ class TestArtifacts:
         assert cli.main(["mdp", "--config", str(path)]) == cli.EXIT_NUMERICAL
         assert "DP mean" in capsys.readouterr().err
 
-    def test_svg_flag_writes_plot(self, tmp_path):
-        pytest.importorskip("matplotlib")
-        cfg = base_config(tmp_path / "out", n_grid=[10, 40])
-        path = write_config(tmp_path, "cfg.json", cfg)
-        assert cli.main(["conditions", "--config", str(path), "--svg"]) == 0
-        assert (tmp_path / "out" / "conditions.svg").exists()
+    def test_out_of_memory_exits_4(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError
 
-    @pytest.mark.skipif(importlib.util.find_spec("matplotlib") is not None,
-                        reason="matplotlib is installed; test_svg_flag_writes_plot covers --svg")
-    def test_svg_flag_without_matplotlib_notes_and_skips_plot(self, tmp_path, capsys):
-        cfg = base_config(tmp_path / "out", n_grid=[10, 40])
-        path = write_config(tmp_path, "cfg.json", cfg)
-        assert cli.main(["conditions", "--config", str(path), "--svg"]) == 0
-        assert "matplotlib not installed" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "conditions.svg").exists()
-        assert cli.verify_manifest(tmp_path / "out")
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert not any(name.endswith(".svg") for name in manifest["outputs"])
+        monkeypatch.setattr(cli, "simulate_sums", no_memory)
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out"))
+        assert cli.main(["clt", "--config", str(path)]) == cli.EXIT_BUDGET
+        assert "out of memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_svg_flag_is_rejected(self, tmp_path, command):
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(path), "--svg"])
+        assert exc.value.code == 2

@@ -122,6 +122,17 @@ class TestMdpDiagnostic:
         scaled = [e.scaled for e in ests]
         assert all(b < a for a, b in zip(scaled, scaled[1:]))
 
+    def test_exact_dp_propagates_once_per_horizon(self, iid_family, start200, ind200,
+                                                  theta_iid, monkeypatch):
+        """The DP's own mean check supplies E S_n; no second propagation centres it."""
+        def second_propagation(*args):
+            raise AssertionError("E S_n propagated outside the DP")
+
+        monkeypatch.setattr(nhmc.simulate, "expected_sum", second_propagation)
+        ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0],
+                              [200, 800], theta_iid)
+        assert len(ests) == 2
+
     def test_monte_carlo_tracks_exact_dp(self, iid_family, start200, ind200, theta_iid):
         sp = SpeedFunction(0.6)
         exact = mdp_diagnostic(iid_family, start200, ind200, sp, [0.3], [500],

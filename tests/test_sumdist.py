@@ -137,7 +137,8 @@ class TestExactSumDistribution:
         fam = zeta2_family(0.75, 200)
         f = indicator_observable(1, 200)
         dist = exact_sum_distribution(start200, fam, f, 300)
-        assert dist.mean == pytest.approx(expected_sum(start200, fam, f, 300), abs=1e-8)
+        assert dist.expected == expected_sum(start200, fam, f, 300)
+        assert dist.mean == pytest.approx(dist.expected, abs=1e-8)
 
     def test_pmf_is_a_distribution(self, start200):
         fam = zeta2_family(0.6, 200)
