@@ -87,7 +87,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             return cls._parse(raw)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, InvalidConfigError):
                 raise
             raise InvalidConfigError(f"bad configuration: {exc}") from exc
@@ -120,6 +120,8 @@ class ExperimentConfig:
         if not n_grid or any(v < 1 for v in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise InvalidConfigError("n_grid must be a strictly increasing list of ints >= 1")
         x_grid = tuple(float(v) for v in raw.get("x_grid", [0.0]))
+        if not np.isfinite(x_grid).all():
+            raise InvalidConfigError("x_grid entries must be finite")
         m_sup_range = int(raw.get("m_sup_range", 200))
         if m_sup_range < 0:
             raise InvalidConfigError("m_sup_range must be >= 0")
@@ -142,7 +144,7 @@ class ExperimentConfig:
         budget = raw.get("runtime_budget_seconds")
         if budget is not None:
             budget = float(budget)
-            if budget <= 0:
+            if not budget > 0:
                 raise InvalidConfigError("runtime_budget_seconds must be positive")
         return cls(
             family=family,

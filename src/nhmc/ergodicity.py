@@ -15,14 +15,11 @@ alongside the values together with the observed argmax.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .kernels import (
     KernelFamily,
@@ -443,13 +440,30 @@ class StationaryVector:
         object.__setattr__(self, "pi", _readonly(pi))
 
 
-def _check_irreducible(P: TruncatedKernel) -> None:
-    graph = csr_matrix(P.rows > 0.0)
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    if n_comp != 1:
-        raise ReducibleKernelError(
-            f"kernel is reducible: {n_comp} strongly connected components"
-        )
+def _levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 1 over the boolean adjacency ``adj``
+    (-1 where never reached), one numpy pass per level."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
+    frontier = np.arange(adj.shape[0]) == 0
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
+
+
+def _check_irreducible(P: TruncatedKernel) -> np.ndarray:
+    """Raise unless state 1 reaches every state and every state reaches it;
+    return the forward levels."""
+    adj = P.rows > 0.0
+    level = _levels(adj)
+    for levels, relation in ((level, "is not reachable from"), (_levels(adj.T), "cannot reach")):
+        if levels.min() < 0:  # argmin is the first unreached state
+            raise ReducibleKernelError(
+                f"kernel is reducible: state {levels.argmin() + 1} {relation} state 1"
+            )
+    return level
 
 
 def stationary(P: TruncatedKernel) -> StationaryVector:
@@ -486,25 +500,10 @@ def stationary(P: TruncatedKernel) -> StationaryVector:
 
 
 def period(P: TruncatedKernel) -> int:
-    """gcd of directed-cycle lengths through the chain, via BFS level labels."""
-    _check_irreducible(P)
-    n = P.size
-    adj = [np.nonzero(P.rows[i] > 0.0)[0] for i in range(n)]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    queue = [0]
-    d = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-                else:
-                    d = math.gcd(d, int(level[u] + 1 - level[v]))
-        queue = nxt
-    return d if d > 0 else 1
+    """gcd of cycle lengths: of ``level[u] + 1 - level[v]`` over the edges u -> v."""
+    level = _check_irreducible(P)
+    u, v = np.nonzero(P.rows > 0.0)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
 def strong_ergodicity_profile(

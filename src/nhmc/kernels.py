@@ -110,6 +110,8 @@ class TruncatedKernel:
         tail = np.asarray(self.tail_mass, dtype=float)
         if tail.shape != (n,):
             raise KernelValidationError(f"tail_mass must have shape ({n},)")
+        if not (np.isfinite(rows).all() and np.isfinite(tail).all()):
+            raise KernelValidationError("kernel entries must be finite")
         if rows.min() < -ROW_TOL or rows.max() > 1.0 + ROW_TOL:
             raise KernelValidationError(
                 f"entries outside [0,1] beyond tolerance: min={rows.min()}, max={rows.max()}"
@@ -169,6 +171,8 @@ class InitialDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise KernelValidationError("probs must be a vector of length >= 2")
+        if not (np.isfinite(probs).all() and math.isfinite(self.tail_mass)):
+            raise KernelValidationError("initial distribution must be finite")
         if probs.min() < -ROW_TOL or self.tail_mass < -ROW_TOL:
             raise KernelValidationError("negative probability in initial distribution")
         if abs(probs.sum() + self.tail_mass - 1.0) > ROW_TOL:
@@ -387,7 +391,7 @@ class _BandStep:
             extra = probs[..., -1:] * (lost / (1.0 - lost))
             retained = retained + extra
             out[..., -1:] -= extra
-        out += retained * self.band.base_row
+        out += np.multiply(retained, self.band.base_row, out=moved)  # moved is spent
         return out, tail
 
     def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -432,10 +436,10 @@ def _zeta_structure(kind: str, size: int, tail_policy: TailPolicy) -> _RankOneBa
 
 
 def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -> None:
-    if alpha is None or alpha <= 0.5:
-        raise KernelValidationError(f"{kind} requires alpha > 1/2, got {alpha}")
-    if kind == "zeta4" and (beta is None or beta <= 0.0):
-        raise KernelValidationError(f"zeta4 requires beta > 0, got {beta}")
+    if alpha is None or not 0.5 < alpha < math.inf:
+        raise KernelValidationError(f"{kind} requires finite alpha > 1/2, got {alpha}")
+    if kind == "zeta4" and (beta is None or not 0.0 < beta < math.inf):
+        raise KernelValidationError(f"zeta4 requires finite beta > 0, got {beta}")
     if kind == "zeta4" and beta * math.log(beta / alpha) - beta > 0.0:
         # s(k) = (log k)^beta k^-alpha peaks at log k = beta/alpha, where log s is
         # beta log(beta/alpha) - beta, so only then can some s(k) exceed 1.  Its

@@ -18,7 +18,7 @@ of Q and +infinity off it, with Q^+ the eigendecomposition pseudoinverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -159,10 +159,6 @@ class AtomicSignedMeasure:
                 raise KernelValidationError("measure atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def total_variation(self) -> float:
-        return float(sum(abs(w) for w in self.atoms.values()))
-
     def pair(self, f: Observable) -> float:
         """<f, nu>: integer points in 1..N read off f's values, all else its tail value."""
         total = 0.0
@@ -218,9 +214,6 @@ class RateModel:
 
     def theta(self, index: int = 0) -> float:
         return float(self.theta_diag[index])
-
-    def rate_at(self, x, observable_index: int = 0) -> float:
-        return rate_1d(x, self.theta(observable_index))
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .kernels import (
     InitialDistribution,
@@ -138,7 +138,7 @@ def clt_diagnostic(
         raise KernelValidationError("degenerate samples: zero variance")
     z = np.sort(centered / math.sqrt(n * theta_value))
     m = z.size
-    cdf = norm.cdf(z)
+    cdf = ndtr(z)
     upper = (np.arange(1, m + 1) / m - cdf).max()
     lower = (cdf - np.arange(0, m) / m).max()
     ratio = float(centered.var(ddof=1) / n / theta_value)

@@ -24,7 +24,7 @@ the result's mean is cross-checked against the unlumped propagation
 expectation.
 
 The DP holds two float64 tables of classes x (n * range + 1) cells, and the
-raw-state step about four more tables' worth of work arrays; the cell budget
+raw-state step three more tables' worth of work arrays; the cell budget
 counts those cells and is checked before anything of their size is
 allocated.
 """
@@ -84,10 +84,6 @@ class SumDistribution:
         if abs(total - 1.0) > 1e-9:
             raise KernelValidationError(f"pmf sums to {total}, not 1 within 1e-9")
         object.__setattr__(self, "pmf", _readonly(np.clip(pmf, 0.0, None)))
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.support_offset + np.arange(self.pmf.size)
 
     def tail_probability(self, threshold: float) -> float:
         """P(S_n >= threshold), with a 1e-9 guard against float thresholds."""
@@ -232,7 +228,7 @@ def exact_sum_distribution(
 
     Raises KernelValidationError, before allocating anything of the DP's
     size, when its float64 cells exceed ``cell_budget``: two tables of
-    classes x (n * range + 1) cells (on the raw states four more tables'
+    classes x (n * range + 1) cells (on the raw states three more tables'
     worth of per-step work arrays) and the n step scales.  Raises
     DPConsistencyError when the DP's mean disagrees with the propagation
     expectation.  ``merge=False`` forces the DP onto the raw states (useful
@@ -258,9 +254,10 @@ def exact_sum_distribution(
     vmin = int(values.min())
     vrange = int(values.max()) - vmin
     width = n * vrange + 1
-    # a raw step also holds the laws, the push's work arrays and the pushed
-    # mass, each about one table; n more cells hold the step scales
-    tables = 2 if lumped is not None else 6
+    # a raw step also holds the laws and two more tables at once (the push's
+    # work arrays, then its result and the pushed mass); n more cells hold
+    # the step scales
+    tables = 2 if lumped is not None else 5
     cells = tables * m * width + n
     if cells > cell_budget:
         raise KernelValidationError(

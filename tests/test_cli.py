@@ -1,10 +1,15 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nhmc
 from nhmc import ConvergenceError, ExperimentConfig, StationaryVector, cli, sumdist
 
 
@@ -49,10 +54,31 @@ class TestValidate:
         assert report["truncation_tail_mass"] == pytest.approx(6 / np.pi**2 / 1000, rel=0.01)
         assert max(c["max_row_mass_error"] for c in report["kernel_checks"]) <= 1e-12
 
-    def test_bad_alpha_exits_2(self, tmp_path):
-        cfg = base_config(tmp_path / "out", family={"kind": "zeta2", "alpha": 0.4, "N": 50})
+    @pytest.mark.parametrize("family", [
+        {"kind": "zeta2", "alpha": 0.4, "N": 50},
+        {"kind": "zeta2", "alpha": float("nan"), "N": 50},
+        {"kind": "zeta4", "alpha": 0.75, "beta": float("nan"), "N": 50},
+    ], ids=["alpha_0.4", "alpha_nan", "zeta4_beta_nan"])
+    def test_bad_alpha_exits_2(self, tmp_path, family):
+        cfg = base_config(tmp_path / "out", family=family)
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("conditions", {"family": {"kind": "table", "limit": [[0.5, 0.5], [0.5, 0.5]],
+                                   "matrices": [[[float("nan"), 0.5], [0.5, 0.5]]]}}),
+        ("mdp", {"initial": {"kind": "table", "probs": [float("nan")] + [0.0] * 119}}),
+        ("rate", {"x_grid": [0.0, float("nan")]}),
+        ("mdp", {"x_grid": [0.0, float("nan")]}),
+        ("validate", {"trials": float("inf")}),
+        ("validate", {"family": {"kind": "zeta2", "alpha": 0.75, "N": float("inf")}}),
+        ("validate", {"runtime_budget_seconds": float("nan")}),
+    ], ids=["table_kernel_nan", "initial_table_nan", "x_grid_nan_rate", "x_grid_nan_mdp",
+            "trials_inf", "N_inf", "runtime_budget_nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, overrides):
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_zeta4_scale_above_one_exits_2(self, tmp_path):
         cfg = base_config(tmp_path / "out", family={"kind": "zeta4", "alpha": 0.75,
@@ -243,3 +269,15 @@ class TestArtifacts:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", str(path), "--svg"])
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_scipy_sparse():
+    """Both cost more to import than the rest of nhmc together."""
+    src = str(Path(nhmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, nhmc.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.sparse'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

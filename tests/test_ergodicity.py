@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -365,6 +367,16 @@ class TestStationary:
         with pytest.raises(ReducibleKernelError):
             stationary(kern)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5], [0.0, 1.0]], "state 2 cannot reach state 1"),
+        ([[1.0, 0.0], [0.5, 0.5]], "state 2 is not reachable from state 1"),
+    ], ids=["reached_but_not_back", "reaching_but_not_reached"])
+    def test_reducible_in_one_direction_rejected(self, rows, message):
+        kern = TruncatedKernel(np.array(rows), np.zeros(2))
+        for fn in (stationary, period):
+            with pytest.raises(ReducibleKernelError, match=message):
+                fn(kern)
+
 
 class TestPeriod:
     def test_self_loop_forces_aperiodicity(self):
@@ -383,6 +395,38 @@ class TestPeriod:
 
     def test_zeta2_limit_is_aperiodic(self):
         assert period(make_limit_kernel("zeta2", 50)) == 1
+
+    @given(st.integers(2, 12), st.integers(1, 4), st.floats(0.05, 0.7), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_path_count_oracles(self, n, layers, density, seed):
+        """Random sparse kernels whose edges go from layer c to layer c + 1
+        (mod layers), so periods above 1 occur: irreducibility against a
+        transitive closure, the period against gcd{k <= N^2 : (A^k)[0, 0] > 0}."""
+        rng = np.random.default_rng(seed)
+        layers = min(layers, n)
+        layer = rng.permutation(np.arange(n) % layers)
+        allowed = layer[None, :] == (layer[:, None] + 1) % layers
+        adj = allowed & (rng.random((n, n)) < density)
+        for i in np.nonzero(~adj.any(axis=1))[0]:
+            adj[i, rng.choice(np.nonzero(allowed[i])[0])] = True
+        rows = np.where(adj, rng.random((n, n)) + 0.1, 0.0)
+        kern = TruncatedKernel(rows / rows.sum(axis=1, keepdims=True), np.zeros(n))
+
+        A = adj.astype(np.int64)
+        reach = np.eye(n, dtype=np.int64) | A
+        for _ in range(n):
+            reach = ((reach + reach @ A) > 0).astype(np.int64)
+        if not reach.all():
+            for fn in (stationary, period):
+                with pytest.raises(ReducibleKernelError):
+                    fn(kern)
+            return
+        power, returns = A, []
+        for k in range(1, n * n + 1):
+            if power[0, 0]:
+                returns.append(k)
+            power = ((power @ A) > 0).astype(np.int64)
+        assert period(kern) == reduce(math.gcd, returns)
 
 
 class TestStrongErgodicity:

@@ -176,15 +176,15 @@ class TestExactSumDistribution:
 
     @pytest.mark.parametrize("kind", ["merged", "raw_band", "raw_dense"])
     def test_budget_bounds_peak_memory(self, kind):
-        """The budget counts two tables of states x (n * range + 1) cells (six
+        """The budget counts two tables of states x (n * range + 1) cells (five
         on the raw states, whose step holds work arrays) plus n step scales;
         a DP at exactly its count runs within 10% of that many float64s."""
         renormalize = zeta2_family(0.75, 60, nhmc.TailPolicy.RENORMALIZE)
         fam, n, cells = {
             "merged": (zeta2_family(0.75, 60), 5000, 2 * 3 * 10001 + 5000),
-            "raw_band": (renormalize, 600, 6 * 61 * 1201 + 600),
+            "raw_band": (renormalize, 600, 5 * 61 * 1201 + 600),
             "raw_dense": (dataclasses.replace(renormalize, structure=None), 600,
-                          6 * 61 * 1201 + 600),
+                          5 * 61 * 1201 + 600),
         }[kind]
         mu0, f = point_mass(1, 60), capped_identity_observable(3, 60)
         with pytest.raises(KernelValidationError, match="budget"):
