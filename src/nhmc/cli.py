@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -93,18 +94,14 @@ class _Budget:
 # artifact helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Rows of str, int, bool and Python float (written with ``repr``); csv
+    writes None as an empty field, so a None that must read ``None`` is
+    passed as that string."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _json_default(value):
@@ -268,11 +265,12 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
             budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     rows = []
-    sample_rows = []
     summary = {"thresholds": {"ks_max": CLT_KS_MAX, "variance_ratio": CLT_VAR_RATIO}, "runs": []}
-    for n in cfg.n_grid:
-        sums = simulate_sums(cfg.initial, cfg.family, cfg.observables, n,
-                             cfg.trials, cfg.base_seed, workers)
+    # one sampling pass: the sums of every horizon come off the same paths
+    sums_grid = simulate_sums(cfg.initial, cfg.family, cfg.observables, list(cfg.n_grid),
+                              cfg.trials, cfg.base_seed, workers)
+    budget.check("clt sampling")
+    for n, sums in zip(cfg.n_grid, sums_grid):
         for l, f in enumerate(cfg.observables):
             expected = expected_sum(cfg.initial, cfg.family, f, n)
             diag = clt_diagnostic(sums[:, l], expected, model.theta(l), n)
@@ -287,13 +285,16 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
                     "variance_pass": CLT_VAR_RATIO[0] <= diag.variance_ratio <= CLT_VAR_RATIO[1],
                 }
             )
-            for t, s in enumerate(sums[:, l]):
-                sample_rows.append((l, n, t, float(s)))
         budget.check(f"clt n={n}")
     csv_path = out_dir / "clt.csv"
     _write_csv(csv_path, ("observable", "n", "ks_statistic", "variance_ratio", "num_samples"), rows)
     samples_path = out_dir / "clt_samples.csv"
-    _write_csv(samples_path, ("observable", "n", "trial", "sum"), sample_rows)
+    _write_csv(samples_path, ("observable", "n", "trial", "sum"), (
+        row
+        for n, sums in zip(cfg.n_grid, sums_grid)
+        for l in range(len(cfg.observables))
+        for row in zip(repeat(l), repeat(n), range(cfg.trials), sums[:, l].tolist())
+    ))
     files = [csv_path, samples_path, out_dir / "clt_summary.json"]
     _write_json(files[2], summary)
     return files, summary
@@ -318,7 +319,8 @@ def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int,
     )
     budget.check("mdp estimates")
     rows = [
-        (e.n, e.x, e.method, e.log_prob, e.scaled, e.target, e.std_error, e.zero_hits)
+        (e.n, e.x, e.method, e.log_prob, e.scaled, e.target,
+         "None" if e.std_error is None else e.std_error, e.zero_hits)
         for e in estimates
     ]
     csv_path = out_dir / "mdp.csv"

@@ -13,6 +13,7 @@ estimated.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -88,26 +89,38 @@ def simulate_sums(
     mu0: InitialDistribution,
     family: KernelFamily,
     f: Observable | ObservableSet,
-    n: int,
+    n: int | Sequence[int],
     trials: int,
     base_seed: int,
     workers: int = 1,
 ) -> np.ndarray:
     """Independent samples of S_n (shape (trials,)) or of the per-observable
-    sum vector (shape (trials, m)) when given an ObservableSet."""
+    sum vector (shape (trials, m)) when given an ObservableSet.
+
+    With a sequence of horizons ``n`` the result gains a leading axis, one
+    entry per horizon in the given order, all read off one set of paths to
+    the largest horizon: trial t's S_n is the same at any grid it is part of.
+    """
     if trials < 1:
         raise KernelValidationError(f"trials must be >= 1, got {trials}")
+    horizons = [int(h) for h in np.atleast_1d(n)]
+    if not horizons or min(horizons) < 0:
+        raise KernelValidationError(f"horizons must be >= 0, got {n}")
+    n_max = max(horizons)
     obs = f if isinstance(f, ObservableSet) else ObservableSet((f,))
     vals = obs.value_matrix()
     seeds = trial_seeds(base_seed, trials)
 
     def one_block(seed_chunk):
-        paths = sample_paths(seed_chunk, mu0, family, n)
-        return vals[:, paths[:, 1:]].sum(axis=2).T  # (chunk, m)
+        paths = sample_paths(seed_chunk, mu0, family, n_max)
+        # (horizons, chunk, m); each horizon sums its own prefix gather
+        return np.stack([vals[:, paths[:, 1 : h + 1]].sum(axis=2).T for h in horizons])
 
-    parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n)), workers)
-    out = np.concatenate(parts, axis=0)
-    return out if isinstance(f, ObservableSet) else out[:, 0]
+    parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max)), workers)
+    out = np.concatenate(parts, axis=1)
+    if np.ndim(n) == 0:
+        out = out[0]
+    return out if isinstance(f, ObservableSet) else out[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +204,18 @@ def mdp_diagnostic(
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"
         )
+    n_grid = sorted(int(v) for v in np.atleast_1d(n_grid))
+    if method == "monte_carlo" and n_grid:  # one sampling pass serves every horizon
+        sampled = simulate_sums(mu0, family, f, n_grid, trials, base_seed, workers)
     estimates = []
-    for n in sorted(int(v) for v in np.atleast_1d(n_grid)):
+    for i, n in enumerate(n_grid):
         a = speed(n)
         if method == "exact_dp":
             dist = exact_sum_distribution(mu0, family, f, n)
             probs = [(dist.tail_probability(dist.expected + x * a), None) for x in x_grid]
         else:
             expected = expected_sum(mu0, family, f, n)
-            samples = simulate_sums(mu0, family, f, n, trials, base_seed, workers)
+            samples = sampled[i]
             probs = []
             for x in x_grid:
                 hits = int((samples - expected >= x * a - 1e-9).sum())

@@ -180,6 +180,29 @@ class TestExperiments:
         assert lines[0] == "n,x,method,log_prob,scaled,target,std_error,zero_hits"
         assert len(lines) == 1 + 2 * 2
 
+    def test_exact_mdp_writes_missing_std_error_as_none(self, tmp_path):
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", n_grid=[50]))
+        assert cli.main(["mdp", "--config", str(path)]) == 0
+        rows = (tmp_path / "out" / "mdp.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] for row in rows] == ["None", "None"]
+
+    @pytest.mark.parametrize("command", ["clt", "mdp"])
+    def test_one_sampling_pass_per_block_across_the_horizon_grid(self, tmp_path, monkeypatch,
+                                                                 command):
+        calls = []
+        real = nhmc.simulate.sample_paths
+
+        def counted(seeds, mu0, family, n):
+            calls.append((len(seeds), n))
+            return real(seeds, mu0, family, n)
+
+        monkeypatch.setattr(nhmc.simulate, "sample_paths", counted)
+        cfg = base_config(tmp_path / "out", trials=5000, mdp_method="monte_carlo",
+                          n_grid=[20, 60, 100])
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main([command, "--config", str(path)]) == 0
+        assert calls == [(4096, 100), (904, 100)]  # blocks of at most 4096 trials
+
     def test_martingale_smoke(self, tmp_path):
         cfg = base_config(tmp_path / "out", trials=64)
         path = write_config(tmp_path, "cfg.json", cfg)

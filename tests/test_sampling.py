@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhmc
 from nhmc import (
@@ -14,6 +16,50 @@ from nhmc import (
     uniform_initial,
     zeta2_family,
 )
+from nhmc.sampling import _uniforms, iter_seed_blocks
+
+
+def default_rng_rows(seeds, count):
+    """The reference stream: one ``default_rng`` per seed."""
+    return np.array([np.random.default_rng(int(s)).random(count) for s in seeds])
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1]
+
+
+class TestStream:
+    @pytest.mark.parametrize("count", [1, 4, 21, 101])
+    def test_bulk_seeding_equals_default_rng(self, count):
+        seeds = np.array(EDGE_SEEDS, dtype=np.int64)
+        np.testing.assert_array_equal(_uniforms(seeds, count), default_rng_rows(seeds, count))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8), st.integers(1, 40))
+    def test_bulk_seeding_equals_default_rng_on_drawn_seeds(self, seeds, count):
+        seeds = np.array(seeds, dtype=np.int64)
+        np.testing.assert_array_equal(_uniforms(seeds, count), default_rng_rows(seeds, count))
+
+    @pytest.mark.parametrize("seeds", [[-1], [3, -5], [2**63], [2**64 + 1]],
+                             ids=["minus1", "one_negative", "2^63", "2^64+1"])
+    def test_seed_outside_int64_range_rejected(self, seeds, start200, zeta2_small):
+        with pytest.raises(KernelValidationError, match="seeds must lie in"):
+            sample_paths(seeds, start200, zeta2_small, 5)
+
+    def test_negative_base_seed_rejected_by_the_martingale_pass(self, start200, zeta2_small,
+                                                                ind200):
+        with pytest.raises(KernelValidationError, match="seeds must lie in"):
+            nhmc.martingale_check(zeta2_small, start200, nhmc.ObservableSet((ind200,)),
+                                  [1.0], [10], 5, base_seed=-3, theta_value=1.0)
+
+    @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**6, 8), (10**7, 1)])
+    def test_blocks_fit_the_uniforms_budget(self, n, block):
+        """Block sizes are read off the seed slices; no uniforms are drawn."""
+        seeds = np.arange(20, dtype=np.int64)
+        blocks = list(iter_seed_blocks(seeds, n))
+        assert len(blocks[0]) == min(block, len(seeds))
+        np.testing.assert_array_equal(np.concatenate(blocks), seeds)
+        if block > 1:  # a single trial's uniforms can exceed the budget on their own
+            assert block * 8 * (n + 1) <= 64 * 2**20
 
 
 class TestDeterminism:
@@ -26,6 +72,13 @@ class TestDeterminism:
         p1 = sample_trajectory(1, start200, zeta2_small, 200)
         p2 = sample_trajectory(2, start200, zeta2_small, 200)
         assert (p1 != p2).any()
+
+    def test_path_prefix_does_not_depend_on_the_horizon(self, zeta2_small, start200):
+        long = sample_paths(trial_seeds(9, 30), start200, zeta2_small, 300)
+        for n in (0, 1, 17, 299):
+            np.testing.assert_array_equal(
+                sample_paths(trial_seeds(9, 30), start200, zeta2_small, n), long[:, : n + 1]
+            )
 
     def test_batched_equals_individual(self, zeta2_small, start200):
         seeds = trial_seeds(50, 7)

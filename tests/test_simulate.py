@@ -58,6 +58,30 @@ class TestSimulateSums:
         b = simulate_sums(start200, zeta2_small, ind200, 200, 3000, 5, workers=8)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_horizon_grid_equals_one_call_per_horizon(self, zeta2_small, start200, workers):
+        """Grid sums come off one set of paths and must match, bit for bit, a
+        separate pass per horizon, also for a non-integer observable."""
+        table = Observable(np.random.default_rng(3).normal(size=200) / 7.0)
+        obs = ObservableSet((indicator_observable(1, 200), table))
+        grid = [0, 7, 50, 120]
+        sums = simulate_sums(start200, zeta2_small, obs, grid, 4500, 13, workers=workers)
+        assert sums.shape == (len(grid), 4500, 2)  # two blocks: 4096 + 404 trials
+        for i, n in enumerate(grid):
+            np.testing.assert_array_equal(
+                sums[i], simulate_sums(start200, zeta2_small, obs, n, 4500, 13)
+            )
+        single = simulate_sums(start200, zeta2_small, table, grid, 4500, 13, workers=workers)
+        assert single.shape == (len(grid), 4500)
+        for i, n in enumerate(grid):
+            np.testing.assert_array_equal(
+                single[i], simulate_sums(start200, zeta2_small, table, n, 4500, 13)
+            )
+
+    def test_negative_horizon_in_grid_rejected(self, zeta2_small, start200, ind200):
+        with pytest.raises(KernelValidationError, match="horizons"):
+            simulate_sums(start200, zeta2_small, ind200, [5, -1, 9], 10, 1)
+
     def test_observable_set_returns_matrix(self, zeta2_small, start200):
         obs = ObservableSet(
             (indicator_observable(1, 200), indicator_observable(2, 200))
