@@ -113,8 +113,10 @@ def simulate_sums(
 
     def one_block(seed_chunk):
         paths = sample_paths(seed_chunk, mu0, family, n_max)
-        # (horizons, chunk, m); each horizon sums its own prefix gather
-        return np.stack([vals[:, paths[:, 1 : h + 1]].sum(axis=2).T for h in horizons])
+        steps = vals[:, paths[:, 1:]]  # f_l(X_k), shape (m, chunk, n_max)
+        # (horizons, chunk, m): each horizon reduces its prefix in the same
+        # order a gather of that prefix alone would
+        return np.stack([steps[:, :, :h].sum(axis=2).T for h in horizons])
 
     parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max)), workers)
     out = np.concatenate(parts, axis=1)
