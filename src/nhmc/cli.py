@@ -271,9 +271,9 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
                               cfg.trials, cfg.base_seed, workers)
     budget.check("clt sampling")
     for n, sums in zip(cfg.n_grid, sums_grid):
-        for l, f in enumerate(cfg.observables):
-            expected = expected_sum(cfg.initial, cfg.family, f, n)
-            diag = clt_diagnostic(sums[:, l], expected, model.theta(l), n)
+        expected = expected_sum(cfg.initial, cfg.family, cfg.observables, n)
+        for l in range(len(cfg.observables)):
+            diag = clt_diagnostic(sums[:, l], expected[l], model.theta(l), n)
             rows.append((l, n, diag.ks_statistic, diag.variance_ratio, diag.num_samples))
             summary["runs"].append(
                 {
@@ -355,6 +355,11 @@ def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int,
     from .rates import asymptotic_variance
 
     theta_g = asymptotic_variance(model.pi, cfg.family.limit, g)
+    if theta_g <= THETA_MIN:
+        raise ThetaPositivityError(
+            "the weighted observable g = sum z_l f_l has asymptotic variance <= 1e-12; "
+            f"the positivity hypothesis fails (theta_g = {theta_g}, z = {list(cfg.z_weights)})"
+        )
     result = martingale_check(
         cfg.family,
         cfg.initial,

@@ -141,6 +141,8 @@ class ExperimentConfig:
         z_weights = tuple(float(v) for v in raw.get("z_weights", [1.0] * len(observables)))
         if len(z_weights) != len(observables):
             raise InvalidConfigError("z_weights must have one entry per observable")
+        if not np.isfinite(z_weights).all():
+            raise InvalidConfigError("z_weights entries must be finite")
         budget = raw.get("runtime_budget_seconds")
         if budget is not None:
             budget = float(budget)

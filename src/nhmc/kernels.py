@@ -154,9 +154,10 @@ class TruncatedKernel:
         cdf[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
         return cdf
 
-    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def draw(self, state: np.ndarray, u: np.ndarray, base=None) -> np.ndarray:
         """Next states ``min{j : C[state, j] >= u}`` (one uniform per state): the
-        count of row-CDF entries strictly below u."""
+        count of row-CDF entries strictly below u.  ``base``, the base-row
+        search a band step may be handed, has no use here."""
         return (self._row_cdf[state] < u[:, None]).sum(axis=1)
 
 
@@ -351,6 +352,36 @@ class _RankOneBand:
     pert: np.ndarray
     last: float = 0.0
 
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """Guide table of the base CDF (Chen & Asau 1974; Devroye 1986,
+        §III.2.4): split [0, 1) into M = 2^p >= 4N equal buckets; entry k is
+        ``min{j : C[j] >= k/M}`` when that index also serves every u in
+        [k/M, (k+1)/M), and -1 when a CDF entry lies inside the bucket."""
+        buckets = 1 << (4 * self.base_cdf.size - 1).bit_length()
+        first = np.searchsorted(self.base_cdf, np.arange(buckets + 1) / buckets, side="left")
+        return np.where(first[:-1] == first[1:], first[:-1], -1)
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        """``min{j : C[j] >= u}`` for u in [0, 1), as ``np.searchsorted(C, u)``.
+        M is a power of two, so ``u * M`` is exact and bucket k holds exactly
+        the u in [k/M, (k+1)/M); the answer lies between the first indices of
+        buckets k and k+1, so where they agree it is that index and only the
+        buckets holding a CDF entry fall back to a search."""
+        guide = self.guide
+        out = guide[(u * guide.size).astype(np.intp)]
+        miss = out < 0
+        if miss.any():
+            out[miss] = np.searchsorted(self.base_cdf, u[miss], side="left")
+        return out
+
+    def pull_terms(self, values: np.ndarray) -> tuple[float, np.ndarray]:
+        """(b·h, dh) with ``dh[i] = h[i+1] - h[i]`` (0 at N): the parts of
+        ``P_k h`` that do not depend on k."""
+        diffs = np.zeros_like(self.pert)
+        diffs[:-1] = values[1:] - values[:-1]
+        return float(self.base_row @ values), diffs
+
 
 @dataclass(frozen=True, eq=False)
 class _BandStep:
@@ -363,14 +394,25 @@ class _BandStep:
 
     def apply_to_function(self, values: np.ndarray, tail_value: float = 0.0) -> np.ndarray:
         """(P_k h)(i) for all i; no mass escapes, so the tail value never enters."""
-        base = float(self.band.base_row @ values)
-        step = np.zeros_like(self.band.pert)
-        step[:-1] = values[1:] - values[:-1]
-        out = base + self.scale * self.band.pert * step
+        base, diffs = self.band.pull_terms(values)
+        out = base + self.scale * self.band.pert * diffs
         if self.band.last:
-            lost = self.scale * self.band.last
-            out[-1] = (base - lost * values[-1]) / (1.0 - lost)
+            out[-1] = self._last_row_mean(values, base)
         return out
+
+    def apply_at(self, values: np.ndarray, states: np.ndarray, base: float,
+                 diffs: np.ndarray) -> np.ndarray:
+        """(P_k h)(states) in O(len(states)), given ``band.pull_terms(values)``:
+        the arithmetic of ``apply_to_function`` at those states alone, so the
+        bits match."""
+        out = base + self.scale * self.band.pert[states] * diffs[states]
+        if self.band.last:
+            out[states == values.size - 1] = self._last_row_mean(values, base)
+        return out
+
+    def _last_row_mean(self, values: np.ndarray, base: float) -> float:
+        lost = self.scale * self.band.last
+        return (base - lost * values[-1]) / (1.0 - lost)
 
     def push(self, probs: np.ndarray, tail):
         """(p P_k, tail): the retained mass 1 - tail moves to the base row, and
@@ -394,17 +436,19 @@ class _BandStep:
         out += np.multiply(retained, self.band.base_row, out=moved)  # moved is spent
         return out, tail
 
-    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def draw(self, state: np.ndarray, u: np.ndarray, base=None) -> np.ndarray:
         """Next states exactly as ``TruncatedKernel.draw``.  Row i < N is the base
         row with ``scale * pert[i]`` mass moved from column i to i+1, which lowers
         its CDF at index i alone: one base-CDF search serves every such state,
         plus a promotion to i+1 when the base draw is the current state i and u
-        exceeds ``C[i] - scale * pert[i]``.  A draw from state N searches the
-        last row's own CDF."""
+        exceeds ``C[i] - scale * pert[i]``.  The base search is
+        ``band.search(u)``, or ``base`` when the caller has done it.  A draw
+        from state N searches the last row's own CDF."""
         cdf = self.band.base_cdf
-        base = np.searchsorted(cdf, u, side="left")
-        promote = (base == state) & (u > cdf[state] - self.scale * self.band.pert[state])
-        out = np.where(promote, state + 1, base)
+        if base is None:
+            base = self.band.search(u)
+        # a promoted draw equals the current state, so promotion adds one
+        out = base + ((base == state) & (u > cdf[state] - self.scale * self.band.pert[state]))
         if self.band.last:
             at_last = state == cdf.size - 1
             last_cdf = cdf / (1.0 - self.scale * self.band.last)
@@ -692,16 +736,22 @@ def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> Distrib
     return DistributionVector(probs, tail, k)
 
 
-def expected_sum(mu0: InitialDistribution, family: KernelFamily, f: Observable, n: int) -> float:
-    """E[f(X_1) + ... + f(X_n)] computed exactly by propagation."""
+def expected_sum(
+    mu0: InitialDistribution, family: KernelFamily, f: Observable | ObservableSet, n: int
+) -> float | np.ndarray:
+    """E[f(X_1) + ... + f(X_n)] computed exactly by propagation; for an
+    ObservableSet, the vector of every observable's total from one
+    propagation, each accumulated exactly as for that observable alone."""
     if n < 1:
         raise KernelValidationError(f"horizon must be >= 1, got {n}")
     if f.size != family.size:
         raise KernelValidationError("observable size does not match family")
-    total = 0.0
+    obs = tuple(f) if isinstance(f, ObservableSet) else (f,)
+    totals = [0.0] * len(obs)
     for _, probs, tail in _propagation_steps(mu0, family, n):
-        total += float(probs @ f.values) + tail * f.tail_value
-    return total
+        for l, o in enumerate(obs):
+            totals[l] += float(probs @ o.values) + tail * o.tail_value
+    return np.array(totals) if isinstance(f, ObservableSet) else totals[0]
 
 
 def expected_step_values(

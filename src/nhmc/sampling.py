@@ -4,18 +4,35 @@ Every trajectory consumes exactly one uniform per drawn state (one for X_0,
 one per step), from its own PRNG stream seeded explicitly.  Sampling is
 inverse-CDF per row with the convention ``X = min{j : C[j] >= U}``, so a
 trajectory is a pure function of (family, initial distribution, seed) and is
-identical no matter how trials are partitioned into blocks or workers.
+identical no matter how trials are partitioned into blocks, tiles or workers.
 
 A seed's stream is ``np.random.default_rng(seed).random``, drawn without
 building one ``default_rng`` per trial: most of that set-up is SeedSequence's
-hash of the seed, which ``_uniforms`` computes for a whole block at once in
-uint32 arithmetic.  Each trial then costs only PCG64's two-step seeding in
-Python ints, a state set and one ``random`` call.  A stream is
-prefix-consistent: the first n+1 uniforms of a seed do not depend on how many
-follow, so a path to horizon n_max holds the path to every shorter horizon.
+hash of the seed, which ``_seed_state_words`` computes for a whole block at
+once in uint32 arithmetic.  Each trial then costs only PCG64's two-step
+seeding in Python ints, a state set and one ``random`` call per tile.  A
+stream is prefix-consistent: the first n+1 uniforms of a seed do not depend
+on how many follow, so a path to horizon n_max holds the path to every
+shorter horizon.
+
+Memory.  The uniforms are drawn in time tiles: ``_uniform_tiles`` fills a
+(trials, width) tile from each trial's stream, then advances each trial's
+PCG64 state by ``width`` draws in closed form, so the tiles concatenate to
+the whole stream.  A block holds at most ``_MAX_BLOCK`` (4096) trials, and
+its int32 path table plus its float64 uniforms tile fit ``_BLOCK_BYTES``
+(64 MiB): ``sample_paths`` sizes its blocks by the path table (a tile of at
+least ``_MIN_TILE`` columns must fit beside it), and the tile takes what the
+table leaves, up to ``_TILE_BYTES`` (8 MiB; a tile costs one state set per
+trial, about 4 µs, so tiles are kept large but bounded).  A walk that
+stores no path, as the martingale pass, holds 4096 trials at any horizon
+and only a tile of uniforms.
 
 Each step is drawn by the step operator of ``KernelFamily.steps``: its
 ``draw`` maps the current states and one uniform each to the next states.
+A band step's draw starts from the base-CDF index of u, which does not
+depend on the state, so the walk finds it for ``_SEARCH_SPAN`` columns of a
+tile at once through the band's guide table (an exact bucket lookup with a
+search only in the buckets that hold a CDF entry; ``_RankOneBand.search``).
 """
 
 from __future__ import annotations
@@ -26,7 +43,11 @@ from .kernels import InitialDistribution, KernelFamily, KernelValidationError
 
 __all__ = ["sample_trajectory", "sample_paths", "iter_seed_blocks", "trial_seeds"]
 
-_DEFAULT_BLOCK_BYTES = 64 * 2**20  # uniforms buffer per block
+_BLOCK_BYTES = 64 * 2**20  # a block's path table plus its uniforms tile
+_TILE_BYTES = 8 * 2**20  # a uniforms tile, at the most
+_MAX_BLOCK = 4096  # trials per block
+_MIN_TILE = 64  # uniforms per trial in a tile, at the least
+_SEARCH_SPAN = 8  # tile columns per bulk base-CDF search
 
 
 def trial_seeds(base_seed: int, trials: int) -> np.ndarray:
@@ -83,27 +104,69 @@ def _seed_state_words(seeds: np.ndarray) -> list:
     return [words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)]
 
 
-def _uniforms(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(len(seeds), count) uniforms: row i is ``default_rng(seeds[i]).random(count)``."""
+def _uniform_tiles(seeds: np.ndarray, count: int, width: int):
+    """Yield the (len(seeds), count) uniforms whose row i is
+    ``default_rng(seeds[i]).random(count)``, ``width`` columns at a time (the
+    last tile may be narrower).  Each trial's PCG64 state is carried from one
+    tile to the next, so the tiles concatenate to the whole stream.  The tiles
+    share one buffer: a tile is valid until the next is drawn."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if (seeds < 0).any():
         raise KernelValidationError("trial seeds must lie in [0, 2**63)")
-    out = np.empty((len(seeds), count))
+    lcgs, incs = _pcg64_states(seeds)
+    width = min(width, count)
+    buf = np.empty((len(seeds), width))
     # one generator per call, never shared: blocks may run on threads
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    words = (w.tolist() for w in _seed_state_words(seeds))
-    for row, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*words)):
-        # pcg64_set_seed: state = ((inc + seed) * mult + inc), inc = 2 * seq + 1
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state["state"] = {
-            "state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128,
-            "inc": inc,
-        }
-        bitgen.state = state
-        gen.random(out=out[row])
-    return out
+    mult, shift = _lcg_jump(width)
+    for start in range(0, count, width):
+        tile = buf[:, : min(width, count - start)]
+        for row, (lcg, inc) in enumerate(zip(lcgs, incs)):
+            state["state"] = {"state": lcg, "inc": inc}
+            bitgen.state = state
+            gen.random(out=tile[row])
+        if start + width < count:  # each uniform is one LCG step
+            lcgs = [(mult * lcg + shift * inc) & _MASK128 for lcg, inc in zip(lcgs, incs)]
+        else:  # the last tile: no state is needed while it is walked
+            lcgs = incs = ()
+        yield tile
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[list, list]:
+    """PCG64's LCG state and increment per seed, as ``default_rng(seed)``
+    leaves them."""
+    s_hi, s_lo, i_hi, i_lo = (w.tolist() for w in _seed_state_words(seeds))
+    # pcg64_set_seed: state = ((inc + seed) * mult + inc), inc = 2 * seq + 1
+    incs = [((hi << 65) | (lo << 1) | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
+    lcgs = [((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+            for inc, hi, lo in zip(incs, s_hi, s_lo)]
+    return lcgs, incs
+
+
+def _lcg_jump(steps: int) -> tuple[int, int]:
+    """(A, B) with PCG64's LCG state ``steps`` draws on equal to
+    ``A * state + B * inc`` mod 2**128: A = mult**steps and B the geometric sum
+    of the powers below it, (A - 1) / (mult - 1), exact mod 2**128 when A is
+    taken mod (mult - 1) * 2**128."""
+    power = pow(_PCG64_MULT, steps, (_PCG64_MULT - 1) << 128)
+    return power & _MASK128, (power - 1) // (_PCG64_MULT - 1) & _MASK128
+
+
+def _uniforms(seeds: np.ndarray, count: int) -> np.ndarray:
+    """(len(seeds), count) uniforms in one tile: row i is
+    ``default_rng(seeds[i]).random(count)``."""
+    return next(_uniform_tiles(seeds, count, count))
+
+
+def _tile_width(trials: int, count: int, path_bytes: int) -> int:
+    """Uniforms per trial in one tile of a block of ``trials`` trials drawing
+    ``count`` each: what the budget leaves after the block's path table
+    (``path_bytes`` per state, 0 for a walk that stores no path), up to
+    ``_TILE_BYTES`` and at least ``_MIN_TILE`` (or all of them)."""
+    spare = min(_TILE_BYTES, _BLOCK_BYTES - trials * count * path_bytes)
+    return min(count, max(_MIN_TILE, spare // (8 * trials)))
 
 
 def _initial_states(mu0: InitialDistribution, u0: np.ndarray) -> np.ndarray:
@@ -112,25 +175,58 @@ def _initial_states(mu0: InitialDistribution, u0: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, u0, side="left")
 
 
-def _walk(family: KernelFamily, mu0: InitialDistribution, n: int, u: np.ndarray):
-    """Yield (P_k, X_{k-1}, X_k) for k = 1..n, X_0 drawn with ``u[:, 0]`` and
-    X_k by ``P_k.draw`` with ``u[:, k]``, one row of uniforms per trial."""
-    state = _initial_states(mu0, u[:, 0])
-    for k, step in enumerate(family.steps(n), start=1):
-        prev, state = state, step.draw(state, u[:, k])
-        yield step, prev, state
+def _spans(family: KernelFamily, seeds: np.ndarray, count: int, width: int):
+    """Yield (start, u, base) for the uniforms of tiles of ``width`` columns,
+    split into spans of ``_SEARCH_SPAN``: ``u`` is the span from column
+    ``start`` on and ``base`` its base-CDF indices ``family.structure.search(u)``
+    (None for a family without the structure), searched transposed so that
+    each column's indices are contiguous.  A band step's base search does not
+    depend on the current state, so one search serves every column of a
+    span."""
+    band = family.structure
+    start = 0
+    for tile in _uniform_tiles(seeds, count, width):
+        for j in range(0, tile.shape[1], _SEARCH_SPAN):
+            u = tile[:, j : j + _SEARCH_SPAN]
+            yield start, u, None if band is None else band.search(u.T).T
+            start += u.shape[1]
+
+
+def _walk(family: KernelFamily, mu0: InitialDistribution, n: int, seeds: np.ndarray,
+          width: int):
+    """Yield (k, P_k, X_k) for k = 0..n (``P_0`` is None): X_0 drawn with
+    uniform 0 of each trial's stream and X_k by ``P_k.draw`` with uniform k,
+    the uniforms drawn in tiles of ``width`` per trial."""
+    steps = family.steps(n)
+    for start, u, base in _spans(family, seeds, n + 1, width):
+        bases = [None] * u.shape[1] if base is None else base.T
+        for k, col, col_base in zip(range(start, start + u.shape[1]), u.T, bases):
+            if k == 0:
+                step, state = None, _initial_states(mu0, col)
+            else:
+                step = next(steps)
+                state = step.draw(state, col, col_base)
+            yield k, step, state
 
 
 def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
-    u = _uniforms(seeds, n + 1)
-    paths = np.empty(u.shape, dtype=np.int32)
-    paths[:, 0] = _initial_states(mu0, u[:, 0])
+    paths = np.empty((len(seeds), n + 1), dtype=np.int32)
+    width = _tile_width(len(seeds), n + 1, paths.itemsize)
     if family.kind == "constant" and family.structure is not None:
-        # i.i.d. draws from one row: a single search over the whole tile
-        paths[:, 1:] = np.searchsorted(family.structure.base_cdf, u[:, 1:], side="left")
+        # i.i.d. draws from one row: the base-CDF search is the draw
+        for start, u, base in _spans(family, seeds, n + 1, width):
+            paths[:, start : start + u.shape[1]] = base
+            if start == 0:
+                paths[:, 0] = _initial_states(mu0, u[:, 0])
     else:
-        for k, (_, _, state) in enumerate(_walk(family, mu0, n, u), start=1):
-            paths[:, k] = state
+        # states gather step-major, one span at a time, and go to the path
+        # table a span at a time: a column at a time strides the whole table
+        span = np.empty((_SEARCH_SPAN, len(seeds)), dtype=paths.dtype)
+        for k, _, state in _walk(family, mu0, n, seeds, width):
+            j = k % _SEARCH_SPAN
+            span[j] = state
+            if j == _SEARCH_SPAN - 1 or k == n:
+                paths[:, k - j : k + 1] = span[: j + 1].T
     return paths
 
 
@@ -160,11 +256,13 @@ def sample_paths(
     return np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
 
 
-def iter_seed_blocks(seeds: np.ndarray, n: int):
-    """Split seeds into blocks sized so a block's uniforms fit the buffer budget
-    (one trial per block once a single trial's uniforms exceed it)."""
-    per_trial = 8 * (n + 1)
-    block = max(1, min(4096, _DEFAULT_BLOCK_BYTES // per_trial))
+def iter_seed_blocks(seeds: np.ndarray, n: int, paths: bool = True):
+    """Split seeds into blocks of at most ``_MAX_BLOCK`` trials, sized so a
+    block's int32 path table to horizon n (when it keeps ``paths``) plus a
+    uniforms tile of ``_MIN_TILE`` columns fit the budget (one trial per
+    block once a single trial's path table exceeds it)."""
+    per_trial = 4 * (n + 1) * paths + 8 * min(n + 1, _MIN_TILE)
+    block = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // per_trial))
     for start in range(0, len(seeds), block):
         yield seeds[start : start + block]
 

@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .rates import ThetaPositivityError, rate_1d
 from .sampling import (
-    _require_resolved_start, _uniforms, _walk, iter_seed_blocks, sample_paths, trial_seeds,
+    _require_resolved_start, _tile_width, _walk, iter_seed_blocks, sample_paths, trial_seeds,
 )
 from .sumdist import exact_sum_distribution
 
@@ -74,6 +74,10 @@ class SpeedFunction:
         return n / self(n) ** 2 * log_prob
 
 
+# steps per partial sum in simulate_sums: fixed, so no sum depends on block sizes
+_SUM_TILE = 256
+
+
 def _map_blocks(fn, blocks, workers: int) -> list:
     if workers <= 1:
         return [fn(b) for b in blocks]
@@ -100,6 +104,9 @@ def simulate_sums(
     With a sequence of horizons ``n`` the result gains a leading axis, one
     entry per horizon in the given order, all read off one set of paths to
     the largest horizon: trial t's S_n is the same at any grid it is part of.
+    Each observable is summed on its own, tile by tile of ``_SUM_TILE`` steps
+    counted from step 1, so an observable's sums do not depend on the other
+    observables it is passed with, nor on how trials are split into blocks.
     """
     if trials < 1:
         raise KernelValidationError(f"trials must be >= 1, got {trials}")
@@ -113,10 +120,16 @@ def simulate_sums(
 
     def one_block(seed_chunk):
         paths = sample_paths(seed_chunk, mu0, family, n_max)
-        steps = vals[:, paths[:, 1:]]  # f_l(X_k), shape (m, chunk, n_max)
-        # (horizons, chunk, m): each horizon reduces its prefix in the same
-        # order a gather of that prefix alone would
-        return np.stack([steps[:, :, :h].sum(axis=2).T for h in horizons])
+        out = np.empty((len(horizons), len(seed_chunk), len(vals)))
+        for l, values in enumerate(vals):
+            total = np.zeros(len(seed_chunk))  # sum over the tiles before ``start``
+            for start in range(0, n_max + 1, _SUM_TILE):
+                tile = values[paths[:, start + 1 : start + _SUM_TILE + 1]]  # f(X_k) per step
+                for i, h in enumerate(horizons):
+                    if start <= h < start + _SUM_TILE:
+                        out[i, :, l] = total + tile[:, : h - start].sum(axis=1)
+                total += tile.sum(axis=1)
+        return out
 
     parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max)), workers)
     out = np.concatenate(parts, axis=1)
@@ -295,6 +308,15 @@ class MartingaleResult:
         object.__setattr__(self, "variance_values", _readonly(self.variance_values))
 
 
+def _puller(family: KernelFamily, h: Observable):
+    """(P_k, states) -> (P_k h)(states): O(len(states)) on band steps, whose
+    k-free terms are computed once here; a dense kernel pulls h to every state."""
+    if family.structure is None:
+        return lambda step, states: step.apply_to_function(h.values, h.tail_value)[states]
+    terms = family.structure.pull_terms(h.values)
+    return lambda step, states: step.apply_at(h.values, states, *terms)
+
+
 def martingale_check(
     family: KernelFamily,
     mu0: InitialDistribution,
@@ -318,15 +340,17 @@ def martingale_check(
         theta_value = asymptotic_variance(stationary(family.limit), family.limit, g)
 
     # exact pass, one propagation: P_k g, E[D_k^2] from the law of X_{k-1}, E g(X_k)
-    g2 = Observable(g.values**2, g.tail_value**2)
+    pull_g = _puller(family, g)
+    pull_g2 = _puller(family, Observable(g.values**2, g.tail_value**2))
+    every = np.arange(family.size)
     g_row = g.values[None, :]  # the (1, N) product expected_step_values uses, bit for bit
     step_mean = np.empty(n_max)
     var_cum = np.empty(n_max)
     total = 0.0
     law = mu0.probs
     for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
-        pg = step.apply_to_function(g.values, g.tail_value)
-        pg2 = step.apply_to_function(g2.values, g2.tail_value)
+        pg = pull_g(step, every)
+        pg2 = pull_g2(step, every)
         total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
         var_cum[k] = total
         step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
@@ -334,7 +358,8 @@ def martingale_check(
     variance_values = var_cum[n_grid - 1] / n_grid
 
     # Monte Carlo pass: pathwise drift and the decomposition residual, one step
-    # of the walk at a time, so memory beyond the block's uniforms is O(N + trials)
+    # of the walk at a time, so memory beyond the block's uniforms tile is
+    # O(N + trials)
     seeds = trial_seeds(base_seed, trials)
     grid_pos = {int(n): i for i, n in enumerate(n_grid)}
 
@@ -345,9 +370,10 @@ def martingale_check(
         lhs = np.zeros(b)
         drift_at = np.zeros((b, len(n_grid)))
         resid = 0.0
-        walk = _walk(family, mu0, n_max, _uniforms(seed_chunk, n_max + 1))
-        for k, (step, prev, state) in enumerate(walk, start=1):
-            pg_prev = step.apply_to_function(g.values, g.tail_value)[prev]
+        walk = _walk(family, mu0, n_max, seed_chunk, _tile_width(b, n_max + 1, 0))
+        prev = next(walk)[2]
+        for k, step, state in walk:
+            pg_prev = pull_g(step, prev)
             gk = g.values[state]
             drift += pg_prev - step_mean[k - 1]
             mart += gk - pg_prev
@@ -355,9 +381,10 @@ def martingale_check(
             if k in grid_pos:
                 drift_at[:, grid_pos[k]] = np.abs(drift) / math.sqrt(k)
                 resid = max(resid, float(np.abs(lhs - mart - drift).max()))
+            prev = state
         return drift_at, resid
 
-    parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max)), workers)
+    parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max, paths=False)), workers)
     drift_values = np.concatenate([p[0] for p in parts], axis=0).mean(axis=0)
     residual = max(p[1] for p in parts)
     return MartingaleResult(

@@ -80,6 +80,15 @@ class TestValidate:
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["validate", "martingale"])
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_z_weights_exit_2(self, tmp_path, capsys, command, weight):
+        cfg = base_config(tmp_path / "out", z_weights=[weight])
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_INVALID
+        assert "z_weights entries must be finite" in capsys.readouterr().err
+
     def test_zeta4_scale_above_one_exits_2(self, tmp_path):
         cfg = base_config(tmp_path / "out", family={"kind": "zeta4", "alpha": 0.75,
                                                     "beta": 3.0, "N": 50})
@@ -209,6 +218,16 @@ class TestExperiments:
         assert cli.main(["martingale", "--config", str(path)]) == 0
         summary = json.loads((tmp_path / "out" / "martingale_summary.json").read_text())
         assert summary["residual_pass"]
+
+    def test_degenerate_martingale_weights_exit_3(self, tmp_path, capsys):
+        """z = 0 makes g constant: theta_g = 0, so no check of g can pass."""
+        cfg = base_config(tmp_path / "out", trials=64, z_weights=[0.0, 0.0],
+                          observables=[{"kind": "indicator", "state": 1},
+                                       {"kind": "indicator", "state": 2}])
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["martingale", "--config", str(path)]) == cli.EXIT_HYPOTHESIS
+        assert "theta_g" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "martingale.csv").exists()
 
     def test_worker_count_reproduces_csv_bytes(self, tmp_path):
         digests = {}

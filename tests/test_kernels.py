@@ -158,6 +158,20 @@ class TestBandStep:
             assert drawn.max() < size  # u = 1 - 2^-53 stays on the states
 
     @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    def test_apply_at_matches_apply_to_function_bit_for_bit(self, policy):
+        """The O(trials) pull of the martingale pass at any states equals the
+        full pull indexed there, last row included, to the last bit."""
+        size = 150
+        fam = zeta2_family(0.75, size, policy)
+        h = np.random.default_rng(4).standard_normal(size) / 3.0
+        terms = fam.structure.pull_terms(h)
+        states = np.random.default_rng(5).integers(0, size, 500)
+        states[:3] = [0, size - 2, size - 1]
+        for step in fam.steps(40):
+            np.testing.assert_array_equal(step.apply_at(h, states, *terms),
+                                          step.apply_to_function(h)[states])
+
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
     def test_stack_push_with_per_law_tails_matches_dense(self, policy):
         """A stack of N laws, each with its own tail: a tail broadcast against
         the columns would raise no shape error at this width."""
@@ -172,6 +186,37 @@ class TestBandStep:
         want_rows, want_tail = kern.push(laws, tails)
         np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(tail, want_tail)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("size", [3, 150, 1000])
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    def test_guide_search_equals_searchsorted(self, kind, policy, size, monkeypatch):
+        """Every bucket edge k/M and every CDF entry, each also one ulp either
+        side, plus the largest uniform below 1: the guide-table search must
+        give ``min{j : C[j] >= u}`` exactly, and the band draw the states of a
+        plain search."""
+        fam = (zeta2_family(0.75, size, policy) if kind == "zeta2"
+               else zeta4_family(0.75, 1.0, size, policy))
+        band = fam.structure
+        cdf = band.base_cdf
+        buckets = band.guide.size
+        assert buckets >= 4 * size and buckets & (buckets - 1) == 0
+        points = np.concatenate([np.arange(buckets) / buckets, cdf, [0.0, 1.0 - 2.0**-53]])
+        u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.searchsorted(cdf, u, side="left")
+        np.testing.assert_array_equal(band.search(u), want)
+        tile = u[: u.size // 4 * 4].reshape(4, -1)[:, ::-1]  # a strided 2-D tile
+        np.testing.assert_array_equal(band.search(tile), np.searchsorted(cdf, tile, side="left"))
+        *_, step = fam.steps(7)
+        states = np.repeat([0, size - 2, size - 1], u.size)
+        uu = np.tile(u, 3)
+        drawn = step.draw(states, uu)
+        monkeypatch.setattr(type(band), "search",
+                            lambda self, v: np.searchsorted(self.base_cdf, v, side="left"))
+        np.testing.assert_array_equal(drawn, step.draw(states, uu))
 
 
 class TestKernelProduct:

@@ -16,7 +16,8 @@ from nhmc import (
     uniform_initial,
     zeta2_family,
 )
-from nhmc.sampling import _uniforms, iter_seed_blocks
+from nhmc import sampling
+from nhmc.sampling import _tile_width, _uniform_tiles, _uniforms, iter_seed_blocks
 
 
 def default_rng_rows(seeds, count):
@@ -39,6 +40,33 @@ class TestStream:
         seeds = np.array(seeds, dtype=np.int64)
         np.testing.assert_array_equal(_uniforms(seeds, count), default_rng_rows(seeds, count))
 
+    @pytest.mark.parametrize("count", [3, 21, 101])
+    def test_tiles_concatenate_to_the_stream(self, count, monkeypatch):
+        """With the budget shrunk to a third of the stream, each trial's PCG64
+        state must carry over every tile boundary."""
+        seeds = np.array(EDGE_SEEDS, dtype=np.int64)
+        width = -(-count // 3)
+        monkeypatch.setattr(sampling, "_MIN_TILE", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 8 * len(seeds) * width)
+        assert _tile_width(len(seeds), count, 0) == width
+        tiles = [t.copy() for t in _uniform_tiles(seeds, count, width)]
+        assert len(tiles) == 3
+        np.testing.assert_array_equal(np.hstack(tiles), default_rng_rows(seeds, count))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8), st.integers(3, 60),
+           st.integers(1, 20))
+    def test_tiles_concatenate_to_the_stream_on_drawn_seeds(self, seeds, count, width):
+        seeds = np.array(seeds, dtype=np.int64)
+        width = min(width, count // 3)  # at least three tiles
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_MIN_TILE", 1)
+            mp.setattr(sampling, "_BLOCK_BYTES", 8 * len(seeds) * width)
+            tiles = [t.copy() for t in
+                     _uniform_tiles(seeds, count, _tile_width(len(seeds), count, 0))]
+        assert len(tiles) >= 3
+        np.testing.assert_array_equal(np.hstack(tiles), default_rng_rows(seeds, count))
+
     @pytest.mark.parametrize("seeds", [[-1], [3, -5], [2**63], [2**64 + 1]],
                              ids=["minus1", "one_negative", "2^63", "2^64+1"])
     def test_seed_outside_int64_range_rejected(self, seeds, start200, zeta2_small):
@@ -51,15 +79,23 @@ class TestStream:
             nhmc.martingale_check(zeta2_small, start200, nhmc.ObservableSet((ind200,)),
                                   [1.0], [10], 5, base_seed=-3, theta_value=1.0)
 
-    @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**6, 8), (10**7, 1)])
+    @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**6, 16), (10**7, 1)])
     def test_blocks_fit_the_uniforms_budget(self, n, block):
-        """Block sizes are read off the seed slices; no uniforms are drawn."""
-        seeds = np.arange(20, dtype=np.int64)
+        """A block's int32 path table plus its uniforms tile fit 64 MiB, the
+        tile at most 8 MiB; a walk that keeps no path holds 4096 trials at any
+        horizon.  Block sizes are read off the seed slices; no uniforms are
+        drawn."""
+        seeds = np.arange(5000, dtype=np.int64)
         blocks = list(iter_seed_blocks(seeds, n))
-        assert len(blocks[0]) == min(block, len(seeds))
+        assert len(blocks[0]) == block
         np.testing.assert_array_equal(np.concatenate(blocks), seeds)
-        if block > 1:  # a single trial's uniforms can exceed the budget on their own
-            assert block * 8 * (n + 1) <= 64 * 2**20
+        tile_bytes = block * 8 * _tile_width(block, n + 1, 4)
+        assert tile_bytes <= 8 * 2**20
+        if block > 1:  # a single trial's path table can exceed the budget on its own
+            assert block * (n + 1) * 4 + tile_bytes <= 64 * 2**20
+        walk_blocks = list(iter_seed_blocks(seeds, n, paths=False))
+        assert [len(b) for b in walk_blocks] == [4096, 904]
+        assert 4096 * 8 * _tile_width(4096, n + 1, 0) <= 8 * 2**20
 
 
 class TestDeterminism:
@@ -79,6 +115,25 @@ class TestDeterminism:
             np.testing.assert_array_equal(
                 sample_paths(trial_seeds(9, 30), start200, zeta2_small, n), long[:, : n + 1]
             )
+
+    @pytest.mark.parametrize("family", [
+        zeta2_family(0.75, 200),
+        nhmc.zeta4_family(0.75, 1.0, 200, nhmc.TailPolicy.RENORMALIZE),
+        table_family([zeta2_family(0.75, 200).kernel_at(k) for k in (1, 2, 3)],
+                     zeta2_family(0.75, 200).limit),
+        constant_family(nhmc.make_limit_kernel("zeta2", 200)),
+    ], ids=["band", "renormalize", "table", "constant"])
+    def test_paths_do_not_depend_on_block_and_tile_budgets(self, family, start200,
+                                                          monkeypatch):
+        """Blocks of 3 trials walking tiles of 2 to 3 steps give the paths of
+        one block in one tile."""
+        seeds = trial_seeds(77, 40)
+        whole = sample_paths(seeds, start200, family, 120)
+        monkeypatch.setattr(sampling, "_MIN_TILE", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 3 * (4 * 121 + 8 * 2) + 8)
+        assert [len(b) for b in iter_seed_blocks(seeds, 120)][:2] == [3, 3]
+        assert _tile_width(3, 121, 4) == 2
+        np.testing.assert_array_equal(sample_paths(seeds, start200, family, 120), whole)
 
     def test_batched_equals_individual(self, zeta2_small, start200):
         seeds = trial_seeds(50, 7)

@@ -78,6 +78,34 @@ class TestSimulateSums:
                 single[i], simulate_sums(start200, zeta2_small, table, n, 4500, 13)
             )
 
+    def test_table_sums_do_not_depend_on_the_observable_set(self, zeta2_small, start200):
+        """A non-integer observable's sums are the same bits alone and next to
+        others, in either position."""
+        table = Observable(np.random.default_rng(5).normal(size=200) / 7.0)
+        other = indicator_observable(2, 200)
+        grid = [50, 120, 700]
+        alone = simulate_sums(start200, zeta2_small, table, grid, 700, 21)
+        first = simulate_sums(start200, zeta2_small, ObservableSet((table, other)), grid, 700, 21)
+        last = simulate_sums(start200, zeta2_small, ObservableSet((other, other, table)),
+                             grid, 700, 21)
+        np.testing.assert_array_equal(first[..., 0], alone)
+        np.testing.assert_array_equal(last[..., 2], alone)
+
+    def test_sums_do_not_depend_on_block_and_tile_budgets(self, zeta2_small, start200,
+                                                          monkeypatch):
+        """Blocks of a few trials and tiles of a few steps give the bits of one
+        block in one tile, non-integer observables included."""
+        obs = ObservableSet((indicator_observable(1, 200),
+                             Observable(np.random.default_rng(6).normal(size=200) / 3.0)))
+        grid = [3, 255, 256, 257, 600]
+        whole = simulate_sums(start200, zeta2_small, obs, grid, 90, 31)
+        monkeypatch.setattr(nhmc.sampling, "_MIN_TILE", 1)
+        monkeypatch.setattr(nhmc.sampling, "_BLOCK_BYTES", 20 * (4 * 601 + 8 * 7))
+        assert len(next(nhmc.sampling.iter_seed_blocks(np.arange(90), 600))) == 20
+        assert nhmc.sampling._tile_width(20, 601, 4) == 7
+        np.testing.assert_array_equal(simulate_sums(start200, zeta2_small, obs, grid, 90, 31),
+                                      whole)
+
     def test_negative_horizon_in_grid_rejected(self, zeta2_small, start200, ind200):
         with pytest.raises(KernelValidationError, match="horizons"):
             simulate_sums(start200, zeta2_small, ind200, [5, -1, 9], 10, 1)
@@ -291,6 +319,28 @@ class TestMartingaleCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    def test_output_does_not_depend_on_block_and_tile_budgets(self, policy, monkeypatch):
+        """Walk blocks of 16 trials and tiles of 5 steps give the bits of one
+        block in one tile; renormalize exercises the last-row term."""
+        fam = zeta2_family(0.75, 40, policy)
+        obs = ObservableSet((indicator_observable(1, 40), indicator_observable(40, 40),
+                             Observable(np.random.default_rng(8).normal(size=40))))
+        mu0 = nhmc.uniform_initial(40)
+
+        def run():
+            return martingale_check(fam, mu0, obs, [1.0, -0.5, 0.25], [7, 64, 300],
+                                    trials=70, base_seed=9)
+
+        whole = run()
+        monkeypatch.setattr(nhmc.sampling, "_MIN_TILE", 5)
+        monkeypatch.setattr(nhmc.sampling, "_BLOCK_BYTES", 16 * 8 * 5)
+        assert len(next(nhmc.sampling.iter_seed_blocks(np.arange(70), 300, paths=False))) == 16
+        assert nhmc.sampling._tile_width(16, 301, 0) == 5
+        tiled = run()
+        for field in ("drift_values", "variance_values", "theta_g", "max_pathwise_residual"):
+            np.testing.assert_array_equal(getattr(tiled, field), getattr(whole, field))
 
     def test_pathwise_identity_residual_is_float_noise(self, zeta2_small, start200):
         obs = ObservableSet(
