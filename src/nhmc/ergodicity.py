@@ -27,6 +27,7 @@ from .kernels import (
     TruncatedKernel,
     _BandStep,
     _RankOneBand,
+    _ZETA_POWER,
     _readonly,
 )
 
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 
-BAND_HALF_WIDTH = 1  # built-in rows differ from the base row only next to their own index
 STATIONARY_TOL = 1e-12
 STATIONARY_SWEEPS = 5000  # power-iteration sweeps before the linear-solve fallback
 
@@ -86,7 +86,16 @@ def sup_row_norm(A) -> float:
     return float(np.abs(M).sum(axis=1).max())
 
 
-def _delta_dense(rows: np.ndarray) -> float:
+def dobrushin_delta(P) -> float:
+    """Contraction coefficient: sup over row pairs of the summed positive parts.
+
+    The unconditional O(N^3) scan over row pairs, the tail counted as one more
+    column; ``delta_sequence`` has the closed form for the built-in families.
+    """
+    if isinstance(P, TruncatedKernel):
+        rows = _as_matrix_with_tail(P)
+    else:
+        rows = np.asarray(P, dtype=float)
     # rows have equal sums, so the positive-part sum is symmetric in (i, k)
     # and scanning unordered pairs suffices.
     best = 0.0
@@ -96,62 +105,6 @@ def _delta_dense(rows: np.ndarray) -> float:
         np.clip(diff, 0.0, None, out=diff)
         best = max(best, float(diff.sum(axis=1).max()))
     return best
-
-
-def _delta_banded(rows: np.ndarray) -> float:
-    """Positive-part scan restricted to the rows' bands.
-
-    Precondition: every row equals a shared base row outside its own band of
-    half-width ``BAND_HALF_WIDTH``.  Pairs whose bands may interact (adjacent
-    bands, or bands touching the last column, where lumped kernels deviate)
-    fall back to full-row differences.
-    """
-    n = rows.shape[0]
-    bw = BAND_HALF_WIDTH
-    near_margin = 2 * bw + 1
-    best = 0.0
-    idx = np.arange(n)
-    for i in range(n - 1):
-        far_lo = i + near_margin + 1
-        far_hi = n - near_margin - 1  # rows beyond may own the last column
-        # near pairs: full-row positive parts
-        near = [j for j in range(i + 1, min(far_lo, n))]
-        near += [j for j in range(max(far_hi + 1, i + 1), n)]
-        for j in near:
-            d = rows[i] - rows[j]
-            best = max(best, float(d[d > 0].sum()))
-        if i >= far_hi:
-            continue
-        js = idx[far_lo : far_hi + 1]
-        if js.size == 0:
-            continue
-        cols_i = np.arange(max(i - bw, 0), min(i + bw, n - 1) + 1)
-        di = rows[i, cols_i][None, :] - rows[js][:, cols_i]
-        cols_j = js[:, None] + np.arange(-bw, bw + 1)[None, :]
-        cols_j = np.clip(cols_j, 0, n - 1)
-        dj = rows[i][cols_j] - np.take_along_axis(rows[js], cols_j, axis=1)
-        total = np.clip(di, 0.0, None).sum(axis=1) + np.clip(dj, 0.0, None).sum(axis=1)
-        best = max(best, float(total.max()))
-    return best
-
-
-def dobrushin_delta(P, method: str = "dense") -> float:
-    """Contraction coefficient: sup over row pairs of the summed positive parts.
-
-    ``method="banded"`` is an O(N^2) shortcut valid when rows pairwise agree
-    outside bands of half-width ``BAND_HALF_WIDTH`` around their own index
-    (true for the built-in families); ``"dense"`` is the unconditional O(N^3)
-    scan.
-    """
-    if isinstance(P, TruncatedKernel):
-        rows = _as_matrix_with_tail(P)
-    else:
-        rows = np.asarray(P, dtype=float)
-    if method == "dense":
-        return _delta_dense(rows)
-    if method == "banded":
-        return _delta_banded(rows)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _band_delta(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
@@ -177,23 +130,32 @@ def _band_delta(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
     return s * np.maximum(in_band, x * (1.0 - b[-1]) + np.maximum(beside, pert[-2]))
 
 
+def _listed_steps(family: KernelFamily, k_max: int) -> int:
+    """How many of the steps 1..k_max ``kernel_at`` builds one by one: all of
+    them for a built-in, the listed kernels of a table (none for a constant
+    family); every later step is the limit."""
+    return k_max if family.kind in _ZETA_POWER else min(k_max, len(family.table))
+
+
 def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     """delta(P_k) for k = 1..k_max.
 
-    Constant families are constant.  For the built-in families, under either
-    tail policy, each delta(P_k) is a closed form in s(k) and the band
-    structure (``_band_delta``), O(N + k_max) in all; anything else is
-    evaluated kernel by kernel with the dense scan.
+    For the built-in families, under either tail policy, each delta(P_k) is a
+    closed form in s(k) and the band structure (``_band_delta``), O(N + k_max)
+    in all.  Any other family runs the dense scan once per listed kernel
+    (none for a constant family) and once for the limit, whose value every
+    later step repeats; a built-in without its structure scans every step.
     """
     if k_max < 1:
         raise KernelValidationError("k_max must be >= 1")
-    if family.kind == "constant":
-        return np.full(k_max, dobrushin_delta(family.limit, method="dense"))
-    if family.structure is not None:
+    if family.kind in _ZETA_POWER and family.structure is not None:
         return _band_delta(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
-    return np.array(
-        [dobrushin_delta(family.kernel_at(k), method="dense") for k in range(1, k_max + 1)]
-    )
+    listed = _listed_steps(family, k_max)
+    out = np.empty(k_max)
+    out[:listed] = [dobrushin_delta(family.kernel_at(k)) for k in range(1, listed + 1)]
+    if listed < k_max:
+        out[listed:] = dobrushin_delta(family.limit)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +210,13 @@ def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     row that P repeats, and row N ``2 s(k) x (1 - b_N)`` with
     ``x = last / (1 - s(k) last)`` (see ``_band_delta``).
     """
-    if family.structure is not None:
+    if family.kind in _ZETA_POWER and family.structure is not None:
         band = family.structure
         scales = family.perturbation_scale(np.arange(1, k_max + 1))
         last_row = 2.0 * band.last / (1.0 - scales * band.last) * (1.0 - band.base_row[-1])
         return np.maximum(2.0 * float(band.pert.max()), last_row) * scales
-    out = np.zeros(k_max)
-    if family.kind == "constant":
-        return out
-    if family.kind == "table":
-        k_max = min(k_max, len(family.table))  # later steps use the limit itself
-    for k in range(1, k_max + 1):
+    out = np.zeros(k_max)  # the steps past the listed ones use the limit itself
+    for k in range(1, _listed_steps(family, k_max) + 1):
         out[k - 1] = _kernel_distance(family.kernel_at(k), family.limit)
     return out
 
@@ -378,9 +336,10 @@ def condition_profile(
     ``error_bound``), otherwise as row stacks pushed through
     ``KernelFamily.steps`` (O(N^2) per step for renormalize built-ins, dense
     products for the rest), so it is meant for desk-scale grids.  The other
-    two reduce to cumulative sums of per-step scalars, closed forms in s(k)
-    for the built-in families under either tail policy, and handle grids up
-    to millions of steps there.
+    two reduce to cumulative sums of per-step scalars: closed forms in s(k)
+    for the built-in families under either tail policy, and for tables and
+    constant families one dense evaluation per listed kernel plus one for the
+    limit, so both handle grids up to millions of steps.
     """
     condition = ConvergenceCondition(condition)
     n_grid = np.asarray(sorted(int(n) for n in np.atleast_1d(n_grid)), dtype=np.int64)
@@ -516,7 +475,9 @@ def strong_ergodicity_profile(
     computed, e.g. reducible ones under study).
     """
     k_grid = np.asarray(sorted(int(k) for k in np.atleast_1d(k_grid)), dtype=np.int64)
-    if np.any(k_grid < 1):
+    if k_grid.size == 0 or np.any(np.diff(k_grid) == 0):
+        raise KernelValidationError("k_grid must be nonempty, without repeats")
+    if k_grid[0] < 1:
         raise KernelValidationError("k_grid entries must be >= 1")
     if pi is None:
         pi = stationary(P).pi

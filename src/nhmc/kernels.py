@@ -386,8 +386,9 @@ class _RankOneBand:
 @dataclass(frozen=True, eq=False)
 class _BandStep:
     """The step kernel of a ``_RankOneBand`` at one scale, lump or renormalize,
-    applied in O(N) per step, with the same ``push``, ``apply_to_function``
-    and ``draw`` as a TruncatedKernel."""
+    applied in O(N) per step, with the ``push``, ``apply_to_function`` and
+    ``draw`` of a TruncatedKernel (``draw`` agrees with the dense rows' draw
+    except next to a row-CDF entry; see there)."""
 
     band: _RankOneBand
     scale: float
@@ -437,8 +438,12 @@ class _BandStep:
         return out, tail
 
     def draw(self, state: np.ndarray, u: np.ndarray, base=None) -> np.ndarray:
-        """Next states exactly as ``TruncatedKernel.draw``.  Row i < N is the base
-        row with ``scale * pert[i]`` mass moved from column i to i+1, which lowers
+        """Next states as ``TruncatedKernel.draw`` gives them from the dense
+        ``make_kernel`` rows, except for uniforms within about one ulp of a
+        row-CDF entry: the two CDFs round differently, so there a draw may land
+        on a nearby state (about 5% of the uniforms at and one ulp either side
+        of each entry, under either tail policy).  Row i < N is the base row
+        with ``scale * pert[i]`` mass moved from column i to i+1, which lowers
         its CDF at index i alone: one base-CDF search serves every such state,
         plus a promotion to i+1 when the base draw is the current state i and u
         exceeds ``C[i] - scale * pert[i]``.  The base search is
@@ -575,9 +580,10 @@ def make_kernel(
 class KernelFamily:
     """A rule k -> P_k together with the limit kernel P.
 
-    ``kind`` is one of ``constant``, ``zeta2``, ``zeta4``, ``table``.  For
-    ``table`` families the listed kernels cover k = 1..len(table) and every
-    later step uses the limit kernel.
+    ``kind`` is one of ``constant``, ``zeta2``, ``zeta4``, ``table``.  The
+    built-ins build P_k from s(k); every other family is a table whose listed
+    kernels cover k = 1..len(table), with every later step the limit kernel.
+    A constant family is the empty table.
     """
 
     kind: str
@@ -593,11 +599,9 @@ class KernelFamily:
         """The transition matrix governing the step from X_{k-1} to X_k."""
         if k < 1:
             raise KernelValidationError(f"time index k must be >= 1, got {k}")
-        if self.kind == "constant":
-            return self.limit
-        if self.kind == "table":
-            return self.table[k - 1] if k <= len(self.table) else self.limit
-        return make_kernel(self.kind, k, self.size, self.alpha, self.beta, self.tail_policy)
+        if self.kind in _ZETA_POWER:
+            return make_kernel(self.kind, k, self.size, self.alpha, self.beta, self.tail_policy)
+        return self.table[k - 1] if k <= len(self.table) else self.limit
 
     def steps(self, n: int):
         """The step operators P_1..P_n: O(N) band steps for the families with

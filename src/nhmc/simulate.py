@@ -332,6 +332,10 @@ def martingale_check(
     _require_resolved_start(mu0)  # the Monte Carlo pass needs it; fail before the exact one
     g = observables.combine(z)
     n_grid = np.asarray(sorted(int(v) for v in np.atleast_1d(n_grid)), dtype=np.int64)
+    if n_grid.size == 0 or np.any(np.diff(n_grid) == 0):
+        raise KernelValidationError("n_grid must be nonempty, without repeats")
+    if n_grid[0] < 1:
+        raise KernelValidationError("n_grid entries must be >= 1")
     n_max = int(n_grid[-1])
     if theta_value is None:
         from .ergodicity import stationary

@@ -31,6 +31,7 @@ from nhmc import (
     condition_profile,
     constant_family,
     covariance_matrix,
+    delta_sequence,
     dobrushin_delta,
     expected_sum,
     indicator_observable,
@@ -102,8 +103,8 @@ def test_gate_03_scaled_dobrushin_sum():
     The profile is ``(1/sqrt(n)) * sum_{k<=n} delta(P_k)``.  For the built-in
     families delta(P_k) = c * s(k) with s(k) = k^(-3/4) (zeta2) or
     log(k) k^(-3/4) (zeta4, beta = 1), so the profile equals the closed form
-    ``c * cumsum(s)[n-1] / sqrt(n)``.  The gate requires: banded == dense
-    coefficients; a constant ratio delta/s from the dense scan at k in
+    ``c * cumsum(s)[n-1] / sqrt(n)``.  The gate requires: closed-form ==
+    dense coefficients; a constant ratio delta/s from the dense scan at k in
     {2, 10, 1000}; the profile matching that closed form; a last-decade
     decrease; and a last-decade log-log slope of value / l(n) in
     [-0.30, -0.20], where l = 1 (zeta2) or log n - 4 (zeta4), since
@@ -121,19 +122,19 @@ def test_gate_03_scaled_dobrushin_sum():
          np.log(k) * k**-0.75, lambda n: np.log(n) - 4,
          lambda n: 4 * n**0.25 * (np.log(n) - 4) + 16),
     ):
-        banded_gap = 0.0
+        closed_gap = 0.0
         ratios = []
+        closed = delta_sequence(fam_small, 1000)
         for step in (2, 10, 1000):
-            dense = dobrushin_delta(fam_small.kernel_at(step), method="dense")
-            banded = dobrushin_delta(fam_small.kernel_at(step), method="banded")
-            banded_gap = max(banded_gap, abs(banded - dense))
+            dense = dobrushin_delta(fam_small.kernel_at(step))
+            closed_gap = max(closed_gap, abs(closed[step - 1] - dense))
             ratios.append(dense / s[step - 1])
         c = ratios[0]
         prof = condition_profile(fam_big, "scaled_dobrushin_sum", grid)
         oracle = c * np.cumsum(s)[grid - 1] / np.sqrt(grid)
         rate = prof.values[last] / ell(grid[last])
         results[name] = {
-            "banded_gap": banded_gap,
+            "closed_gap": closed_gap,
             "ratio_spread": max(ratios) - min(ratios),
             "oracle_gap": float(np.abs(prof.values / oracle - 1.0).max()),
             "slope": float(np.polyfit(np.log10(grid[last]), np.log10(rate), 1)[0]),
@@ -144,7 +145,8 @@ def test_gate_03_scaled_dobrushin_sum():
                 lambda e: c * integral(10**e) / 10 ** (e / 2) - 0.05, 3, 30),
         }
     checks = {
-        "banded==dense (<= 1e-12)": all(v["banded_gap"] <= 1e-12 for v in results.values()),
+        "closed form==dense (<= 1e-12)": all(v["closed_gap"] <= 1e-12
+                                             for v in results.values()),
         "delta/s constant (<= 1e-12)": all(v["ratio_spread"] <= 1e-12
                                           for v in results.values()),
         "closed form (<= 1e-10)": all(v["oracle_gap"] <= 1e-10 for v in results.values()),

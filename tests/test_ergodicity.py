@@ -68,11 +68,11 @@ class TestDobrushinDelta:
         kern = TruncatedKernel(np.eye(6), np.zeros(6))
         assert dobrushin_delta(kern) == pytest.approx(1.0)
 
-    def test_zeta2_bounded_and_banded_matches_dense(self):
+    def test_zeta2_bounded_and_closed_form_matches_dense(self):
         kern = make_kernel("zeta2", 10, 500, alpha=0.75)
-        dense = dobrushin_delta(kern, method="dense")
-        banded = dobrushin_delta(kern, method="banded")
-        assert dense == pytest.approx(banded, abs=1e-14)
+        dense = dobrushin_delta(kern)
+        closed = delta_sequence(zeta2_family(0.75, 500), 10)[9]
+        assert dense == pytest.approx(closed, abs=1e-14)
         assert dense <= 12 / np.pi**2 * 10**-0.75
 
     @given(st.integers(2, 12), st.integers(0, 10**6))
@@ -106,7 +106,7 @@ class TestDobrushinDelta:
             for k in (1, 2, 3, 10, 1000):
                 kern = fam.kernel_at(k)
                 assert deltas[k - 1] == pytest.approx(
-                    dobrushin_delta(kern, method="dense"), rel=1e-12, abs=0)
+                    dobrushin_delta(kern), rel=1e-12, abs=0)
                 assert deviations[k - 1] == pytest.approx(
                     ergodicity._kernel_distance(kern, fam.limit), rel=1e-12, abs=0)
 
@@ -142,6 +142,27 @@ class TestDobrushinDelta:
                 assert deviations[k - 1] == pytest.approx(
                     ergodicity._kernel_distance(kern, limit), rel=1e-12, abs=0)
                 assert deviations[k - 1] > 2.0 * step.scale * pert.max()
+
+    def test_tables_scan_each_listed_kernel_and_the_limit_once(self, monkeypatch):
+        """Past a table every step is the limit, so 1000 steps of a 3-kernel
+        table take 4 dense scans (a constant family, the empty table, takes
+        1), with the values of the scan at every step."""
+        rng = np.random.default_rng(8)
+        size = 20
+        limit = TruncatedKernel(random_stochastic(rng, size), np.zeros(size))
+        table = [TruncatedKernel(random_stochastic(rng, size), np.zeros(size))
+                 for _ in range(3)]
+        scan = ergodicity.dobrushin_delta
+        for fam, scans in ((nhmc.table_family(table, limit), 4), (constant_family(limit), 1)):
+            assert fam.structure is None
+            oracle = [scan(fam.kernel_at(k)) for k in range(1, 1001)]
+            calls = []
+            monkeypatch.setattr(ergodicity, "dobrushin_delta",
+                                lambda P: calls.append(P) or scan(P))
+            seq = delta_sequence(fam, 1000)
+            monkeypatch.undo()
+            assert len(calls) == scans
+            np.testing.assert_array_equal(seq, oracle)
 
     def test_delta_sequence_matches_per_step_evaluation(self):
         """The scale shortcut must equal direct evaluation at every sampled k."""
@@ -438,6 +459,12 @@ class TestStrongErgodicity:
         kern = TruncatedKernel(np.eye(3), np.zeros(3))
         vals = strong_ergodicity_profile(kern, [1, 5, 25], pi=np.full(3, 1 / 3))
         assert (np.diff(vals) == 0).all() and vals[0] > 0.5
+
+    @pytest.mark.parametrize("k_grid", [[], [3, 3]])
+    def test_empty_or_repeated_grid_is_a_validation_error(self, k_grid):
+        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]), np.zeros(2))
+        with pytest.raises(KernelValidationError):
+            strong_ergodicity_profile(kern, k_grid)
 
     def test_two_state_geometric_rate(self):
         """||P^k - R|| = c * 0.7^k for the 2-state chain with gap eigenvalue 0.7."""

@@ -268,6 +268,13 @@ class TestMartingaleCheck:
         np.testing.assert_allclose(res.variance_values, direct, atol=1e-12)
         assert res.theta_g == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("n_grid", [[], [0], [10, 10]])
+    def test_empty_zero_or_repeated_grid_is_a_validation_error(self, iid_family, start200,
+                                                               ind200, n_grid):
+        with pytest.raises(KernelValidationError):
+            martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], n_grid,
+                             trials=4)
+
     def test_band_step_matches_dense_step(self):
         """The O(N) band pull and the dense kernel rows give the same variance profile."""
         fam = zeta2_family(0.75, 60)
