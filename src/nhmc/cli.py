@@ -52,10 +52,10 @@ EXIT_NUMERICAL = 5
 
 THETA_MIN = 1e-12
 VALIDATE_STEP_SAMPLE = (1, 2, 10, 100, 10**3, 10**5)
-# The Cesaro scan is O(N) per step and start for the lump-policy band
-# families, pushes N x N row stacks through O(N) band steps for the
-# renormalize ones and multiplies dense kernels for tables and constant
-# kernels without identical rows, so it runs on a capped subgrid.  Lifting
+# The Cesaro scan is O(N) per step and start for the band families (plus a
+# dense block of the last rows for renormalize ones) and multiplies N x N
+# row stacks through dense kernels for tables and constant kernels without
+# identical rows, so it runs on a capped subgrid.  Lifting
 # the caps changes which rows conditions.csv holds (and the rows
 # perfbench/reference.json keys as cesaro_product_average|n|8), so it is a
 # change of its own.

@@ -28,6 +28,7 @@ from .kernels import (
     _BandStep,
     _RankOneBand,
     _ZETA_POWER,
+    _horizon_grid,
     _readonly,
 )
 
@@ -203,18 +204,18 @@ def _kernel_distance(a: TruncatedKernel, b: TruncatedKernel) -> float:
     return float(gap.max())
 
 
-def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
-    """||P_k - P|| for k = 1..k_max.
+def _band_norm(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
+    """||P_k - P|| for the kernels of ``band`` at scales s >= 0: row i < N
+    sits ``2 s pert_i`` from the base row that P repeats, and row N
+    ``2 s x (1 - b_N)`` with ``x = last / (1 - s last)`` (see ``_band_delta``)."""
+    last_row = 2.0 * band.last / (1.0 - s * band.last) * (1.0 - band.base_row[-1])
+    return np.maximum(2.0 * float(band.pert.max()), last_row) * s
 
-    For the built-in families row i < N sits ``2 s(k) pert_i`` from the base
-    row that P repeats, and row N ``2 s(k) x (1 - b_N)`` with
-    ``x = last / (1 - s(k) last)`` (see ``_band_delta``).
-    """
+
+def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
+    """||P_k - P|| for k = 1..k_max: ``_band_norm`` for the built-in families."""
     if family.kind in _ZETA_POWER and family.structure is not None:
-        band = family.structure
-        scales = family.perturbation_scale(np.arange(1, k_max + 1))
-        last_row = 2.0 * band.last / (1.0 - scales * band.last) * (1.0 - band.base_row[-1])
-        return np.maximum(2.0 * float(band.pert.max()), last_row) * scales
+        return _band_norm(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
     out = np.zeros(k_max)  # the steps past the listed ones use the limit itself
     for k in range(1, _listed_steps(family, k_max) + 1):
         out[k - 1] = _kernel_distance(family.kernel_at(k), family.limit)
@@ -237,8 +238,9 @@ def _windowed_average_sup(seq: np.ndarray, n_grid: np.ndarray, m_range: int):
 # The Cesaro scan advances at most this many starting times together, so its
 # working set does not grow with m_sup_range.
 _CESARO_CHUNK = 16
-# The band part c_t B^t of a structured product is carried while
-# max_m |c_t| ||B||^t exceeds this; the terms after it go into error_bound.
+# The band part c_t M_t of a structured product is carried while its norm
+# bound max_m |c_t| ||B~_{m+1}||...||B~_{m+t}|| exceeds this; the terms after
+# it go into error_bound.
 _BAND_DROP = 2.0**-60
 
 
@@ -246,8 +248,9 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
                        pi: np.ndarray) -> np.ndarray:
     """gaps[i, g] = ||(1/n) sum_{t<=n} P^(m, m+t) - R|| for m = starts[i], n = n_grid[g].
 
-    Row stacks are pushed through the step operators with k outer, so each
-    P_k serves every start it reaches.
+    Row stacks are pushed through the kernels with k outer, so each P_k
+    serves every start it reaches; the steps before the first start serve
+    none and are never built.
     """
     n_max = int(n_grid[-1])
     size = family.size
@@ -258,7 +261,8 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
     running_tail = [np.zeros(size) for _ in starts]
     grid_pos = {int(n): g for g, n in enumerate(n_grid)}
     gaps = np.zeros((len(starts), len(n_grid)))
-    for k, step in enumerate(family.steps(int(starts[-1]) + n_max), start=1):
+    for k in range(int(starts[0]) + 1, int(starts[-1]) + n_max + 1):
+        step = family.kernel_at(k)
         for i, m in enumerate(starts):
             t = k - int(m)
             if not 1 <= t <= n_max:
@@ -274,32 +278,43 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
 
 def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarray,
                       pi: np.ndarray) -> tuple[np.ndarray, float]:
-    """The dense scan's gaps for kernels ``1 b + s(k) B``, in O(N) per step and start.
+    """The dense scan's gaps for kernels ``1 b + s(k) B~_k``, in O(N) per step
+    and start but for the last rows of a renormalize band.
 
-    Products are ``P^(m, m+t) = 1 r_t + c_t B^t`` with ``r_1 = b``,
-    ``r_{t+1} = b + s(m+t+1) r_t B`` and ``c_t = s(m+1)...s(m+t)``.  B^t is
-    banded, ``(B^t)[i, i+d]`` for d = 0..t, so with ``v = (1/n) sum r_t - pi``
-    and ``C = (1/n) sum c_t B^t`` row i's gap is
-    ``||v||_1 + sum_d (|v_{i+d} + C[i, i+d]| - |v_{i+d}|)``.  The powers are
-    carried up to the last t where some start has ``|c_t| ||B||^t`` above
-    ``_BAND_DROP``; the second value returned bounds what the later terms
-    could add to any gap.  The tail never enters: these kernels are stochastic.
+    Row N of ``B~_k`` is ``x_k (b - e_N)`` with ``x_k = last / (1 - s(k) last)``
+    (see ``_band_delta``; 0 under lump) and every other row is B's, so the rows
+    of ``B~_k`` sum to 0 and products are ``P^(m, m+t) = 1 r_t + c_t M_t``
+    with ``r_1 = b``, ``r_{t+1} = r_t P_{m+t+1}``, ``c_t = s(m+1)...s(m+t)``
+    and ``M_t = B~_{m+1}...B~_{m+t}``.  B moves mass one state up, so row i
+    of M_t is ``(B^t)[i]`` while i + t < N: banded, ``(B^t)[i, i+d]`` for
+    d = 0..t, and with ``v = (1/n) sum r_t - pi`` and ``C = (1/n) sum c_t M_t``
+    row i's gap is ``||v||_1 + sum_d (|v_{i+d} + C[i, i+d]| - |v_{i+d}|)``.
+    Under renormalize the last ``width + 1`` rows, which reach row N within
+    the carried steps, are carried as a dense block of ``c_t M_t`` rows
+    instead, with gaps ``||v + C[i]||_1``.  Terms are carried up to the last t
+    where some start has ``c_t ||B~_{m+1}||...||B~_{m+t}||`` (products of
+    ``_band_norm``) above ``_BAND_DROP``; the second value returned bounds what
+    the later terms could add to any gap.  The tail never enters: these
+    kernels are stochastic.
     """
     n_max = int(n_grid[-1])
-    band = family.structure
+    band, size = family.structure, family.size
     s = family.perturbation_scale(starts[:, None] + np.arange(1, n_max + 1))  # s(m+t)
     coef = np.cumprod(s, axis=1)  # c_t
-    weight = np.cumprod(np.abs(s) * (2.0 * float(band.pert.max())), axis=1)
+    weight = np.cumprod(_band_norm(band, s), axis=1)
     above = np.nonzero(weight.max(axis=0) > _BAND_DROP)[0]
-    width = int(above[-1]) + 1 if above.size else 0  # B^1..B^width are carried
+    width = int(above[-1]) + 1 if above.size else 0  # M_1..M_width are carried
     weight[:, :width] = 0.0
     dropped = np.cumsum(weight, axis=1)[:, n_grid - 1] / n_grid
     error_bound = float(dropped.max())
 
-    pert_at = sliding_window_view(np.pad(band.pert, (0, width)), width + 1)  # pert[i+d]
-    power = np.zeros((family.size, width + 1))  # power[i, d] = (B^t)[i, i+d]
+    cut = size - min(size, width + 1) if band.last else size  # rows cut.. go dense
+    pert_at = sliding_window_view(np.pad(band.pert, (0, width)), width + 1)[:cut]  # pert[i+d]
+    power = np.zeros((cut, width + 1))  # power[i, d] = (B^t)[i, i+d]
     power[:, 0] = 1.0
-    band_sum = np.zeros((len(starts), family.size, width + 1))  # sum_t c_t B^t
+    band_sum = np.zeros((len(starts), cut, width + 1))  # sum_t c_t B^t
+    block = np.tile(np.eye(size)[cut:], (len(starts), 1, 1))  # c_t M_t on rows cut..
+    block_sum = np.zeros_like(block)
     r = np.tile(band.base_row, (len(starts), 1))
     r_sum = np.zeros_like(r)
     grid_pos = {int(n): g for g, n in enumerate(n_grid)}
@@ -313,12 +328,16 @@ def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarr
             power = -moved
             power[:, 1:] += moved[:, :-1]
             band_sum += coef[:, t - 1, None, None] * power
+            # with every row's mass in the tail, push drops the 1 b part: s B~ rows
+            block, _ = _BandStep(band, s[:, t - 1, None, None]).push(block, 1.0)
+            block_sum += block
         if t in grid_pos:
             v = r_sum / t - pi
-            v_at = sliding_window_view(np.pad(v, ((0, 0), (0, width))), width + 1, axis=1)
+            v_at = sliding_window_view(np.pad(v, ((0, 0), (0, width))), width + 1, axis=1)[:, :cut]
             change = np.abs(v_at + band_sum / t) - np.abs(v_at)
             gap = np.abs(v).sum(axis=1)[:, None] + change.sum(axis=2)
-            gaps[:, grid_pos[t]] = gap.max(axis=1)
+            edge = np.abs(v[:, None] + block_sum / t).sum(axis=2)
+            gaps[:, grid_pos[t]] = np.concatenate([gap, edge], axis=1).max(axis=1)
     return gaps, error_bound
 
 
@@ -330,21 +349,21 @@ def condition_profile(
 ) -> ConditionProfile:
     """Evaluate one convergence-condition statistic along ``n_grid``.
 
-    The Cesaro profile advances every start m <= ``m_sup_range`` step by
-    step: in O(N) per step for the lump-policy built-ins and identical-rows
-    constant families (with the bound on its dropped band terms in
-    ``error_bound``), otherwise as row stacks pushed through
-    ``KernelFamily.steps`` (O(N^2) per step for renormalize built-ins, dense
-    products for the rest), so it is meant for desk-scale grids.  The other
-    two reduce to cumulative sums of per-step scalars: closed forms in s(k)
-    for the built-in families under either tail policy, and for tables and
-    constant families one dense evaluation per listed kernel plus one for the
-    limit, so both handle grids up to millions of steps.
+    ``n_grid`` is sorted; an empty grid, a repeated entry or one below 1 is a
+    ``KernelValidationError`` before any scan.  The Cesaro profile advances
+    every start m <= ``m_sup_range`` step by step: for every family with the
+    rank-one-plus-band structure (built-ins under either tail policy and
+    identical-rows constant families) in O(N) per step and start, plus
+    O(width * N) for the last rows of a renormalize band (with the bound on
+    its dropped band terms in ``error_bound``), and otherwise as dense row
+    stacks pushed through the kernels, so it is meant for desk-scale grids.
+    The other two reduce to cumulative sums of per-step scalars: closed forms
+    in s(k) for the built-in families under either tail policy, and for tables
+    and constant families one dense evaluation per listed kernel plus one for
+    the limit, so both handle grids up to millions of steps.
     """
     condition = ConvergenceCondition(condition)
-    n_grid = np.asarray(sorted(int(n) for n in np.atleast_1d(n_grid)), dtype=np.int64)
-    if n_grid.size == 0:
-        raise KernelValidationError("n_grid must be nonempty")
+    n_grid = _horizon_grid(n_grid, "n_grid")
     if m_sup_range < 0:
         raise KernelValidationError("m_sup_range must be >= 0")
     n_max = int(n_grid[-1])
@@ -364,7 +383,7 @@ def condition_profile(
     gaps, error_bound = [], 0.0
     for lo in range(0, m_sup_range + 1, _CESARO_CHUNK):
         starts = np.arange(lo, min(lo + _CESARO_CHUNK, m_sup_range + 1))
-        if family.structure is not None and not family.structure.last:
+        if family.structure is not None:
             chunk, bound = _cesaro_gaps_band(family, starts, n_grid, pi)
             error_bound = max(error_bound, bound)
         else:
@@ -474,11 +493,7 @@ def strong_ergodicity_profile(
     (pass ``pi`` explicitly for kernels whose stationary vector cannot be
     computed, e.g. reducible ones under study).
     """
-    k_grid = np.asarray(sorted(int(k) for k in np.atleast_1d(k_grid)), dtype=np.int64)
-    if k_grid.size == 0 or np.any(np.diff(k_grid) == 0):
-        raise KernelValidationError("k_grid must be nonempty, without repeats")
-    if k_grid[0] < 1:
-        raise KernelValidationError("k_grid entries must be >= 1")
+    k_grid = _horizon_grid(k_grid, "k_grid")
     if pi is None:
         pi = stationary(P).pi
     R = np.tile(np.asarray(pi, dtype=float), (P.size, 1))

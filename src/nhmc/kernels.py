@@ -81,6 +81,16 @@ class TailPolicy(str, Enum):
 # value types
 # ---------------------------------------------------------------------------
 
+def _horizon_grid(values, name: str) -> np.ndarray:
+    """The sorted int64 horizons; rejects an empty grid, repeats and entries below 1."""
+    grid = np.asarray(sorted(int(v) for v in np.atleast_1d(values)), dtype=np.int64)
+    if grid.size == 0 or np.any(np.diff(grid) == 0):
+        raise KernelValidationError(f"{name} must be nonempty, without repeats")
+    if grid[0] < 1:
+        raise KernelValidationError(f"{name} entries must be >= 1")
+    return grid
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)

@@ -26,6 +26,7 @@ from .kernels import (
     KernelValidationError,
     Observable,
     ObservableSet,
+    _horizon_grid,
     _propagation_steps,
     _readonly,
     expected_step_values,
@@ -331,11 +332,7 @@ def martingale_check(
     """Exact variance profile plus Monte Carlo drift profile for g = sum z_l f_l."""
     _require_resolved_start(mu0)  # the Monte Carlo pass needs it; fail before the exact one
     g = observables.combine(z)
-    n_grid = np.asarray(sorted(int(v) for v in np.atleast_1d(n_grid)), dtype=np.int64)
-    if n_grid.size == 0 or np.any(np.diff(n_grid) == 0):
-        raise KernelValidationError("n_grid must be nonempty, without repeats")
-    if n_grid[0] < 1:
-        raise KernelValidationError("n_grid entries must be >= 1")
+    n_grid = _horizon_grid(n_grid, "n_grid")
     n_max = int(n_grid[-1])
     if theta_value is None:
         from .ergodicity import stationary

@@ -132,6 +132,25 @@ class TestConditions:
         values = [float(r.split(",")[-1]) for r in rows[1:]]
         assert max(values) <= 1e-12
 
+    def test_renormalize_cesaro_scan_stays_off_the_dense_path(self, tmp_path, monkeypatch):
+        """At N=1000 under the caps (n <= 512, m <= 8) the renormalize scan
+        runs on the band with a dense last-row block, never on row stacks."""
+        def dense_scan(*args):
+            raise AssertionError("renormalize scan took the dense row-stack path")
+
+        monkeypatch.setattr(nhmc.ergodicity, "_cesaro_gaps_dense", dense_scan)
+        cfg = base_config(
+            tmp_path / "out",
+            family={"kind": "zeta2", "alpha": 0.75, "N": 1000, "tail_policy": "renormalize"},
+            n_grid=[64, 512, 2000],
+        )
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["conditions", "--config", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "conditions_summary.json").read_text())
+        cesaro = summary["cesaro_product_average"]
+        assert cesaro["n_grid"] == [64, 512] and cesaro["m_sup_range"] == cli.CESARO_M_CAP
+        assert 0.0 < cesaro["error_bound"] <= 1e-15
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = base_config(tmp_path / "out", n_grid=[10, 100])
         path = write_config(tmp_path, "cfg.json", cfg)

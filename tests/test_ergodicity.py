@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -322,6 +323,61 @@ class TestCesaroScan:
                                   "cesaro_product_average", grid, m_sup)
         np.testing.assert_allclose(band.values, dense.values, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(band.m_argmax, dense.m_argmax)
+        # zeta2 drops its terms past 26 steps; zeta4 carries all 40 (its width is 61)
+        assert band.error_bound <= 1e-15
+        assert (band.error_bound > 0.0) == (kind == "zeta2")
+
+    @given(kind=st.sampled_from(["zeta2", "zeta4"]), size=st.integers(3, 80),
+           m_sup=st.integers(ergodicity._CESARO_CHUNK, ergodicity._CESARO_CHUNK + 3),
+           grid=st.lists(st.integers(1, 64), max_size=3), past=st.integers(65, 80))
+    @settings(max_examples=20, deadline=None)
+    def test_renormalize_band_scan_matches_dense_twin(self, kind, size, m_sup, grid, past):
+        """The dense last-row block against dense kernels: at N below the
+        carried width (26 steps for zeta2, 61 for zeta4) every row is in the
+        block, the starts span two chunks, the grid runs past the width, and
+        zeta4's s(1) = 0 zeroes the start m = 0 at its first step."""
+        policy = nhmc.TailPolicy.RENORMALIZE
+        fam = (zeta2_family(0.75, size, policy) if kind == "zeta2"
+               else zeta4_family(0.75, 1.0, size, policy))
+        grid = sorted(set(grid) | {past})
+        band = condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        dense = condition_profile(dataclasses.replace(fam, structure=None),
+                                  "cesaro_product_average", grid, m_sup)
+        assert 0.0 < band.error_bound <= 1e-15
+        np.testing.assert_allclose(band.values, dense.values, rtol=0,
+                                   atol=band.error_bound + 1e-12)
+        np.testing.assert_array_equal(band.m_argmax, dense.m_argmax)
+
+    def test_dense_scan_builds_each_kernel_once_per_chunk_from_its_first_start(
+            self, monkeypatch):
+        """A chunk of starts m0..m1 reads the kernels m0+1..m1+n_max and no
+        earlier ones: 128 calls for 70 distinct steps at m_sup_range = 40."""
+        fam = dataclasses.replace(zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE),
+                                  structure=None)
+        grid, m_sup = [1, 5, 30], 40
+        calls = _count_kernel_at(monkeypatch)
+        condition_profile(fam, "cesaro_product_average", grid, m_sup)
+        chunk = ergodicity._CESARO_CHUNK
+        expected = [k for lo in range(0, m_sup + 1, chunk)
+                    for k in range(lo + 1, min(lo + chunk - 1, m_sup) + grid[-1] + 1)]
+        assert calls == expected
+        assert len(calls) == 128 and len(set(calls)) == 70
+
+    @pytest.mark.parametrize("condition", list(ConvergenceCondition))
+    @pytest.mark.parametrize("grid", [[0, 5], [-3, 5], [5, 5]])
+    def test_bad_grid_rejected_before_any_scan(self, condition, grid, monkeypatch):
+        """Entries below 1 would divide by zero in the scans and a repeat
+        would fail only after them, so each is refused first."""
+        def scan(*args):
+            raise AssertionError("scanned a bad grid")
+
+        for name in ("stationary", "delta_sequence", "_deviation_sequence",
+                     "_cesaro_gaps_band", "_cesaro_gaps_dense"):
+            monkeypatch.setattr(ergodicity, name, scan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelValidationError):
+                condition_profile(zeta2_family(0.75, 30), condition, grid, 3)
 
     def test_chunked_starts_match_one_chunk(self, monkeypatch):
         fam = zeta4_family(0.75, 1.0, 30)
