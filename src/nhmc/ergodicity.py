@@ -131,11 +131,21 @@ def _band_delta(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
     return s * np.maximum(in_band, x * (1.0 - b[-1]) + np.maximum(beside, pert[-2]))
 
 
-def _listed_steps(family: KernelFamily, k_max: int) -> int:
-    """How many of the steps 1..k_max ``kernel_at`` builds one by one: all of
-    them for a built-in, the listed kernels of a table (none for a constant
-    family); every later step is the limit."""
-    return k_max if family.kind in _ZETA_POWER else min(k_max, len(family.table))
+def _step_sequence(family: KernelFamily, k_max: int, band_form, dense) -> np.ndarray:
+    """A per-step coefficient for k = 1..k_max: the closed form
+    ``band_form(structure, s)`` for a built-in with its structure.  Any other
+    family applies ``dense`` once per kernel ``kernel_at`` builds one by one
+    (every step of a built-in, the listed kernels of a table, none for a
+    constant family) and once for the limit, whose value every later step
+    repeats."""
+    if family.kind in _ZETA_POWER and family.structure is not None:
+        return band_form(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
+    listed = k_max if family.kind in _ZETA_POWER else min(k_max, len(family.table))
+    out = np.empty(k_max)
+    out[:listed] = [dense(family.kernel_at(k)) for k in range(1, listed + 1)]
+    if listed < k_max:
+        out[listed:] = dense(family.limit)
+    return out
 
 
 def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
@@ -143,20 +153,12 @@ def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
 
     For the built-in families, under either tail policy, each delta(P_k) is a
     closed form in s(k) and the band structure (``_band_delta``), O(N + k_max)
-    in all.  Any other family runs the dense scan once per listed kernel
-    (none for a constant family) and once for the limit, whose value every
-    later step repeats; a built-in without its structure scans every step.
+    in all; any other family runs the dense scan once per listed kernel and
+    once for the limit (``_step_sequence``).
     """
     if k_max < 1:
         raise KernelValidationError("k_max must be >= 1")
-    if family.kind in _ZETA_POWER and family.structure is not None:
-        return _band_delta(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
-    listed = _listed_steps(family, k_max)
-    out = np.empty(k_max)
-    out[:listed] = [dobrushin_delta(family.kernel_at(k)) for k in range(1, listed + 1)]
-    if listed < k_max:
-        out[listed:] = dobrushin_delta(family.limit)
-    return out
+    return _step_sequence(family, k_max, _band_delta, dobrushin_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +215,10 @@ def _band_norm(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
 
 
 def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
-    """||P_k - P|| for k = 1..k_max: ``_band_norm`` for the built-in families."""
-    if family.kind in _ZETA_POWER and family.structure is not None:
-        return _band_norm(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
-    out = np.zeros(k_max)  # the steps past the listed ones use the limit itself
-    for k in range(1, _listed_steps(family, k_max) + 1):
-        out[k - 1] = _kernel_distance(family.kernel_at(k), family.limit)
-    return out
+    """||P_k - P|| for k = 1..k_max: ``_band_norm`` for the built-in families,
+    and 0 past a table's listed kernels, where the step is the limit itself."""
+    return _step_sequence(family, k_max, _band_norm,
+                          lambda kernel: _kernel_distance(kernel, family.limit))
 
 
 def _windowed_average_sup(seq: np.ndarray, n_grid: np.ndarray, m_range: int):

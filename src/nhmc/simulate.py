@@ -220,8 +220,8 @@ def mdp_diagnostic(
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"
         )
-    n_grid = sorted(int(v) for v in np.atleast_1d(n_grid))
-    if method == "monte_carlo" and n_grid:  # one sampling pass serves every horizon
+    n_grid = _horizon_grid(n_grid, "n_grid").tolist()
+    if method == "monte_carlo":  # one sampling pass serves every horizon
         sampled = simulate_sums(mu0, family, f, n_grid, trials, base_seed, workers)
     estimates = []
     for i, n in enumerate(n_grid):

@@ -12,16 +12,16 @@ signature refinement; it is exact (no approximation).
 On the merged path each step is one small class-level matrix
 ``A_k = base 1^T + s(k) C^T``.  The classes come sorted by f value, so each
 value group is a row block whose product lands in one shifted slice of the
-next table.  The step sweeps only the window of partial sums that still hold
-mass: at the window's edges it drops the columns whose total is below the
-smallest normal float, whose subnormal arithmetic would otherwise dominate
-the sweep, and reports their total as ``SumDistribution.dropped_mass``.
-That is an absolute error bound on the pmf and on every tail probability
-(below 1e-303 up to n = 5e4 on the built-ins).  Other families
-(renormalize, tables, ``merge=False``) run on the raw states over every
-partial sum, each step pushed through ``KernelFamily.steps``.  Either way
-the result's mean is cross-checked against the unlumped propagation
-expectation.
+next table.  Other families (renormalize, tables, ``merge=False``) run on
+the raw states, each step pushed through ``KernelFamily.steps`` and
+scattered by state value.  Either way one sweep walks only the window of
+partial sums that still hold mass: at the window's edges it drops the
+columns whose total is below the smallest normal float, whose subnormal
+arithmetic would otherwise dominate the sweep, and reports their total as
+``SumDistribution.dropped_mass``.  That is an absolute error bound on the
+pmf and on every tail probability (below 1e-303 up to n = 5e4 on the
+merged built-ins), and the result's mean is cross-checked against the
+unlumped propagation expectation.
 
 The DP holds two float64 tables of classes x (n * range + 1) cells, and the
 raw-state step three more tables' worth of work arrays; the cell budget
@@ -64,9 +64,9 @@ class SumDistribution:
 
     ``mean`` is the pmf's mean and ``expected`` the propagation expectation
     E S_n it was checked against.  ``dropped_mass`` is the total mass the DP
-    dropped below the smallest normal float at its window's edges: every pmf
-    entry and every ``tail_probability`` is exact up to float rounding and
-    this absolute error.
+    dropped below the smallest normal float at its window's edges, merged or
+    on the raw states: every pmf entry and every ``tail_probability`` is
+    exact up to float rounding and this absolute error.
     """
 
     n: int
@@ -151,28 +151,19 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     return fixed, coeff_t, values, start
 
 
-def _window_sweep(cur, fixed, coeff_t, rel, scales):
-    """The merged DP's steps from table ``cur`` over the live window ``[lo, hi)``
-    of partial sums.
-
-    Returns the final table, its window and the mass dropped at the window's
-    edges.  ``rel`` (the class values minus their minimum) is ascending, so
-    each value group is a row block.
-    """
+def _window_sweep(cur, groups, steps, write):
+    """The DP's steps from table ``cur`` over the live window ``[lo, hi)`` of
+    partial sums: ``write(step, sub, nxt, lo, groups)`` sends the live
+    columns ``sub`` into ``nxt``, the rows of each ``(value, rows)`` group
+    shifted by that value.  Returns the final table, its window and the mass
+    dropped at the window's edges."""
     nxt = np.zeros_like(cur)
     tiny = np.finfo(float).tiny
-    vrange = int(rel[-1])
-    cuts = np.flatnonzero(np.diff(rel)) + 1
-    blocks = [(int(rel[a]), a, b) for a, b in zip(np.r_[0, cuts], np.r_[cuts, rel.size])]
-    step = np.empty_like(fixed)
+    vrange = max(g for g, _ in groups)
     lo, hi, dropped = 0, 1, 0.0
-    for s in scales:
-        np.multiply(coeff_t, s, out=step)
-        step += fixed
-        sub = cur[:, lo:hi]
+    for step in steps:
         nxt[:, lo:hi + vrange] = 0.0
-        for g, a, b in blocks:
-            np.matmul(step[a:b], sub, out=nxt[a:b, lo + g:hi + g])
+        write(step, cur[:, lo:hi], nxt, lo, groups)
         hi += vrange
         while hi - lo > 1 and (edge := nxt[:, lo].sum()) < tiny:
             dropped += edge
@@ -182,6 +173,13 @@ def _window_sweep(cur, fixed, coeff_t, rel, scales):
             hi -= 1
         cur, nxt = nxt, cur
     return cur, lo, hi, dropped
+
+
+def _write_classes(step, sub, nxt, lo, groups):
+    """One merged step ``A_k``: each value group is a row block whose
+    product lands straight in its shifted slice."""
+    for g, rows in groups:
+        np.matmul(step[rows], sub, out=nxt[rows, lo + g:lo + g + sub.shape[1]])
 
 
 def _raw_step(sub: np.ndarray, op) -> np.ndarray:
@@ -198,22 +196,12 @@ def _raw_step(sub: np.ndarray, op) -> np.ndarray:
     return mass
 
 
-def _raw_sweep(cur, steps, rel):
-    """The raw-state DP's steps from table ``cur`` over every partial sum;
-    returns the final table.  The last row is the absorbing pseudo-state for
-    escaped tail mass."""
-    nxt = np.zeros_like(cur)
-    vrange = int(rel.max())
-    shifts = [(g, rel == g) for g in np.unique(rel)]
-    for k, op in enumerate(steps, 1):
-        prev_w = (k - 1) * vrange + 1
-        mass = _raw_step(cur[:, :prev_w], op)
-        nxt[:, :k * vrange + 1] = 0.0
-        for g, rowsel in shifts:
-            nxt[rowsel, g : g + prev_w] = mass[rowsel]
-        del mass  # one table less while the next step builds its work arrays
-        cur, nxt = nxt, cur
-    return cur
+def _write_states(op, sub, nxt, lo, groups):
+    """One raw-state step through the operator ``op``, scattered by state
+    value; the last row is the absorbing pseudo-state for escaped tail mass."""
+    mass = _raw_step(sub, op)
+    for g, rows in groups:
+        nxt[rows, lo + g:lo + g + sub.shape[1]] = mass[rows]
 
 
 def exact_sum_distribution(
@@ -224,7 +212,7 @@ def exact_sum_distribution(
     merge: bool = True,
     cell_budget: int = DP_CELL_BUDGET,
 ) -> SumDistribution:
-    """Exact pmf of S_n by forward DP.
+    """Exact pmf of S_n by forward DP over the live window of partial sums.
 
     Raises KernelValidationError, before allocating anything of the DP's
     size, when its float64 cells exceed ``cell_budget``: two tables of
@@ -232,7 +220,7 @@ def exact_sum_distribution(
     worth of per-step work arrays) and the n step scales.  Raises
     DPConsistencyError when the DP's mean disagrees with the propagation
     expectation.  ``merge=False`` forces the DP onto the raw states (useful
-    as a cross-check; only tractable for short horizons).
+    as a cross-check).
     """
     if n < 1:
         raise KernelValidationError(f"horizon must be >= 1, got {n}")
@@ -267,12 +255,18 @@ def exact_sum_distribution(
 
     table = np.zeros((m, width))
     table[:, 0] = start
+    rel = values - vmin
     if lumped is not None:
+        cuts = np.r_[0, np.flatnonzero(np.diff(rel)) + 1, m]
+        groups = [(int(rel[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
         scales = family.perturbation_scale(np.arange(1, n + 1))
-        table, lo, hi, dropped = _window_sweep(table, fixed, coeff_t, values - vmin, scales)
+        step = np.empty_like(fixed)  # every A_k is built in this one buffer
+        steps = (np.add(fixed, np.multiply(coeff_t, s, out=step), out=step) for s in scales)
+        write = _write_classes
     else:
-        table = _raw_sweep(table, family.steps(n), values - vmin)
-        lo, hi, dropped = 0, width, 0.0
+        groups = [(int(g), rel == g) for g in np.unique(rel)]
+        steps, write = family.steps(n), _write_states
+    table, lo, hi, dropped = _window_sweep(table, groups, steps, write)
     pmf = np.zeros(width)
     pmf[lo:hi] = table[:, lo:hi].sum(axis=0)
     del table  # the pmf's post-processing fits in the memory the tables held

@@ -210,6 +210,21 @@ class TestMdpDiagnostic:
         est = mdp_diagnostic(iid_family, start200, ind200, sp, [0.4], [100], theta_iid)[0]
         assert est.target == pytest.approx(-0.4**2 / (2 * theta_iid), rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
+    @pytest.mark.parametrize("n_grid", [[10, 10], [], [0, 10]], ids=["repeat", "empty", "zero"])
+    def test_bad_grid_rejected_before_any_work(self, iid_family, start200, ind200,
+                                               theta_iid, monkeypatch, method, n_grid):
+        """Repeats, an empty grid and a zero horizon are refused before any
+        DP or sampling pass starts."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("DP or sampling ran on a bad n_grid")
+
+        monkeypatch.setattr(nhmc.simulate, "simulate_sums", no_work)
+        monkeypatch.setattr(nhmc.simulate, "exact_sum_distribution", no_work)
+        with pytest.raises(KernelValidationError, match="n_grid"):
+            mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.3],
+                           n_grid, theta_iid, method=method, trials=10)
+
 
 class TestEmpiricalFunctionals:
     def test_single_observable_consistent_with_sums(self, zeta2_small, start200, ind200):

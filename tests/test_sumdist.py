@@ -83,13 +83,17 @@ class TestExactSumDistribution:
         np.testing.assert_allclose(merged.pmf, raw.pmf, rtol=0, atol=1e-13)
 
     @given(st.sampled_from(["zeta2", "zeta4"]), st.floats(0.55, 2.0), st.integers(4, 12),
-           st.sampled_from(["indicator", "capped_identity"]), st.integers(1, 300))
+           st.sampled_from(["indicator", "capped_identity"]), st.integers(1, 300),
+           st.sampled_from(list(nhmc.TailPolicy)))
     @settings(max_examples=25, deadline=None)
-    @example("zeta4", 0.75, 8, "capped_identity", 300)
-    @example("zeta4", 0.75, 8, "indicator", 300)
-    def test_window_matches_full_sweep(self, kind, alpha, size, observable, n):
-        """The merged DP's live window drops no more than it reports."""
-        fam = zeta2_family(alpha, size) if kind == "zeta2" else zeta4_family(alpha, 1.0, size)
+    @example("zeta4", 0.75, 8, "capped_identity", 300, nhmc.TailPolicy.LUMP)
+    @example("zeta4", 0.75, 8, "indicator", 300, nhmc.TailPolicy.LUMP)
+    @example("zeta4", 0.75, 8, "capped_identity", 300, nhmc.TailPolicy.RENORMALIZE)
+    def test_window_matches_full_sweep(self, kind, alpha, size, observable, n, policy):
+        """The live window drops no more than it reports, merged (lump) or on
+        the raw states (renormalize)."""
+        fam = (zeta2_family(alpha, size, policy) if kind == "zeta2"
+               else zeta4_family(alpha, 1.0, size, policy))
         f = (indicator_observable(1, size) if observable == "indicator"
              else capped_identity_observable(3, size))
         mu0 = point_mass(1, size)
@@ -107,6 +111,23 @@ class TestExactSumDistribution:
         exact = binom.pmf(np.arange(3001), 3000, q_zeta2)
         assert np.abs(dist.pmf - exact).max() <= dist.dropped_mass + 1e-13
         assert dist.pmf[0] == 0.0  # (1 - q)^3000 is far below the smallest normal float
+
+    @pytest.mark.parametrize("steps", ["band", "dense"])
+    @pytest.mark.parametrize("observable", ["indicator", "capped_identity"])
+    def test_raw_window_drops_subnormal_columns(self, observable, steps):
+        """At n = 1500 the far tails of a renormalize chain's law fall below
+        the smallest normal float; the raw-state DP's window drops them and
+        bounds the error, through the band steps and the dense kernels alike."""
+        fam = zeta2_family(0.75, 6, nhmc.TailPolicy.RENORMALIZE)
+        if steps == "dense":
+            fam = dataclasses.replace(fam, structure=None)
+        f = (indicator_observable(1, 6) if observable == "indicator"
+             else capped_identity_observable(3, 6))
+        mu0 = point_mass(1, 6)
+        dist = exact_sum_distribution(mu0, fam, f, 1500)
+        assert 0.0 < dist.dropped_mass <= 1e-290
+        reference = full_sweep_dp(mu0, fam, f, 1500)
+        assert np.abs(dist.pmf - reference).max() <= dist.dropped_mass + 1e-13
 
     @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
     def test_renormalize_raw_dp_matches_dense_twin(self, kind):
