@@ -93,10 +93,7 @@ def dobrushin_delta(P) -> float:
     The unconditional O(N^3) scan over row pairs, the tail counted as one more
     column; ``delta_sequence`` has the closed form for the built-in families.
     """
-    if isinstance(P, TruncatedKernel):
-        rows = _as_matrix_with_tail(P)
-    else:
-        rows = np.asarray(P, dtype=float)
+    rows = _as_matrix_with_tail(P)
     # rows have equal sums, so the positive-part sum is symmetric in (i, k)
     # and scanning unordered pairs suffices.
     best = 0.0

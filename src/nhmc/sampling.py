@@ -9,23 +9,22 @@ identical no matter how trials are partitioned into blocks, tiles or workers.
 A seed's stream is ``np.random.default_rng(seed).random``, drawn without
 building one ``default_rng`` per trial: most of that set-up is SeedSequence's
 hash of the seed, which ``_seed_state_words`` computes for a whole block at
-once in uint32 arithmetic.  Each trial then costs only PCG64's two-step
-seeding in Python ints, a state set and one ``random`` call per tile.  A
+once in uint32 arithmetic.  Each trial's ``PCG64`` is then seeded from its
+four words (``_StateWords``), and numpy's generator carries the stream.  A
 stream is prefix-consistent: the first n+1 uniforms of a seed do not depend
 on how many follow, so a path to horizon n_max holds the path to every
 shorter horizon.
 
 Memory.  The uniforms are drawn in time tiles: ``_uniform_tiles`` fills a
-(trials, width) tile from each trial's stream, then advances each trial's
-PCG64 state by ``width`` draws in closed form, so the tiles concatenate to
-the whole stream.  A block holds at most ``_MAX_BLOCK`` (4096) trials, and
-its int32 path table plus its float64 uniforms tile fit ``_BLOCK_BYTES``
-(64 MiB): ``sample_paths`` sizes its blocks by the path table (a tile of at
-least ``_MIN_TILE`` columns must fit beside it), and the tile takes what the
-table leaves, up to ``_TILE_BYTES`` (8 MiB; a tile costs one state set per
-trial, about 4 µs, so tiles are kept large but bounded).  A walk that
-stores no path, as the martingale pass, holds 4096 trials at any horizon
-and only a tile of uniforms.
+(trials, width) tile from each trial's generator, which stays where the tile
+left it, so the tiles concatenate to the whole stream.  A block holds at most
+``_MAX_BLOCK`` (4096) trials, and its int32 path table plus its float64
+uniforms tile fit ``_BLOCK_BYTES`` (64 MiB): ``sample_paths`` sizes its
+blocks by the path table (a tile of at least ``_MIN_TILE`` columns must fit
+beside it), and the tile takes what the table leaves, up to ``_TILE_BYTES``
+(8 MiB; a tile costs one ``random`` call per trial, about 1 µs).  A walk
+that stores no path, as the martingale pass, holds 4096 trials at any
+horizon and only a tile of uniforms.
 
 Each step is drawn by the step operator of ``KernelFamily.steps``: its
 ``draw`` maps the current states and one uniform each to the next states.
@@ -55,13 +54,11 @@ def trial_seeds(base_seed: int, trials: int) -> np.ndarray:
     return np.asarray(base_seed, dtype=np.int64) + np.arange(trials, dtype=np.int64)
 
 
-# numpy's SeedSequence (pool of four uint32 words) and PCG64 seeding constants
+# numpy's SeedSequence constants (pool of four uint32 words)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _HASH_A = (0x43B0D7E5, 0x931E8875)  # mix_entropy's hash: initial value, multiplier
 _HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state's hash: initial value, multiplier
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list:
@@ -104,54 +101,39 @@ def _seed_state_words(seeds: np.ndarray) -> list:
     return [words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)]
 
 
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands ``PCG64`` the four uint64 words
+    ``SeedSequence(seed).generate_state(4, uint64)`` would, precomputed by
+    ``_seed_state_words``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _uniform_tiles(seeds: np.ndarray, count: int, width: int):
     """Yield the (len(seeds), count) uniforms whose row i is
     ``default_rng(seeds[i]).random(count)``, ``width`` columns at a time (the
-    last tile may be narrower).  Each trial's PCG64 state is carried from one
-    tile to the next, so the tiles concatenate to the whole stream.  The tiles
-    share one buffer: a tile is valid until the next is drawn."""
+    last tile may be narrower).  Each trial's generator draws its row of one
+    tile after another, so the tiles concatenate to the whole stream.  The
+    tiles share one buffer: a tile is valid until the next is drawn."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if (seeds < 0).any():
         raise KernelValidationError("trial seeds must lie in [0, 2**63)")
-    lcgs, incs = _pcg64_states(seeds)
+    # one generator per trial and call, never shared: blocks may run on threads
+    gens = [np.random.Generator(np.random.PCG64(_StateWords(words)))
+            for words in np.stack(_seed_state_words(seeds), axis=1)]
     width = min(width, count)
     buf = np.empty((len(seeds), width))
-    # one generator per call, never shared: blocks may run on threads
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    mult, shift = _lcg_jump(width)
     for start in range(0, count, width):
         tile = buf[:, : min(width, count - start)]
-        for row, (lcg, inc) in enumerate(zip(lcgs, incs)):
-            state["state"] = {"state": lcg, "inc": inc}
-            bitgen.state = state
-            gen.random(out=tile[row])
-        if start + width < count:  # each uniform is one LCG step
-            lcgs = [(mult * lcg + shift * inc) & _MASK128 for lcg, inc in zip(lcgs, incs)]
-        else:  # the last tile: no state is needed while it is walked
-            lcgs = incs = ()
+        for gen, row in zip(gens, tile):
+            gen.random(out=row)
+        if start + width >= count:  # the last tile: no generator is needed while it is walked
+            gens = ()
         yield tile
-
-
-def _pcg64_states(seeds: np.ndarray) -> tuple[list, list]:
-    """PCG64's LCG state and increment per seed, as ``default_rng(seed)``
-    leaves them."""
-    s_hi, s_lo, i_hi, i_lo = (w.tolist() for w in _seed_state_words(seeds))
-    # pcg64_set_seed: state = ((inc + seed) * mult + inc), inc = 2 * seq + 1
-    incs = [((hi << 65) | (lo << 1) | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
-    lcgs = [((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
-            for inc, hi, lo in zip(incs, s_hi, s_lo)]
-    return lcgs, incs
-
-
-def _lcg_jump(steps: int) -> tuple[int, int]:
-    """(A, B) with PCG64's LCG state ``steps`` draws on equal to
-    ``A * state + B * inc`` mod 2**128: A = mult**steps and B the geometric sum
-    of the powers below it, (A - 1) / (mult - 1), exact mod 2**128 when A is
-    taken mod (mult - 1) * 2**128."""
-    power = pow(_PCG64_MULT, steps, (_PCG64_MULT - 1) << 128)
-    return power & _MASK128, (power - 1) // (_PCG64_MULT - 1) & _MASK128
 
 
 def _uniforms(seeds: np.ndarray, count: int) -> np.ndarray:

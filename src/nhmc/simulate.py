@@ -310,8 +310,9 @@ class MartingaleResult:
 
 
 def _puller(family: KernelFamily, h: Observable):
-    """(P_k, states) -> (P_k h)(states): O(len(states)) on band steps, whose
-    k-free terms are computed once here; a dense kernel pulls h to every state."""
+    """(P_k, states) -> (P_k h)(states), the Monte Carlo pass's pull at the
+    walked states: O(len(states)) on band steps, whose k-free terms are
+    computed once here; a dense kernel pulls h to every state."""
     if family.structure is None:
         return lambda step, states: step.apply_to_function(h.values, h.tail_value)[states]
     terms = family.structure.pull_terms(h.values)
@@ -341,17 +342,15 @@ def martingale_check(
         theta_value = asymptotic_variance(stationary(family.limit), family.limit, g)
 
     # exact pass, one propagation: P_k g, E[D_k^2] from the law of X_{k-1}, E g(X_k)
-    pull_g = _puller(family, g)
-    pull_g2 = _puller(family, Observable(g.values**2, g.tail_value**2))
-    every = np.arange(family.size)
+    g2_values, g2_tail = g.values**2, g.tail_value**2
     g_row = g.values[None, :]  # the (1, N) product expected_step_values uses, bit for bit
     step_mean = np.empty(n_max)
     var_cum = np.empty(n_max)
     total = 0.0
     law = mu0.probs
     for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
-        pg = pull_g(step, every)
-        pg2 = pull_g2(step, every)
+        pg = step.apply_to_function(g.values, g.tail_value)
+        pg2 = step.apply_to_function(g2_values, g2_tail)
         total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
         var_cum[k] = total
         step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
@@ -361,6 +360,7 @@ def martingale_check(
     # Monte Carlo pass: pathwise drift and the decomposition residual, one step
     # of the walk at a time, so memory beyond the block's uniforms tile is
     # O(N + trials)
+    pull_g = _puller(family, g)
     seeds = trial_seeds(base_seed, trials)
     grid_pos = {int(n): i for i, n in enumerate(n_grid)}
 

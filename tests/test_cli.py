@@ -160,6 +160,54 @@ class TestConditions:
         assert sha(tmp_path / "out" / "conditions.csv") == first
 
 
+
+
+class TestTableFamily:
+    """A ``table`` family (two listed kernels, then a limit without identical
+    rows) through the config and every command: the dense fallbacks that no
+    built-in family reaches."""
+
+    LIMIT = [[0.4, 0.3, 0.2, 0.1], [0.1, 0.4, 0.3, 0.2],
+             [0.2, 0.1, 0.4, 0.3], [0.3, 0.2, 0.1, 0.4]]
+    MATRICES = [[[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1],
+                 [0.1, 0.1, 0.7, 0.1], [0.1, 0.1, 0.1, 0.7]],
+                [[0.25] * 4] * 4]
+
+    def config(self, out_dir):
+        family = {"kind": "table", "N": 4, "matrices": self.MATRICES, "limit": self.LIMIT}
+        return base_config(out_dir, family=family, trials=1000, mdp_method="exact_dp")
+
+    def test_every_command_runs(self, tmp_path, monkeypatch):
+        """Pass flags are not asserted: θ is computed with the identical-row
+        expression, which does not hold for this limit (ROADMAP open item 2)."""
+        dense_scans = []
+        real = nhmc.ergodicity._cesaro_gaps_dense
+
+        def spy(*args):
+            dense_scans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nhmc.ergodicity, "_cesaro_gaps_dense", spy)
+        cfg = self.config(tmp_path / "out")
+        path = write_config(tmp_path, "cfg.json", cfg)
+        for command in cli.COMMANDS:
+            assert cli.main([command, "--config", str(path)]) == 0, command
+        assert dense_scans
+        rows = (tmp_path / "out" / "conditions.csv").read_text().splitlines()
+        cesaro = [r for r in rows if r.startswith("cesaro_product_average,")]
+        family = nhmc.family_from_config(cfg["family"])
+        prof = nhmc.condition_profile(family, nhmc.ConvergenceCondition.CESARO_PRODUCT_AVERAGE,
+                                      cfg["n_grid"], min(cfg["m_sup_range"], cli.CESARO_M_CAP))
+        assert cesaro == [",".join(map(str, row)) for row in prof.csv_rows()]
+
+    def test_config_round_trip(self, tmp_path):
+        family = nhmc.family_from_config(self.config(tmp_path)["family"])
+        again = nhmc.family_from_config(nhmc.family_to_config(family))
+        assert again.kind == "table" and len(again.table) == len(family.table) == 2
+        for a, b in zip(again.table + (again.limit,), family.table + (family.limit,)):
+            np.testing.assert_array_equal(a.rows, b.rows)
+            np.testing.assert_array_equal(a.tail_mass, b.tail_mass)
+
 class TestRate:
     def test_theta_matches_row_variance(self, tmp_path, q_zeta2):
         cfg = base_config(tmp_path / "out")

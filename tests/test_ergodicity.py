@@ -439,6 +439,25 @@ class TestStationary:
         kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
         np.testing.assert_allclose(stationary(kern).pi, [0.5, 0.5], atol=1e-12)
 
+    def test_power_iteration_that_oscillates_takes_the_linear_solve(self, monkeypatch):
+        """Period 2: from the uniform start the iterates alternate between two
+        laws, so the sweeps run out and the least-squares solve gives pi."""
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        kern = TruncatedKernel(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                               np.zeros(3))
+        assert period(kern) == 2
+        pi = stationary(kern)
+        assert len(calls) == 1
+        np.testing.assert_allclose(pi.pi, [0.5, 0.25, 0.25], atol=1e-14)
+        assert pi.residual <= 1e-14
+
     def test_reducible_rejected(self):
         kern = TruncatedKernel(np.eye(3), np.zeros(3))
         with pytest.raises(ReducibleKernelError):
