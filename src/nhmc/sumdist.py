@@ -23,14 +23,22 @@ pmf and on every tail probability (below 1e-303 up to n = 5e4 on the
 merged built-ins), and the result's mean is cross-checked against the
 unlumped propagation expectation.
 
-The DP holds two float64 tables of classes x (n * range + 1) cells, and the
-raw-state step three more tables' worth of work arrays; the cell budget
-counts those cells and is checked before anything of their size is
-allocated.
+A horizon grid is served by one sweep to its largest horizon: each time the
+sweep reaches a horizon h it copies the live window into a pmf of
+h * range + 1 cells (a snapshot, with the mass dropped so far), and every
+snapshot's mean is checked against one propagation read off at each
+horizon.  Each snapshot is bit-identical to a one-horizon DP to h.
+
+The DP holds two float64 tables of classes x (n * range + 1) cells for the
+largest horizon n, and the raw-state step three more tables' worth of work
+arrays, plus the snapshots of the earlier horizons (the last one is taken
+once the second table is released); the cell budget counts those cells and
+is checked before anything of their size is allocated or any step runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +48,7 @@ from .kernels import (
     KernelFamily,
     KernelValidationError,
     Observable,
+    _Horizons,
     _readonly,
     expected_sum,
 )
@@ -151,17 +160,22 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     return fixed, coeff_t, values, start
 
 
-def _window_sweep(cur, groups, steps, write):
-    """The DP's steps from table ``cur`` over the live window ``[lo, hi)`` of
-    partial sums: ``write(step, sub, nxt, lo, groups)`` sends the live
+def _window_sweep(start, width, groups, steps, write, stops):
+    """The DP's steps from the start column over the live window ``[lo, hi)``
+    of partial sums: ``write(step, sub, nxt, lo, groups)`` sends the live
     columns ``sub`` into ``nxt``, the rows of each ``(value, rows)`` group
-    shifted by that value.  Returns the final table, its window and the mass
-    dropped at the window's edges."""
+    shifted by that value.  After each step count in ``stops`` (ascending) it
+    yields that count, the table, its window and the mass dropped so far at
+    the window's edges; the tables are released when the sweep ends."""
+    cur = np.zeros((start.size, width))
+    cur[:, 0] = start
     nxt = np.zeros_like(cur)
     tiny = np.finfo(float).tiny
     vrange = max(g for g, _ in groups)
     lo, hi, dropped = 0, 1, 0.0
-    for step in steps:
+    stops = iter(stops)
+    stop = next(stops)
+    for k, step in enumerate(steps, 1):
         nxt[:, lo:hi + vrange] = 0.0
         write(step, cur[:, lo:hi], nxt, lo, groups)
         hi += vrange
@@ -172,7 +186,11 @@ def _window_sweep(cur, groups, steps, write):
             dropped += edge
             hi -= 1
         cur, nxt = nxt, cur
-    return cur, lo, hi, dropped
+        if k == stop:
+            stop = next(stops, None)
+            if stop is None:  # the last snapshot needs the current table alone
+                nxt = None
+            yield k, cur, lo, hi, dropped
 
 
 def _write_classes(step, sub, nxt, lo, groups):
@@ -208,22 +226,32 @@ def exact_sum_distribution(
     mu0: InitialDistribution,
     family: KernelFamily,
     f: Observable,
-    n: int,
+    n: int | Sequence[int],
     merge: bool = True,
     cell_budget: int = DP_CELL_BUDGET,
-) -> SumDistribution:
+) -> SumDistribution | list[SumDistribution]:
     """Exact pmf of S_n by forward DP over the live window of partial sums.
 
+    With a horizon grid ``n`` (checked by ``_horizon_grid``: ascending, no
+    repeats) the result is a list of SumDistribution, one per horizon in
+    ascending order, from one sweep to the largest horizon: each is a
+    snapshot of the sweep as it reaches its horizon, with the mass dropped up
+    to that step, and every mean is checked against one propagation read off
+    at each horizon.  Each entry equals the one-horizon call bit for bit.
+
     Raises KernelValidationError, before allocating anything of the DP's
-    size, when its float64 cells exceed ``cell_budget``: two tables of
-    classes x (n * range + 1) cells (on the raw states three more tables'
-    worth of per-step work arrays) and the n step scales.  Raises
-    DPConsistencyError when the DP's mean disagrees with the propagation
-    expectation.  ``merge=False`` forces the DP onto the raw states (useful
-    as a cross-check).
+    size or running any step, when its float64 cells exceed
+    ``cell_budget``: two tables of classes x (n * range + 1) cells for the
+    largest horizon n (on the raw states three more tables' worth of
+    per-step work arrays), the n step scales, and the snapshot pmfs of
+    h * range + 1 cells of each earlier horizon h (the last pmf is made
+    once the second table is released).  Raises
+    DPConsistencyError, naming the horizon, when a DP mean disagrees with
+    the propagation expectation.  ``merge=False`` forces the DP onto the raw
+    states (useful as a cross-check).
     """
-    if n < 1:
-        raise KernelValidationError(f"horizon must be >= 1, got {n}")
+    grid = _Horizons(n, "horizons")
+    n_max = int(grid)
     if not f.is_integer_valued():
         raise KernelValidationError("exact DP requires an integer-valued observable")
     if f.size != family.size or mu0.size != family.size:
@@ -241,43 +269,48 @@ def exact_sum_distribution(
     m = values.size
     vmin = int(values.min())
     vrange = int(values.max()) - vmin
-    width = n * vrange + 1
+    width = n_max * vrange + 1
     # a raw step also holds the laws and two more tables at once (the push's
     # work arrays, then its result and the pushed mass); n more cells hold
-    # the step scales
+    # the step scales, and the earlier horizons' pmfs wait beside the tables
     tables = 2 if lumped is not None else 5
-    cells = tables * m * width + n
+    snapshots = sum(h * vrange + 1 for h in grid[:-1])
+    cells = tables * m * width + n_max + snapshots
     if cells > cell_budget:
         raise KernelValidationError(
-            f"DP budget exceeded: {tables} tables x {m} states x {width} partial sums "
-            f"+ {n} step scales = {cells} cells > {cell_budget}"
+            f"DP budget exceeded at n={n_max}: {tables} tables x {m} states x {width} "
+            f"partial sums + {n_max} step scales + {snapshots} snapshot cells "
+            f"= {cells} cells > {cell_budget}"
         )
 
-    table = np.zeros((m, width))
-    table[:, 0] = start
     rel = values - vmin
     if lumped is not None:
         cuts = np.r_[0, np.flatnonzero(np.diff(rel)) + 1, m]
         groups = [(int(rel[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
-        scales = family.perturbation_scale(np.arange(1, n + 1))
+        scales = family.perturbation_scale(np.arange(1, n_max + 1))
         step = np.empty_like(fixed)  # every A_k is built in this one buffer
         steps = (np.add(fixed, np.multiply(coeff_t, s, out=step), out=step) for s in scales)
         write = _write_classes
     else:
         groups = [(int(g), rel == g) for g in np.unique(rel)]
-        steps, write = family.steps(n), _write_states
-    table, lo, hi, dropped = _window_sweep(table, groups, steps, write)
-    pmf = np.zeros(width)
-    pmf[lo:hi] = table[:, lo:hi].sum(axis=0)
-    del table  # the pmf's post-processing fits in the memory the tables held
+        steps, write = family.steps(n_max), _write_states
+    snaps = []
+    for h, table, lo, hi, dropped in _window_sweep(start, width, groups, steps, write, grid):
+        pmf = np.zeros(h * vrange + 1)
+        pmf[lo:hi] = table[:, lo:hi].sum(axis=0)
+        snaps.append((pmf, dropped))
+    del table  # the sweep has ended: the pmfs' post-processing fits in the tables' memory
 
-    offset = n * vmin
-    mean = float(pmf @ (offset + np.arange(width)))
-    expected = expected_sum(mu0, family, f, n)
-    # the DP accumulates O(n * eps) relative rounding in the pmf mass itself
-    tol = max(1e-8, 64 * np.finfo(float).eps * n * max(1.0, abs(expected)))
-    if abs(mean - expected) > tol:
-        raise DPConsistencyError(
-            f"DP mean {mean} disagrees with propagation expectation {expected}"
-        )
-    return SumDistribution(n, offset, pmf, mean, expected, dropped)
+    expected = expected_sum(mu0, family, f, grid)
+    dists = []
+    for h, e, (pmf, dropped) in zip(grid, expected.tolist(), snaps):
+        offset = h * vmin
+        mean = float(pmf @ (offset + np.arange(pmf.size)))
+        # the DP accumulates O(n * eps) relative rounding in the pmf mass itself
+        tol = max(1e-8, 64 * np.finfo(float).eps * h * max(1.0, abs(e)))
+        if abs(mean - e) > tol:
+            raise DPConsistencyError(
+                f"DP mean {mean} at n={h} disagrees with propagation expectation {e}"
+            )
+        dists.append(SumDistribution(h, offset, pmf, mean, e, dropped))
+    return dists[0] if np.ndim(n) == 0 else dists

@@ -435,9 +435,22 @@ class TestStationary:
         pi = stationary(kern)
         assert np.abs(pi.pi @ kern.rows - pi.pi).sum() <= 1e-10
 
-    def test_periodic_kernel_falls_back_to_solver(self):
+    def test_periodic_swap_from_stationary_start_needs_no_solve(self, monkeypatch):
+        """Period 2, but the uniform start is already stationary for the
+        two-state swap: power iteration stops after one sweep and no linear
+        solve runs."""
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
         kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+        assert period(kern) == 2
         np.testing.assert_allclose(stationary(kern).pi, [0.5, 0.5], atol=1e-12)
+        assert calls == []
 
     def test_power_iteration_that_oscillates_takes_the_linear_solve(self, monkeypatch):
         """Period 2: from the uniform start the iterates alternate between two

@@ -331,6 +331,24 @@ class TestExpectedSum:
         )
         assert expected_sum(start200, zeta2_small, ind200, 20) == pytest.approx(total, abs=1e-12)
 
+    def test_grid_totals_are_the_one_horizon_values(self, zeta2_small, start200, ind200):
+        """One propagation across a grid gives every horizon's total bit for
+        bit, for one observable and for a set (one row per horizon)."""
+        grid = [1, 7, 50, 333]
+        totals = expected_sum(start200, zeta2_small, ind200, grid)
+        assert isinstance(totals, np.ndarray) and totals.shape == (4,)
+        assert totals.tolist() == [expected_sum(start200, zeta2_small, ind200, h) for h in grid]
+        obs = nhmc.ObservableSet((ind200, nhmc.capped_identity_observable(3, 200)))
+        stack = expected_sum(start200, zeta2_small, obs, grid)
+        assert stack.shape == (4, 2)
+        for row, h in zip(stack, grid):
+            assert row.tobytes() == expected_sum(start200, zeta2_small, obs, h).tobytes()
+
+    @pytest.mark.parametrize("grid", [[], [4, 4], [0, 3]], ids=["empty", "repeat", "zero"])
+    def test_bad_grid_rejected(self, zeta2_small, start200, ind200, grid):
+        with pytest.raises(KernelValidationError, match="horizons"):
+            expected_sum(start200, zeta2_small, ind200, grid)
+
 
 class TestSerialization:
     def test_round_trip_builtin(self):

@@ -174,16 +174,48 @@ class TestMdpDiagnostic:
         scaled = [e.scaled for e in ests]
         assert all(b < a for a, b in zip(scaled, scaled[1:]))
 
-    def test_exact_dp_propagates_once_per_horizon(self, iid_family, start200, ind200,
-                                                  theta_iid, monkeypatch):
-        """The DP's own mean check supplies E S_n; no second propagation centres it."""
+    @pytest.mark.parametrize("n_grid", [[200], [200, 800], [50, 200, 800, 1600]],
+                             ids=["one", "two", "four"])
+    def test_exact_dp_sweeps_and_propagates_once_per_grid(self, iid_family, start200, ind200,
+                                                          theta_iid, monkeypatch, n_grid):
+        """Whatever the grid's length, one DP sweep to its largest horizon and
+        one propagation (the DP's own mean check, which also supplies E S_n)
+        serve every horizon."""
         def second_propagation(*args):
             raise AssertionError("E S_n propagated outside the DP")
 
+        sweeps, propagations = [], []
+        real_sweep, real_steps = nhmc.sumdist._window_sweep, nhmc.kernels._propagation_steps
+
+        def sweep(*args):
+            sweeps.append(args[-1])
+            return real_sweep(*args)
+
+        def steps(mu0, family, n):
+            propagations.append(n)
+            return real_steps(mu0, family, n)
+
         monkeypatch.setattr(nhmc.simulate, "expected_sum", second_propagation)
+        monkeypatch.setattr(nhmc.sumdist, "_window_sweep", sweep)
+        monkeypatch.setattr(nhmc.kernels, "_propagation_steps", steps)
         ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0],
-                              [200, 800], theta_iid)
-        assert len(ests) == 2
+                              n_grid, theta_iid)
+        assert [e.n for e in ests] == n_grid
+        assert sweeps == [tuple(n_grid)] and propagations == [n_grid[-1]]
+
+    def test_monte_carlo_propagates_once_per_grid(self, iid_family, start200, ind200,
+                                                  theta_iid, monkeypatch):
+        propagations = []
+        real_steps = nhmc.kernels._propagation_steps
+
+        def steps(mu0, family, n):
+            propagations.append(n)
+            return real_steps(mu0, family, n)
+
+        monkeypatch.setattr(nhmc.kernels, "_propagation_steps", steps)
+        ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0, 0.3],
+                              [20, 60, 90], theta_iid, method="monte_carlo", trials=200)
+        assert len(ests) == 6 and propagations == [90]
 
     def test_monte_carlo_tracks_exact_dp(self, iid_family, start200, ind200, theta_iid):
         sp = SpeedFunction(0.6)

@@ -218,6 +218,52 @@ class TestExactSumDistribution:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * cells
 
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_grid_budget_refused_before_any_step(self, iid_family, start200, monkeypatch,
+                                                  merge):
+        """A grid whose last horizon is over budget is refused before any step
+        of any horizon runs, and the message names that horizon."""
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a DP step ran on an over-budget grid")
+
+        monkeypatch.setattr(nhmc.KernelFamily, "steps", no_steps)
+        monkeypatch.setattr(nhmc.KernelFamily, "perturbation_scale", no_steps)
+        f = capped_identity_observable(3, 200)
+        with pytest.raises(KernelValidationError, match="budget exceeded at n=100000"):
+            exact_sum_distribution(start200, iid_family, f, [10, 20, 10**5], merge=merge,
+                                   cell_budget=10**6)
+
+    def test_grid_budget_counts_earlier_snapshots(self):
+        """The grid's count is the largest horizon's tables and step scales
+        plus the earlier horizons' pmfs; a sweep at exactly that count runs
+        within 10% of that many float64s."""
+        fam, grid = zeta2_family(0.75, 60), [1000, 3000, 5000]
+        mu0, f = point_mass(1, 60), capped_identity_observable(3, 60)
+        cells = 2 * 3 * 10001 + 5000 + 2001 + 6001
+        with pytest.raises(KernelValidationError, match="budget"):
+            exact_sum_distribution(mu0, fam, f, grid, cell_budget=cells - 1)
+        tracemalloc.start()
+        try:
+            dists = exact_sum_distribution(mu0, fam, f, grid, cell_budget=cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [d.n for d in dists] == grid
+        assert peak <= 1.1 * 8 * cells
+
+    def test_grid_mean_mismatch_names_the_horizon(self, iid_family, start200, ind200,
+                                                  monkeypatch):
+        real = nhmc.sumdist.expected_sum
+
+        def off_at_second(*args):
+            out = real(*args)
+            out[1] += 1.0
+            return out
+
+        monkeypatch.setattr(nhmc.sumdist, "expected_sum", off_at_second)
+        with pytest.raises(nhmc.DPConsistencyError, match="at n=200 "):
+            exact_sum_distribution(start200, iid_family, ind200, [100, 200, 300])
+
     def test_tail_probability_thresholds(self, iid_family, start200, ind200):
         dist = exact_sum_distribution(start200, iid_family, ind200, 10)
         assert dist.tail_probability(-3) == 1.0
@@ -236,3 +282,62 @@ class TestExactSumDistribution:
         payload = dist.to_json_dict()
         assert payload["offset"] == 0
         assert len(payload["pmf"]) == 5
+
+
+def _grid_case(case):
+    """(family, start law, observable) of one DP path the grid sweep serves."""
+    size = 12
+    lump2, lump4 = zeta2_family(0.75, size), zeta4_family(0.75, 1.0, size)
+    ren = zeta2_family(0.75, size, nhmc.TailPolicy.RENORMALIZE)
+    point, f = point_mass(1, size), capped_identity_observable(3, size)
+    tail_start = nhmc.InitialDistribution(np.full(size, 0.9 / size), tail_mass=0.1)
+    return {
+        "merged_zeta2": (lump2, point, indicator_observable(1, size)),
+        "merged_zeta4": (lump4, point, f),
+        "renormalize": (ren, point, f),
+        "table": (nhmc.table_family([lump2.kernel_at(k) for k in range(1, 6)], lump2.limit),
+                  point, f),
+        "start_tail_mass": (lump4, tail_start, f),
+        "raw_start_tail_mass": (ren, tail_start, indicator_observable(2, size)),
+    }[case]
+
+
+def _assert_bit_identical(grid_dist, single):
+    assert grid_dist.n == single.n
+    assert grid_dist.support_offset == single.support_offset
+    assert grid_dist.pmf.tobytes() == single.pmf.tobytes()
+    assert (grid_dist.mean, grid_dist.expected, grid_dist.dropped_mass) == (
+        single.mean, single.expected, single.dropped_mass)
+
+
+class TestHorizonGrid:
+    @given(st.sampled_from(["merged_zeta2", "merged_zeta4", "renormalize", "table",
+                            "start_tail_mass", "raw_start_tail_mass"]),
+           st.booleans(), st.sets(st.integers(1, 150), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_equals_one_call_per_horizon(self, case, merge, horizons):
+        """One sweep across the grid gives every horizon's pmf, mean,
+        expectation, dropped mass and offset bit for bit."""
+        fam, mu0, f = _grid_case(case)
+        grid = sorted(horizons)
+        dists = exact_sum_distribution(mu0, fam, f, grid, merge=merge)
+        assert len(dists) == len(grid)
+        for h, dist in zip(grid, dists):
+            _assert_bit_identical(dist, exact_sum_distribution(mu0, fam, f, h, merge=merge))
+
+    def test_grid_snapshots_carry_their_dropped_mass(self, iid_family, start200, ind200):
+        """Past n = 3000 the binomial tails are dropped; each snapshot carries
+        the mass dropped up to its own step."""
+        grid = [500, 3000, 3200]
+        dists = exact_sum_distribution(start200, iid_family, ind200, grid)
+        assert dists[0].dropped_mass < dists[1].dropped_mass < dists[2].dropped_mass
+        assert dists[1].dropped_mass > 0.0
+        for h, dist in zip(grid, dists):
+            _assert_bit_identical(dist, exact_sum_distribution(start200, iid_family, ind200, h))
+
+    def test_grid_is_sorted_and_checked(self, iid_family, start200, ind200):
+        dists = exact_sum_distribution(start200, iid_family, ind200, [30, 10, 20])
+        assert [d.n for d in dists] == [10, 20, 30]
+        for bad in ([], [5, 5], [0, 3]):
+            with pytest.raises(KernelValidationError, match="horizons"):
+                exact_sum_distribution(start200, iid_family, ind200, bad)
