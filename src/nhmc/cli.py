@@ -9,7 +9,7 @@ or kernel, 3 when the variance positivity hypothesis fails, 4 when the
 runtime budget is exceeded or the run runs out of memory, 5 when a numerical
 computation fails its own check (a stationary solve that does not converge,
 an inconsistent rate computation, an exact DP whose mean disagrees with
-propagation).
+the exact expectation).
 
 Reruns with identical config and seed reproduce the CSV outputs byte for
 byte, regardless of the worker count.
@@ -270,7 +270,7 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
     sums_grid = simulate_sums(cfg.initial, cfg.family, cfg.observables, list(cfg.n_grid),
                               cfg.trials, cfg.base_seed, workers)
     budget.check("clt sampling")
-    # one propagation: the exact means of every horizon are its running totals
+    # one pass of the exact means: every horizon's are its running totals
     expected_grid = expected_sum(cfg.initial, cfg.family, cfg.observables,
                                  _Horizons(cfg.n_grid, "n_grid"))
     for n, sums, expected in zip(cfg.n_grid, sums_grid, expected_grid):

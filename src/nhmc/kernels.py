@@ -13,6 +13,14 @@ Under either policy every step kernel of a built-in family is a shared base
 row plus ``s(k)`` times a bidiagonal band, with one replaced last row under
 ``renormalize``, so ``KernelFamily.steps`` applies it in O(N) per step.
 
+The exact means ``expected_sum`` and ``expected_step_values`` of a lump band
+family (zeta2/zeta4 under ``lump``, constant families with identical rows)
+come from the band series ``μ_k = (1 - t0) Σ_j c_{k,j} b B^j + c_{k,k} μ0 B^k``
+cut after T terms, with T fixed per family by a bound on the dropped terms
+(at most 2^-60 times max |f|; see ``KernelFamily._series_terms``), in
+O(T (N + n)).  Other families, and a family whose bound does not close
+within ``SERIES_MAX_TERMS`` terms, propagate the law step by step.
+
 Two parametric families are built in, both with identical power-law base rows
 and a time-decaying perturbation that moves mass from the diagonal to the
 superdiagonal:
@@ -405,6 +413,60 @@ class _RankOneBand:
         diffs[:-1] = values[1:] - values[:-1]
         return float(self.base_row @ values), diffs
 
+    def band_powers(self, x: np.ndarray, count: int) -> np.ndarray:
+        """The (count, N) rows ``x B^j`` for j < count; row j+1 moves
+        ``pert * (x B^j)`` one state up."""
+        out = np.empty((count, x.size))
+        out[0] = x
+        for j in range(1, count):
+            moved = out[j - 1] * self.pert
+            np.negative(moved, out=out[j])
+            out[j, 1:] += moved[:-1]
+        return out
+
+
+# the band series drops terms whose sum is at most this times max |F|
+SERIES_TOL = 2.0**-60
+# a family whose bound needs more terms than this keeps step-by-step propagation
+SERIES_MAX_TERMS = 256
+
+
+def _band_series(mu0: InitialDistribution, family: KernelFamily, values: np.ndarray,
+                 tails: np.ndarray, n: int) -> np.ndarray:
+    """The (n + 1, m) array of E F_l(X_k) for k = 0..n and the m functionals
+    ``values[l]`` (tail value ``tails[l]``), for a lump band family, from the
+    unrolled recurrence ``μ_k = (1 - t0) b + s(k) μ_{k-1} B``:
+
+        μ_k = (1 - t0) Σ_{j<k} c_{k,j} b B^j + c_{k,k} μ0 B^k,
+        c_{k,j} = s(k - j + 1) ··· s(k),
+
+    cut after ``T = family._series_terms`` terms, so at most ``SERIES_TOL``
+    times max |F_l| is dropped (see there).  The T rows ``b B^j`` and
+    ``μ0 B^j`` are built once; column j of c is column j - 1 shifted one
+    step and times s, a running product (zeta4's s(1) = 0 rules out logs),
+    and its terms are added elementwise, one j after the other, so each
+    row's value does not depend on n or on the other functionals: O(T (N + n))
+    time and O(n m) memory."""
+    terms = family._series_terms
+    band = family.structure
+    t0 = mu0.tail_mass
+    b_rows = band.band_powers(band.base_row, terms)
+    mu_rows = band.band_powers(mu0.probs, terms)
+    b_dots = np.array([(1.0 - t0) * (b_rows @ v) for v in values])  # one product per F_l
+    mu_dots = np.array([mu_rows @ v for v in values])
+    scales = family.perturbation_scale(np.arange(1, n + 1))
+    out = np.empty((n + 1, len(values)))
+    out[:] = t0 * tails
+    coeff = np.ones(n + 1)  # c_{k,j} for k = j..n
+    work = np.empty((n, len(values)))
+    for j in range(min(terms, n + 1)):
+        if j:
+            coeff = np.multiply(coeff[1:], scales[: n - j + 1], out=coeff[1:])
+        out[j] += coeff[0] * mu_dots[:, j]
+        part = np.multiply(coeff[1:, None], b_dots[:, j], out=work[: n - j])
+        out[j + 1:] += part
+    return out
+
 
 @dataclass(frozen=True, eq=False)
 class _BandStep:
@@ -641,6 +703,36 @@ class KernelFamily:
         k = np.asarray(k, dtype=float)
         return np.zeros(k.shape) if k.ndim else 0.0
 
+    @cached_property
+    def _series_terms(self) -> int | None:
+        """T, the terms ``_band_series`` keeps, or None for a family that keeps
+        step-by-step propagation (no band, a renormalize band, or a bound that
+        does not close within ``SERIES_MAX_TERMS``).
+
+        Term j of E F(X_k) is at most ``c_{k,j} ρ^j max|F|`` with
+        ``ρ = 2 max pert``, the l1 operator norm of B, and ``c_{k,j}`` is at
+        most ``C_j``, the product of the j largest s values.  The dropped
+        terms j >= T thus sum to at most ``C_T ρ^T / (1 - ρ s_(T+1))`` times
+        max|F|, for every k, when ``ρ s_(T+1) < 1`` (s_(i) is the i-th
+        largest s); T is the least T with that bound <= ``SERIES_TOL``.  It
+        depends on s and the band alone, never on a horizon."""
+        band = self.structure
+        if band is None or band.last:
+            return None
+        rho = 2.0 * float(band.pert.max())
+        # s is nonincreasing beyond its peak (k = 1 for zeta2, e^(beta/alpha)
+        # for zeta4; 0 throughout for a constant family), so the largest
+        # SERIES_MAX_TERMS + 1 values of s all lie in the first peak + that many steps
+        peak = math.exp(self.beta / self.alpha) if self.kind == "zeta4" else 1.0
+        ks = np.arange(1, math.ceil(peak) + SERIES_MAX_TERMS + 2)
+        ratios = rho * np.sort(self.perturbation_scale(ks))[::-1]  # ρ s_(1), ρ s_(2), ...
+        bound = 1.0
+        for terms in range(1, SERIES_MAX_TERMS + 1):
+            bound *= ratios[terms - 1]
+            if ratios[terms] < 1.0 and bound <= SERIES_TOL * (1.0 - ratios[terms]):
+                return terms
+        return None
+
     def truncation_tail_mass(self) -> float:
         """Base-row mass beyond the retained states (0 for explicit kernels)."""
         if self.kind in _ZETA_POWER:
@@ -769,40 +861,49 @@ def expected_sum(
     f: Observable | ObservableSet,
     n: int | Sequence[int],
 ) -> float | np.ndarray:
-    """E[f(X_1) + ... + f(X_n)] computed exactly by propagation; for an
-    ObservableSet, the vector of every observable's total from one
-    propagation, each accumulated exactly as for that observable alone.
+    """E[f(X_1) + ... + f(X_n)] computed exactly; for an ObservableSet, the
+    vector of every observable's total, each accumulated exactly as for that
+    observable alone.  The totals are the running sums (one ``np.cumsum``)
+    of ``expected_step_values``: on lump band families the band series, T
+    terms fixed per family with at most 2^-60 times max |f| dropped per
+    step, on the others step-by-step propagation (see there).
 
-    With a horizon grid ``n`` (no repeats) one propagation to the largest
-    horizon serves them all: the result gains a leading axis of the running
-    totals at each horizon in ascending order, each bit-identical to its
+    With a horizon grid ``n`` (no repeats) one pass to the largest horizon
+    serves them all: the result gains a leading axis of the running totals
+    at each horizon in ascending order, each bit-identical to its
     one-horizon value.
     """
     grid = _horizon_grid(n, "horizons")
-    if f.size != family.size:
-        raise KernelValidationError("observable size does not match family")
-    obs = tuple(f) if isinstance(f, ObservableSet) else (f,)
-    totals = [0.0] * len(obs)
-    out = np.empty((grid.size, len(obs)))
-    pos = 0
-    for k, (_, probs, tail) in enumerate(_propagation_steps(mu0, family, int(grid[-1])), 1):
-        for l, o in enumerate(obs):
-            totals[l] += float(probs @ o.values) + tail * o.tail_value
-        if k == grid[pos]:
-            out[pos] = totals
-            pos += 1
+    obs = f if isinstance(f, ObservableSet) else ObservableSet((f,))
+    steps = expected_step_values(mu0, family, obs, int(grid[-1]))
+    totals = np.cumsum(steps, axis=0)[grid - 1]
     if np.ndim(n) == 0:
-        return out[0] if isinstance(f, ObservableSet) else float(out[0, 0])
-    return out if isinstance(f, ObservableSet) else out[:, 0]
+        return totals[0] if isinstance(f, ObservableSet) else float(totals[0, 0])
+    return totals if isinstance(f, ObservableSet) else totals[:, 0]
 
 
 def expected_step_values(
     mu0: InitialDistribution, family: KernelFamily, obs: ObservableSet, n: int
 ) -> np.ndarray:
-    """(n, m) matrix of E[f_l(X_k)] for k = 1..n, one propagation pass."""
-    vals = obs.value_matrix()
-    tails = obs.tail_values()
-    out = np.empty((n, len(obs)))
-    for k, (_, probs, tail) in enumerate(_propagation_steps(mu0, family, n)):
-        out[k] = vals @ probs + tail * tails
-    return out
+    """(n, m) matrix of E[f_l(X_k)] for k = 1..n in one pass; n = 0 gives an
+    empty (0, m) matrix.
+
+    Lump band families (zeta2/zeta4 under ``lump``, constant families with
+    identical rows) whose series bound closes within ``SERIES_MAX_TERMS``
+    terms take ``_band_series``: T terms, with T fixed by the family (27 for
+    zeta2 at alpha = 0.75, see ``KernelFamily._series_terms``), and at most
+    ``SERIES_TOL`` = 2^-60 times max |f_l| dropped from each value.  The other
+    families propagate the law step by step, each value ``probs @ f_l`` plus
+    the tail's share.
+    """
+    if n < 0:
+        raise KernelValidationError(f"step count must be >= 0, got {n}")
+    if obs.size != family.size:
+        raise KernelValidationError("observable size does not match family")
+    if mu0.size != family.size:
+        raise KernelValidationError("initial distribution size does not match family")
+    if family._series_terms is not None:
+        return _band_series(mu0, family, obs.value_matrix(), obs.tail_values(), n)[1:]
+    rows = [[float(probs @ o.values) + tail * o.tail_value for o in obs]  # each on its own
+            for _, probs, tail in _propagation_steps(mu0, family, n)]
+    return np.array(rows).reshape(n, len(obs))

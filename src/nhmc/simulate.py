@@ -5,9 +5,11 @@ per-trial PRNG streams (seed = base_seed + trial index), blocks are fixed, and
 worker pools only change who computes a block, never its content, so parallel
 and sequential runs produce identical output.
 
-Centered quantities always use the exact propagation expectation, never a
-sample mean; conditional expectations are read off the kernel rows, never
-estimated.
+Centered quantities always use the exact expectation, never a sample mean:
+the band series of ``kernels._band_series`` on lump band families (T terms
+fixed per family, at most 2^-60 times max |f| dropped), step-by-step
+propagation on the others.  Conditional expectations are read off the
+kernel rows, never estimated.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .kernels import (
     Observable,
     ObservableSet,
     _Horizons,
+    _band_series,
     _horizon_grid,
     _propagation_steps,
     _readonly,
@@ -156,6 +159,8 @@ def clt_diagnostic(
 ) -> CltDiagnostic:
     """Kolmogorov-Smirnov distance of the standardized sums to N(0, 1), plus
     the ratio of the sample variance of (S_n - E S_n)/sqrt(n) to theta."""
+    if n < 1:
+        raise KernelValidationError(f"horizon n must be >= 1, got {n}")
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise KernelValidationError("need at least 1000 samples for the normal diagnostic")
@@ -222,9 +227,9 @@ def mdp_diagnostic(
             f"asymptotic variance must be strictly positive, got {theta_value}"
         )
     n_grid = _Horizons(n_grid, "n_grid")
-    if method == "exact_dp":  # one DP sweep and one propagation serve every horizon
+    if method == "exact_dp":  # one DP sweep and one pass of the means serve every horizon
         dists = exact_sum_distribution(mu0, family, f, n_grid)
-    else:  # one sampling pass and one propagation serve every horizon
+    else:  # one sampling pass and one pass of the means serve every horizon
         sampled = simulate_sums(mu0, family, f, n_grid, trials, base_seed, workers)
         expected = expected_sum(mu0, family, f, n_grid)
     estimates = []
@@ -277,6 +282,8 @@ def empirical_functionals(
     These are the finite-dimensional projections of the centered, speed-scaled
     occupation measure onto the observable family.
     """
+    if n < 1:
+        raise KernelValidationError(f"horizon n must be >= 1, got {n}")
     sums = simulate_sums(mu0, family, observables, n, trials, base_seed, workers)
     expected = expected_step_values(mu0, family, observables, n).sum(axis=0)
     return (sums - expected) / speed(n)
@@ -333,7 +340,14 @@ def martingale_check(
     workers: int = 1,
     theta_value: float | None = None,
 ) -> MartingaleResult:
-    """Exact variance profile plus Monte Carlo drift profile for g = sum z_l f_l."""
+    """Exact variance profile plus Monte Carlo drift profile for g = sum z_l f_l.
+
+    On lump band families the exact pass is one ``_band_series`` of three
+    functionals (g, and the two that give E[D_k^2] from the law of X_{k-1}),
+    with T terms fixed by the family and at most 2^-60 times each
+    functional's max |F| dropped (see ``KernelFamily._series_terms``); on the
+    others, and where that bound does not close, it is one propagation.
+    """
     _require_resolved_start(mu0)  # the Monte Carlo pass needs it; fail before the exact one
     g = observables.combine(z)
     n_grid = _horizon_grid(n_grid, "n_grid")
@@ -344,20 +358,35 @@ def martingale_check(
 
         theta_value = asymptotic_variance(stationary(family.limit), family.limit, g)
 
-    # exact pass, one propagation: P_k g, E[D_k^2] from the law of X_{k-1}, E g(X_k)
+    # exact pass: E g(X_k) and E[D_k^2] = E[(P_k g^2 - (P_k g)^2)(X_{k-1})]
     g2_values, g2_tail = g.values**2, g.tail_value**2
-    g_row = g.values[None, :]  # the (1, N) product expected_step_values uses, bit for bit
-    step_mean = np.empty(n_max)
-    var_cum = np.empty(n_max)
-    total = 0.0
-    law = mu0.probs
-    for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
-        pg = step.apply_to_function(g.values, g.tail_value)
-        pg2 = step.apply_to_function(g2_values, g2_tail)
-        total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
-        var_cum[k] = total
-        step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
-        law = probs
+    if family._series_terms is not None:
+        # P_k h = b·h + s(k) pert∘dh, so with a = pert∘dg and a2 = pert∘d(g^2),
+        # E[D_k^2] = b·g^2 - (b·g)^2 + s(k) E[a2 - 2 (b·g) a] - s(k)^2 E[a^2]
+        # at X_{k-1} (the start has no tail mass): three functionals of one series
+        band = family.structure
+        bg, dg = band.pull_terms(g.values)
+        bg2, dg2 = band.pull_terms(g2_values)
+        a, a2 = band.pert * dg, band.pert * dg2
+        terms = _band_series(mu0, family, np.stack([g.values, a2 - 2.0 * bg * a, a * a]),
+                             np.array([g.tail_value, 0.0, 0.0]), n_max)
+        scales = family.perturbation_scale(np.arange(1, n_max + 1))
+        var_cum = np.cumsum(bg2 - bg * bg + scales * terms[:-1, 1]
+                            - scales * scales * terms[:-1, 2])
+        step_mean = terms[1:, 0]
+    else:  # one propagation: P_k g from the step, the law of X_{k-1} and of X_k
+        g_row = g.values[None, :]  # a (1, N) product: a 1-D dot moves the drift in its last bits
+        step_mean = np.empty(n_max)
+        var_cum = np.empty(n_max)
+        total = 0.0
+        law = mu0.probs
+        for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
+            pg = step.apply_to_function(g.values, g.tail_value)
+            pg2 = step.apply_to_function(g2_values, g2_tail)
+            total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
+            var_cum[k] = total
+            step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
+            law = probs
     variance_values = var_cum[n_grid - 1] / n_grid
 
     # Monte Carlo pass: pathwise drift and the decomposition residual, one step

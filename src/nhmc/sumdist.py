@@ -21,13 +21,14 @@ arithmetic would otherwise dominate the sweep, and reports their total as
 ``SumDistribution.dropped_mass``.  That is an absolute error bound on the
 pmf and on every tail probability (below 1e-303 up to n = 5e4 on the
 merged built-ins), and the result's mean is cross-checked against the
-unlumped propagation expectation.
+exact expectation ``expected_sum`` (the band series on lump band families,
+propagation on the others).
 
 A horizon grid is served by one sweep to its largest horizon: each time the
 sweep reaches a horizon h it copies the live window into a pmf of
 h * range + 1 cells (a snapshot, with the mass dropped so far), and every
-snapshot's mean is checked against one propagation read off at each
-horizon.  Each snapshot is bit-identical to a one-horizon DP to h.
+snapshot's mean is checked against one pass of ``expected_sum`` read off at
+each horizon.  Each snapshot is bit-identical to a one-horizon DP to h.
 
 The DP holds two float64 tables of classes x (n * range + 1) cells for the
 largest horizon n, and the raw-state step three more tables' worth of work
@@ -64,14 +65,14 @@ DP_CELL_BUDGET = 250_000_000  # float64 cells the DP holds at its peak: 2 GB
 
 
 class DPConsistencyError(RuntimeError):
-    """The DP's mean disagrees with the propagation expectation."""
+    """The DP's mean disagrees with the exact expectation."""
 
 
 @dataclass(frozen=True, eq=False)
 class SumDistribution:
     """Probability mass function of an integer-valued additive functional.
 
-    ``mean`` is the pmf's mean and ``expected`` the propagation expectation
+    ``mean`` is the pmf's mean and ``expected`` the exact expectation
     E S_n it was checked against.  ``dropped_mass`` is the total mass the DP
     dropped below the smallest normal float at its window's edges, merged or
     on the raw states: every pmf entry and every ``tail_probability`` is
@@ -236,8 +237,8 @@ def exact_sum_distribution(
     repeats) the result is a list of SumDistribution, one per horizon in
     ascending order, from one sweep to the largest horizon: each is a
     snapshot of the sweep as it reaches its horizon, with the mass dropped up
-    to that step, and every mean is checked against one propagation read off
-    at each horizon.  Each entry equals the one-horizon call bit for bit.
+    to that step, and every mean is checked against one pass of
+    ``expected_sum`` read off at each horizon.  Each entry equals the one-horizon call bit for bit.
 
     Raises KernelValidationError, before allocating anything of the DP's
     size or running any step, when its float64 cells exceed
@@ -247,7 +248,7 @@ def exact_sum_distribution(
     h * range + 1 cells of each earlier horizon h (the last pmf is made
     once the second table is released).  Raises
     DPConsistencyError, naming the horizon, when a DP mean disagrees with
-    the propagation expectation.  ``merge=False`` forces the DP onto the raw
+    the exact expectation.  ``merge=False`` forces the DP onto the raw
     states (useful as a cross-check).
     """
     grid = _Horizons(n, "horizons")
@@ -310,7 +311,7 @@ def exact_sum_distribution(
         tol = max(1e-8, 64 * np.finfo(float).eps * h * max(1.0, abs(e)))
         if abs(mean - e) > tol:
             raise DPConsistencyError(
-                f"DP mean {mean} at n={h} disagrees with propagation expectation {e}"
+                f"DP mean {mean} at n={h} disagrees with the exact expectation {e}"
             )
         dists.append(SumDistribution(h, offset, pmf, mean, e, dropped))
     return dists[0] if np.ndim(n) == 0 else dists

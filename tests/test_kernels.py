@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import nhmc
 from nhmc import (
@@ -21,6 +23,7 @@ from nhmc import (
     zeta2_family,
     zeta4_family,
 )
+from nhmc.kernels import _propagation_steps, expected_step_values
 
 from conftest import random_stochastic
 
@@ -348,6 +351,107 @@ class TestExpectedSum:
     def test_bad_grid_rejected(self, zeta2_small, start200, ind200, grid):
         with pytest.raises(KernelValidationError, match="horizons"):
             expected_sum(start200, zeta2_small, ind200, grid)
+
+
+def propagated_step_values(mu0, family, obs, n):
+    """E f_l(X_k), k = 1..n, by step-by-step propagation of the law."""
+    out = np.empty((n, len(obs)))
+    for k, (_, probs, tail) in enumerate(_propagation_steps(mu0, family, n)):
+        out[k] = [probs @ o.values + tail * o.tail_value for o in obs]
+    return out
+
+
+class TestBandSeries:
+    @given(st.sampled_from(["zeta2", "zeta4", "constant"]), st.floats(0.51, 3.0),
+           st.floats(0.05, 2.0), st.integers(3, 300), st.floats(0.0, 0.5),
+           st.integers(0, 2**32 - 1), st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    @example("zeta2", 0.75, 1.0, 300, 0.2, 1, 3000)
+    @example("zeta4", 0.75, 1.0, 300, 0.3, 2, 3000)
+    @example("zeta4", 0.51, 1.0, 200, 0.1, 3, 3000)  # T = 223, near the cap
+    @example("zeta2", 0.51, 1.0, 3, 0.0, 4, 3000)
+    @example("constant", 1.0, 1.0, 100, 0.4, 5, 2000)
+    def test_matches_propagation(self, kind, alpha, beta, size, start_tail, seed, n):
+        """Per-step E f(X_k) and grid totals agree with propagation to 1e-13
+        of max |f| (times the horizon for a total), for start laws and
+        observables with tail mass and tail values."""
+        try:
+            fam = {"zeta2": lambda: zeta2_family(alpha, size),
+                   "zeta4": lambda: zeta4_family(alpha, beta, size),
+                   "constant": lambda: constant_family(make_limit_kernel("zeta2", size))}[kind]()
+        except KernelValidationError:  # zeta4 with some s(k) > 1
+            assume(False)
+        assume(fam._series_terms is not None)
+        rng = np.random.default_rng(seed)
+        probs = rng.random(size)
+        mu0 = nhmc.InitialDistribution(probs * (1.0 - start_tail) / probs.sum(), start_tail)
+        obs = nhmc.ObservableSet((indicator_observable(1, size),
+                                  nhmc.Observable(rng.normal(size=size), rng.normal()),
+                                  nhmc.Observable(rng.integers(-3, 4, size) * 1.0, 5.0)))
+        bound = np.array([o.bound for o in obs])
+        series = expected_step_values(mu0, fam, obs, n)
+        oracle = propagated_step_values(mu0, fam, obs, n)
+        assert np.all(np.abs(series - oracle) <= 1e-13 * bound)
+        grid = sorted({1, max(1, n // 3), n})
+        totals = expected_sum(mu0, fam, obs, grid)
+        want = np.cumsum(oracle, axis=0)[np.array(grid) - 1]
+        assert np.all(np.abs(totals - want) <= 1e-13 * bound * np.array(grid)[:, None])
+
+    def test_terms_do_not_depend_on_the_horizon(self, monkeypatch):
+        """T is fixed by the family: the same T band powers at n = 10 and
+        n = 10^6, and the same bits for the steps both cover."""
+        fam = zeta4_family(0.75, 1.0, 50)
+        counts = []
+        real = nhmc.kernels._RankOneBand.band_powers
+
+        def band_powers(band, x, count):
+            counts.append(count)
+            return real(band, x, count)
+
+        monkeypatch.setattr(nhmc.kernels._RankOneBand, "band_powers", band_powers)
+        obs = nhmc.ObservableSet((indicator_observable(1, 50),))
+        short = expected_step_values(point_mass(1, 50), fam, obs, 10)
+        long = expected_step_values(point_mass(1, 50), fam, obs, 10**6)
+        assert counts == [fam._series_terms] * 4
+        assert short.tobytes() == long[:10].tobytes()
+
+    def test_open_bound_keeps_propagation(self, monkeypatch):
+        """zeta4 at alpha=0.6, beta=1.5 keeps rho*s(k) near 1 for too long for
+        the bound to close within the cap, so its means are propagated."""
+        fam = zeta4_family(0.6, 1.5, 30)
+        assert fam._series_terms is None
+        steps = []
+        real = nhmc.kernels._propagation_steps
+
+        def spy(mu0, family, n):
+            steps.append(n)
+            return real(mu0, family, n)
+
+        def no_series(*args):
+            raise AssertionError("the band series ran")
+
+        monkeypatch.setattr(nhmc.kernels, "_propagation_steps", spy)
+        monkeypatch.setattr(nhmc.simulate, "_propagation_steps", spy)
+        monkeypatch.setattr(nhmc.kernels, "_band_series", no_series)
+        monkeypatch.setattr(nhmc.simulate, "_band_series", no_series)
+        f = indicator_observable(1, 30)
+        expected_sum(point_mass(1, 30), fam, f, [5, 40])
+        nhmc.martingale_check(fam, point_mass(1, 30), nhmc.ObservableSet((f,)), [1.0],
+                              [20], trials=4, theta_value=0.2)
+        assert steps == [40, 20]
+
+    @pytest.mark.parametrize("family", ["zeta2", "renormalize", "table"])
+    def test_step_values_edges(self, family):
+        fam = {"zeta2": lambda: zeta2_family(0.75, 20),
+               "renormalize": lambda: zeta2_family(0.75, 20, nhmc.TailPolicy.RENORMALIZE),
+               "table": lambda: nhmc.table_family([], make_limit_kernel("zeta2", 20))}[family]()
+        obs = nhmc.ObservableSet((indicator_observable(1, 20), indicator_observable(2, 20)))
+        assert expected_step_values(point_mass(1, 20), fam, obs, 0).shape == (0, 2)
+        with pytest.raises(KernelValidationError, match="step count"):
+            expected_step_values(point_mass(1, 20), fam, obs, -1)
+        wrong = nhmc.ObservableSet((indicator_observable(1, 21),))
+        with pytest.raises(KernelValidationError, match="observable size"):
+            expected_step_values(point_mass(1, 20), fam, wrong, 5)
 
 
 class TestSerialization:

@@ -147,6 +147,10 @@ class TestCltDiagnostic:
         with pytest.raises(KernelValidationError):
             clt_diagnostic(np.full(2000, 3.0), 3.0, 1.0, 10)
 
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(KernelValidationError, match="horizon"):
+            clt_diagnostic(np.arange(2000.0), 0.0, 1.0, 0)
+
 
 @pytest.fixture(scope="module")
 def theta_iid(iid_family, ind200):
@@ -179,25 +183,26 @@ class TestMdpDiagnostic:
     def test_exact_dp_sweeps_and_propagates_once_per_grid(self, iid_family, start200, ind200,
                                                           theta_iid, monkeypatch, n_grid):
         """Whatever the grid's length, one DP sweep to its largest horizon and
-        one propagation (the DP's own mean check, which also supplies E S_n)
-        serve every horizon."""
+        one pass of the exact means (the DP's own mean check, which also
+        supplies E S_n; the band series on this constant family) serve every
+        horizon."""
         def second_propagation(*args):
             raise AssertionError("E S_n propagated outside the DP")
 
         sweeps, propagations = [], []
-        real_sweep, real_steps = nhmc.sumdist._window_sweep, nhmc.kernels._propagation_steps
+        real_sweep, real_series = nhmc.sumdist._window_sweep, nhmc.kernels._band_series
 
         def sweep(*args):
             sweeps.append(args[-1])
             return real_sweep(*args)
 
-        def steps(mu0, family, n):
+        def series(mu0, family, values, tails, n):
             propagations.append(n)
-            return real_steps(mu0, family, n)
+            return real_series(mu0, family, values, tails, n)
 
         monkeypatch.setattr(nhmc.simulate, "expected_sum", second_propagation)
         monkeypatch.setattr(nhmc.sumdist, "_window_sweep", sweep)
-        monkeypatch.setattr(nhmc.kernels, "_propagation_steps", steps)
+        monkeypatch.setattr(nhmc.kernels, "_band_series", series)
         ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0],
                               n_grid, theta_iid)
         assert [e.n for e in ests] == n_grid
@@ -206,13 +211,13 @@ class TestMdpDiagnostic:
     def test_monte_carlo_propagates_once_per_grid(self, iid_family, start200, ind200,
                                                   theta_iid, monkeypatch):
         propagations = []
-        real_steps = nhmc.kernels._propagation_steps
+        real_series = nhmc.kernels._band_series
 
-        def steps(mu0, family, n):
+        def series(mu0, family, values, tails, n):
             propagations.append(n)
-            return real_steps(mu0, family, n)
+            return real_series(mu0, family, values, tails, n)
 
-        monkeypatch.setattr(nhmc.kernels, "_propagation_steps", steps)
+        monkeypatch.setattr(nhmc.kernels, "_band_series", series)
         ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0, 0.3],
                               [20, 60, 90], theta_iid, method="monte_carlo", trials=200)
         assert len(ests) == 6 and propagations == [90]
@@ -259,6 +264,16 @@ class TestMdpDiagnostic:
 
 
 class TestEmpiricalFunctionals:
+    def test_zero_horizon_rejected_before_sampling(self, zeta2_small, start200, ind200,
+                                                   monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(nhmc.simulate, "simulate_sums", no_sampling)
+        with pytest.raises(KernelValidationError, match="horizon"):
+            empirical_functionals(zeta2_small, start200, ObservableSet((ind200,)),
+                                  SpeedFunction(0.6), 0, 8, 1)
+
     def test_single_observable_consistent_with_sums(self, zeta2_small, start200, ind200):
         sp = SpeedFunction(0.6)
         n, trials = 100, 64
@@ -355,10 +370,49 @@ class TestMartingaleCheck:
             raise AssertionError("the exact pass ran")
 
         monkeypatch.setattr(nhmc.simulate, "_propagation_steps", no_propagation)
+        monkeypatch.setattr(nhmc.simulate, "_band_series", no_propagation)
         mu0 = nhmc.InitialDistribution(np.full(200, 0.9 / 200), tail_mass=0.1)
         obs = ObservableSet((indicator_observable(1, 200),))
         with pytest.raises(KernelValidationError, match="resolve all mass"):
             martingale_check(zeta2_small, mu0, obs, [1.0], [10], trials=8, theta_value=0.2)
+
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4", "constant"])
+    def test_series_variance_matches_propagation_loop(self, kind):
+        """The series' three functionals give the variance profile of the
+        step-by-step loop, E[(P_k g^2 - (P_k g)^2)(X_{k-1})] summed over k."""
+        fam = {"zeta2": lambda: zeta2_family(0.75, 80),
+               "zeta4": lambda: nhmc.zeta4_family(0.75, 1.0, 80),
+               "constant": lambda: nhmc.constant_family(nhmc.make_limit_kernel("zeta4", 80)),
+               }[kind]()
+        assert fam._series_terms is not None
+        rng = np.random.default_rng(11)
+        obs = ObservableSet((indicator_observable(1, 80), Observable(rng.normal(size=80), 2.0)))
+        z, grid = [1.0, -0.5], [1, 30, 700]
+        mu0 = nhmc.uniform_initial(80)
+        g = obs.combine(z)
+        total, law, var_cum = 0.0, mu0.probs, []
+        for step, probs, _ in nhmc.kernels._propagation_steps(mu0, fam, grid[-1]):
+            pg = step.apply_to_function(g.values, g.tail_value)
+            pg2 = step.apply_to_function(g.values**2, g.tail_value**2)
+            total += float(law @ (pg2 - pg**2))
+            var_cum.append(total)
+            law = probs
+        want = np.array(var_cum)[np.array(grid) - 1] / grid
+        res = martingale_check(fam, mu0, obs, z, grid, trials=4, base_seed=1)
+        np.testing.assert_allclose(res.variance_values, want, rtol=1e-13, atol=0)
+
+    def test_exact_pass_runs_once_per_grid(self, iid_family, start200, ind200, monkeypatch):
+        calls = []
+        real = nhmc.kernels._band_series
+
+        def series(mu0, family, values, tails, n):
+            calls.append(n)
+            return real(mu0, family, values, tails, n)
+
+        monkeypatch.setattr(nhmc.simulate, "_band_series", series)
+        martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [20, 60, 90],
+                         trials=8, base_seed=1)
+        assert calls == [90]
 
     def test_monte_carlo_pass_memory_is_bounded(self):
         """The pass walks the steps without keeping them: one length-N vector
