@@ -40,7 +40,9 @@ from .ergodicity import (
     stationary,
 )
 from .kernels import KernelValidationError, _Horizons, expected_sum
-from .rates import RateComputationError, ThetaPositivityError, build_rate_model, rate_1d
+from .rates import (
+    RateComputationError, ThetaPositivityError, asymptotic_variance, build_rate_model, rate_1d,
+)
 from .simulate import clt_diagnostic, martingale_check, mdp_diagnostic, simulate_sums
 from .sumdist import DPConsistencyError
 
@@ -354,8 +356,6 @@ def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int,
                    budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     g = cfg.observables.combine(cfg.z_weights)
-    from .rates import asymptotic_variance
-
     theta_g = asymptotic_variance(model.pi, cfg.family.limit, g)
     if theta_g <= THETA_MIN:
         raise ThetaPositivityError(

@@ -136,12 +136,6 @@ def _uniform_tiles(seeds: np.ndarray, count: int, width: int):
         yield tile
 
 
-def _uniforms(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(len(seeds), count) uniforms in one tile: row i is
-    ``default_rng(seeds[i]).random(count)``."""
-    return next(_uniform_tiles(seeds, count, count))
-
-
 def _tile_width(trials: int, count: int, path_bytes: int) -> int:
     """Uniforms per trial in one tile of a block of ``trials`` trials drawing
     ``count`` each: what the budget leaves after the block's path table

@@ -380,13 +380,29 @@ class TestArtifacts:
         assert exc.value.code == 2
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_scipy_sparse():
-    """Both cost more to import than the rest of nhmc together."""
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's nhmc."""
     src = str(Path(nhmc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy_module():
+    """numpy is nhmc's only runtime library; scipy serves the tests alone."""
     code = ("import sys, nhmc.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.sparse'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    assert run_python(code).strip() == "[]"
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    cfg = base_config(tmp_path / "out", family={"kind": "zeta2", "alpha": 0.75, "N": 30},
+                      n_grid=[20, 60], m_sup_range=5, trials=1000)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+            "from nhmc import cli\n"
+            "print(json.dumps({c: cli.main([c, '--config', sys.argv[1]]) for c in cli.COMMANDS}))")
+    codes = json.loads(run_python(code, path).splitlines()[-1])
+    assert codes == dict.fromkeys(cli.COMMANDS, 0)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import nhmc
@@ -25,6 +26,7 @@ from nhmc import (
     stationary,
     zeta2_family,
 )
+from nhmc.simulate import _normal_cdf
 
 
 class TestSpeedFunction:
@@ -150,6 +152,31 @@ class TestCltDiagnostic:
     def test_zero_horizon_rejected(self):
         with pytest.raises(KernelValidationError, match="horizon"):
             clt_diagnostic(np.arange(2000.0), 0.0, 1.0, 0)
+
+    def test_normal_cdf_matches_ndtr_in_both_tails(self):
+        z = np.linspace(-38.0, 9.0, 47001)
+        cdf, oracle = _normal_cdf(z), ndtr(z)
+        np.testing.assert_allclose(cdf, oracle, rtol=1e-14, atol=2.3e-16)
+        # relative, where the oracle is a normal float: ndtr takes exp(-z²/2)
+        # unsplit, so its own error grows by about z²/2 ulp (5.7e-14 near
+        # z = -35 against 50-digit arithmetic, where erfc stays within 3e-16);
+        # 0.5 + 0.5·erf returns 0 from z = -8.4 on
+        normal = oracle >= np.finfo(float).tiny
+        rel = np.abs(cdf[normal] - oracle[normal]) / oracle[normal]
+        assert (rel <= 1e-14 + z[normal] ** 2 / 2 * np.finfo(float).eps).all()
+        assert z[normal].min() < -37
+
+    def test_ks_statistic_matches_an_ndtr_recomputation(self):
+        """Integer sums, as the clt command feeds it: ties and a skewed law."""
+        n, p = 60, 0.2
+        samples = np.random.default_rng(2).binomial(n, p, 40000).astype(float)
+        diag = clt_diagnostic(samples, n * p, p * (1 - p), n)
+        centered = samples - n * p
+        cdf = ndtr(np.sort(centered / math.sqrt(n * p * (1 - p))))
+        m = cdf.size
+        ks = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(0, m) / m).max())
+        assert diag.ks_statistic == pytest.approx(ks, rel=1e-14, abs=0)
+        assert diag.variance_ratio == float(centered.var(ddof=1) / n / (p * (1 - p)))
 
 
 @pytest.fixture(scope="module")
