@@ -62,7 +62,11 @@ def _initial_from_spec(spec: dict, size: int) -> InitialDistribution:
         probs = np.asarray(spec["probs"], dtype=float)
         if probs.shape != (size,):
             raise InvalidConfigError(f"initial table must have length {size}")
-        return InitialDistribution(probs, float(spec.get("tail_mass", 0.0)))
+        if "tail_mass" in spec:
+            raise InvalidConfigError(
+                "an initial table takes 'probs' only, which sum to 1: "
+                "field 'tail_mass' is not supported")
+        return InitialDistribution(probs)
     raise InvalidConfigError(f"unknown initial-distribution kind {kind!r}")
 
 

@@ -70,18 +70,9 @@ class ConvergenceCondition(str, Enum):
 # norms and coefficients
 # ---------------------------------------------------------------------------
 
-def _as_matrix_with_tail(A) -> np.ndarray:
-    """Kernel -> rows with the tail appended as an extra column; arrays pass through."""
-    if isinstance(A, TruncatedKernel):
-        if A.is_stochastic:
-            return A.rows
-        return np.hstack([A.rows, A.tail_mass[:, None]])
-    return np.asarray(A, dtype=float)
-
-
 def sup_row_norm(A) -> float:
     """Max over rows of the L1 row sum; accepts a matrix or a TruncatedKernel."""
-    M = _as_matrix_with_tail(A)
+    M = np.asarray(getattr(A, "rows", A), dtype=float)
     if M.size == 0:
         return 0.0
     return float(np.abs(M).sum(axis=1).max())
@@ -90,10 +81,10 @@ def sup_row_norm(A) -> float:
 def dobrushin_delta(P) -> float:
     """Contraction coefficient: sup over row pairs of the summed positive parts.
 
-    The unconditional O(N^3) scan over row pairs, the tail counted as one more
-    column; ``delta_sequence`` has the closed form for the built-in families.
+    The unconditional O(N^3) scan over row pairs; ``delta_sequence`` has the
+    closed form for the built-in families.
     """
-    rows = _as_matrix_with_tail(P)
+    rows = np.asarray(getattr(P, "rows", P), dtype=float)
     # rows have equal sums, so the positive-part sum is symmetric in (i, k)
     # and scanning unordered pairs suffices.
     best = 0.0
@@ -198,9 +189,8 @@ class ConditionProfile:
 
 
 def _kernel_distance(a: TruncatedKernel, b: TruncatedKernel) -> float:
-    """||a - b||: max over rows of the L1 distance, tail masses included."""
-    gap = np.abs(a.rows - b.rows).sum(axis=1) + np.abs(a.tail_mass - b.tail_mass)
-    return float(gap.max())
+    """||a - b||: max over rows of the L1 distance."""
+    return float(np.abs(a.rows - b.rows).sum(axis=1).max())
 
 
 def _band_norm(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
@@ -252,9 +242,7 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
     size = family.size
     R = np.tile(pi, (size, 1))
     rows = [np.eye(size) for _ in starts]
-    tail = [np.zeros(size) for _ in starts]
     running = [np.zeros_like(R) for _ in starts]
-    running_tail = [np.zeros(size) for _ in starts]
     grid_pos = {int(n): g for g, n in enumerate(n_grid)}
     gaps = np.zeros((len(starts), len(n_grid)))
     for k in range(int(starts[0]) + 1, int(starts[-1]) + n_max + 1):
@@ -263,11 +251,10 @@ def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndar
             t = k - int(m)
             if not 1 <= t <= n_max:
                 continue
-            rows[i], tail[i] = step.push(rows[i], tail[i])
+            rows[i] = step.push(rows[i])
             running[i] += rows[i]
-            running_tail[i] += tail[i]
             if t in grid_pos:
-                gap = np.abs(running[i] / t - R).sum(axis=1) + running_tail[i] / t
+                gap = np.abs(running[i] / t - R).sum(axis=1)
                 gaps[i, grid_pos[t]] = float(gap.max())
     return gaps
 
@@ -290,8 +277,7 @@ def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarr
     instead, with gaps ``||v + C[i]||_1``.  Terms are carried up to the last t
     where some start has ``c_t ||B~_{m+1}||...||B~_{m+t}||`` (products of
     ``_band_norm``) above ``_BAND_DROP``; the second value returned bounds what
-    the later terms could add to any gap.  The tail never enters: these
-    kernels are stochastic.
+    the later terms could add to any gap.
     """
     n_max = int(n_grid[-1])
     band, size = family.structure, family.size
@@ -317,15 +303,15 @@ def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarr
     gaps = np.zeros((len(starts), len(n_grid)))
     for t in range(1, n_max + 1):
         if t > 1:
-            r, _ = _BandStep(band, s[:, t - 1, None]).push(r, 0.0)
+            r = _BandStep(band, s[:, t - 1, None]).push(r)
         r_sum += r
         if t <= width:
             moved = power * pert_at
             power = -moved
             power[:, 1:] += moved[:, :-1]
             band_sum += coef[:, t - 1, None, None] * power
-            # with every row's mass in the tail, push drops the 1 b part: s B~ rows
-            block, _ = _BandStep(band, s[:, t - 1, None, None]).push(block, 1.0)
+            # with mass 0 push drops the 1 b part: s B~ rows
+            block = _BandStep(band, s[:, t - 1, None, None]).push(block, 0.0)
             block_sum += block
         if t in grid_pos:
             v = r_sum / t - pi
@@ -448,8 +434,6 @@ def stationary(P: TruncatedKernel) -> StationaryVector:
     converged after ``STATIONARY_SWEEPS`` sweeps the fixed point is computed
     by solving (P^T - I) pi = 0 with a normalization row.
     """
-    if not P.is_stochastic:
-        raise KernelValidationError("stationary vector requires a stochastic kernel")
     _check_irreducible(P)
     n = P.size
     x = np.full(n, 1.0 / n)
@@ -490,17 +474,17 @@ def strong_ergodicity_profile(
     computed, e.g. reducible ones under study).
     """
     k_grid = _horizon_grid(k_grid, "k_grid")
-    if pi is None:
-        pi = stationary(P).pi
-    R = np.tile(np.asarray(pi, dtype=float), (P.size, 1))
+    pi = stationary(P).pi if pi is None else np.asarray(pi, dtype=float)
+    if pi.shape != (P.size,):
+        raise KernelValidationError(f"pi must have shape ({P.size},), got {pi.shape}")
+    R = np.tile(pi, (P.size, 1))
     out = np.empty(len(k_grid))
     power = np.eye(P.size)
-    tail = np.zeros(P.size)
     pos = 0
     for k in range(1, int(k_grid[-1]) + 1):
-        power, tail = P.push(power, tail)
+        power = P.push(power)
         if k == k_grid[pos]:
-            out[pos] = float((np.abs(power - R).sum(axis=1) + tail).max())
+            out[pos] = float(np.abs(power - R).sum(axis=1).max())
             pos += 1
             if pos == len(k_grid):
                 break

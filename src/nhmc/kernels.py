@@ -1,8 +1,9 @@
 """Truncated stochastic kernels and time-varying kernel families.
 
 The state space is {1..N} (stored 0-based internally), obtained by truncating
-a countable chain.  Mass that the untruncated kernel would place beyond state
-N is handled by one of two tail policies:
+a countable chain.  Every kernel row and every start law sums to one on 1..N:
+mass that the untruncated kernel would place beyond state N is handled by one
+of two tail policies:
 
 * ``lump``: the residual row mass is folded into column N (keeps rows exactly
   stochastic and preserves the one-step band structure of the built-in
@@ -11,11 +12,13 @@ N is handled by one of two tail policies:
 
 Under either policy every step kernel of a built-in family is a shared base
 row plus ``s(k)`` times a bidiagonal band, with one replaced last row under
-``renormalize``, so ``KernelFamily.steps`` applies it in O(N) per step.
+``renormalize``, so ``KernelFamily.steps`` applies it in O(N) per step: its
+``push(probs, mass)`` puts each law's total ``mass`` on the base row, where a
+dense kernel's ``push`` is a matmul.
 
 The exact means ``expected_sum`` and ``expected_step_values`` of a lump band
 family (zeta2/zeta4 under ``lump``, constant families with identical rows)
-come from the band series ``μ_k = (1 - t0) Σ_j c_{k,j} b B^j + c_{k,k} μ0 B^k``
+come from the band series ``μ_k = Σ_j c_{k,j} b B^j + c_{k,k} μ0 B^k``
 cut after T terms, with T fixed per family by a bound on the dropped terms
 (at most 2^-60 times max |f|; see ``KernelFamily._series_terms``), in
 O(T (N + n)).  Other families, and a family whose bound does not close
@@ -120,16 +123,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedKernel:
-    """One time-step stochastic matrix on {1..N} with explicit tail mass.
+    """One time-step stochastic matrix on {1..N}.
 
-    ``rows[i, j]`` is the probability of moving from state i+1 to state j+1;
-    ``tail_mass[i]`` is the probability of leaving the retained states from
-    state i+1.  Each row plus its tail mass must sum to one within 1e-12;
-    entries may undershoot/overshoot [0, 1] by at most 1e-12 and are clamped.
+    ``rows[i, j]`` is the probability of moving from state i+1 to state j+1.
+    Each row must sum to one within 1e-12; entries may undershoot/overshoot
+    [0, 1] by at most 1e-12 and are clamped.
     """
 
     rows: np.ndarray
-    tail_mass: np.ndarray
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -138,49 +139,35 @@ class TruncatedKernel:
         n = rows.shape[0]
         if n < 2:
             raise KernelValidationError(f"need at least 2 states, got {n}")
-        tail = np.asarray(self.tail_mass, dtype=float)
-        if tail.shape != (n,):
-            raise KernelValidationError(f"tail_mass must have shape ({n},)")
-        if not (np.isfinite(rows).all() and np.isfinite(tail).all()):
+        if not np.isfinite(rows).all():
             raise KernelValidationError("kernel entries must be finite")
         if rows.min() < -ROW_TOL or rows.max() > 1.0 + ROW_TOL:
             raise KernelValidationError(
                 f"entries outside [0,1] beyond tolerance: min={rows.min()}, max={rows.max()}"
             )
-        if tail.min() < -ROW_TOL:
-            raise KernelValidationError(f"negative tail mass: {tail.min()}")
-        err = np.abs(rows.sum(axis=1) + tail - 1.0).max()
+        err = np.abs(rows.sum(axis=1) - 1.0).max()
         if err > ROW_TOL:
             raise KernelValidationError(f"row mass deviates from 1 by {err}")
         object.__setattr__(self, "rows", _readonly(np.clip(rows, 0.0, 1.0)))
-        object.__setattr__(self, "tail_mass", _readonly(np.clip(tail, 0.0, 1.0)))
 
     @property
     def size(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def is_stochastic(self) -> bool:
-        """True when no mass escapes the retained states."""
-        return bool(self.tail_mass.max() == 0.0)
-
     def has_identical_rows(self) -> bool:
-        return bool(np.abs(self.rows - self.rows[0]).max() <= ROW_TOL
-                    and np.abs(self.tail_mass - self.tail_mass[0]).max() <= ROW_TOL)
+        return bool(np.abs(self.rows - self.rows[0]).max() <= ROW_TOL)
 
-    def apply_to_function(self, values: np.ndarray, tail_value: float = 0.0) -> np.ndarray:
+    def apply_to_function(self, values: np.ndarray) -> np.ndarray:
         """Row-wise expectation of a state function: (P h)(i)."""
-        return self.rows @ np.asarray(values, dtype=float) + self.tail_mass * tail_value
+        return self.rows @ np.asarray(values, dtype=float)
 
-    def push(self, probs: np.ndarray, tail):
-        """One forward step of a law, or of a stack of row laws, with the tail
-        absorbing: (p P, tail + p . tail_mass)."""
-        return probs @ self.rows, tail + probs @ self.tail_mass
+    def push(self, probs: np.ndarray, mass=1.0) -> np.ndarray:
+        """One forward step of a law, or of a stack of row laws: p P.  A
+        matmul needs no ``mass``; it is taken for the band step's signature."""
+        return probs @ self.rows
 
     @cached_property
     def _row_cdf(self) -> np.ndarray:
-        if not self.is_stochastic:
-            raise KernelValidationError("cannot sample a kernel with unresolved tail mass")
         cdf = np.cumsum(self.rows, axis=1)
         cdf[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
         return cdf
@@ -194,23 +181,21 @@ class TruncatedKernel:
 
 @dataclass(frozen=True, eq=False)
 class InitialDistribution:
-    """Distribution of the starting state, with optional escaped mass."""
+    """Distribution of the starting state on 1..N."""
 
     probs: np.ndarray
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise KernelValidationError("probs must be a vector of length >= 2")
-        if not (np.isfinite(probs).all() and math.isfinite(self.tail_mass)):
+        if not np.isfinite(probs).all():
             raise KernelValidationError("initial distribution must be finite")
-        if probs.min() < -ROW_TOL or self.tail_mass < -ROW_TOL:
+        if probs.min() < -ROW_TOL:
             raise KernelValidationError("negative probability in initial distribution")
-        if abs(probs.sum() + self.tail_mass - 1.0) > ROW_TOL:
+        if abs(probs.sum() - 1.0) > ROW_TOL:
             raise KernelValidationError("initial distribution does not sum to 1")
         object.__setattr__(self, "probs", _readonly(np.clip(probs, 0.0, 1.0)))
-        object.__setattr__(self, "tail_mass", max(float(self.tail_mass), 0.0))
 
     @property
     def size(self) -> int:
@@ -222,28 +207,27 @@ class DistributionVector:
     """The distribution of X_k after k exact propagation steps."""
 
     probs: np.ndarray
-    tail_mass: float
     step_index: int
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.min() < -MASS_TOL or self.tail_mass < -MASS_TOL:
+        if probs.min() < -MASS_TOL:
             raise KernelValidationError(f"negative mass at step {self.step_index}")
-        err = abs(probs.sum() + self.tail_mass - 1.0)
+        err = abs(probs.sum() - 1.0)
         if err > MASS_TOL:
             raise KernelValidationError(
                 f"mass deviates from 1 by {err} at step {self.step_index}"
             )
         object.__setattr__(self, "probs", _readonly(np.clip(probs, 0.0, 1.0)))
-        object.__setattr__(self, "tail_mass", max(float(self.tail_mass), 0.0))
 
     def expectation(self, f: "Observable") -> float:
-        return float(self.probs @ f.values + self.tail_mass * f.tail_value)
+        return float(self.probs @ f.values)
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A bounded real function on the retained states plus a tail value."""
+    """A bounded real function on the retained states, plus its value off
+    1..N (read by ``AtomicSignedMeasure.pair`` for atoms off the grid)."""
 
     values: np.ndarray
     tail_value: float = 0.0
@@ -265,8 +249,7 @@ class Observable:
         return self.values.shape[0]
 
     def is_integer_valued(self) -> bool:
-        ok = np.abs(self.values - np.round(self.values)).max() <= INTEGER_TOL
-        return bool(ok and abs(self.tail_value - round(self.tail_value)) <= INTEGER_TOL)
+        return bool(np.abs(self.values - np.round(self.values)).max() <= INTEGER_TOL)
 
     def shifted(self, c: float) -> "Observable":
         return Observable(self.values + c, self.tail_value + c)
@@ -432,12 +415,12 @@ SERIES_MAX_TERMS = 256
 
 
 def _band_series(mu0: InitialDistribution, family: KernelFamily, values: np.ndarray,
-                 tails: np.ndarray, n: int) -> np.ndarray:
+                 n: int) -> np.ndarray:
     """The (n + 1, m) array of E F_l(X_k) for k = 0..n and the m functionals
-    ``values[l]`` (tail value ``tails[l]``), for a lump band family, from the
-    unrolled recurrence ``μ_k = (1 - t0) b + s(k) μ_{k-1} B``:
+    ``values[l]``, for a lump band family, from the unrolled recurrence
+    ``μ_k = b + s(k) μ_{k-1} B``:
 
-        μ_k = (1 - t0) Σ_{j<k} c_{k,j} b B^j + c_{k,k} μ0 B^k,
+        μ_k = Σ_{j<k} c_{k,j} b B^j + c_{k,k} μ0 B^k,
         c_{k,j} = s(k - j + 1) ··· s(k),
 
     cut after ``T = family._series_terms`` terms, so at most ``SERIES_TOL``
@@ -449,14 +432,12 @@ def _band_series(mu0: InitialDistribution, family: KernelFamily, values: np.ndar
     time and O(n m) memory."""
     terms = family._series_terms
     band = family.structure
-    t0 = mu0.tail_mass
     b_rows = band.band_powers(band.base_row, terms)
     mu_rows = band.band_powers(mu0.probs, terms)
-    b_dots = np.array([(1.0 - t0) * (b_rows @ v) for v in values])  # one product per F_l
+    b_dots = np.array([b_rows @ v for v in values])  # one product per F_l
     mu_dots = np.array([mu_rows @ v for v in values])
     scales = family.perturbation_scale(np.arange(1, n + 1))
-    out = np.empty((n + 1, len(values)))
-    out[:] = t0 * tails
+    out = np.zeros((n + 1, len(values)))
     coeff = np.ones(n + 1)  # c_{k,j} for k = j..n
     work = np.empty((n, len(values)))
     for j in range(min(terms, n + 1)):
@@ -478,8 +459,8 @@ class _BandStep:
     band: _RankOneBand
     scale: float
 
-    def apply_to_function(self, values: np.ndarray, tail_value: float = 0.0) -> np.ndarray:
-        """(P_k h)(i) for all i; no mass escapes, so the tail value never enters."""
+    def apply_to_function(self, values: np.ndarray) -> np.ndarray:
+        """(P_k h)(i) for all i."""
         base, diffs = self.band.pull_terms(values)
         out = base + self.scale * self.band.pert * diffs
         if self.band.last:
@@ -500,27 +481,26 @@ class _BandStep:
         lost = self.scale * self.band.last
         return (base - lost * values[-1]) / (1.0 - lost)
 
-    def push(self, probs: np.ndarray, tail):
-        """(p P_k, tail): the retained mass 1 - tail moves to the base row, and
-        the band shifts ``scale * p * pert`` one state up.  ``probs`` may be a
-        stack of laws with a scalar tail or one tail per law, and ``scale`` a
+    def push(self, probs: np.ndarray, mass=1.0) -> np.ndarray:
+        """p P_k: the law's ``mass`` (its total) moves to the base row, and the
+        band shifts ``scale * p * pert`` one state up.  ``probs`` may be a
+        stack of laws with a scalar mass or one mass per law, and ``scale`` a
         column of per-row scales."""
         moved = probs * self.band.pert
         out = np.zeros_like(moved)
         out[..., 1:] = moved[..., :-1]
         out -= moved
         out *= self.scale  # in place: wide stacks pay for every new array
-        retained = 1.0 - tail
-        if isinstance(retained, np.ndarray):  # one tail per law of a stack
-            retained = retained[..., None]
+        if isinstance(mass, np.ndarray):  # one mass per law of a stack
+            mass = mass[..., None]
         if self.band.last:
             # row N is the base row plus lost / (1 - lost) times (base_row - e_N)
             lost = self.scale * self.band.last
             extra = probs[..., -1:] * (lost / (1.0 - lost))
-            retained = retained + extra
+            mass = mass + extra
             out[..., -1:] -= extra
-        out += np.multiply(retained, self.band.base_row, out=moved)  # moved is spent
-        return out, tail
+        out += np.multiply(mass, self.band.base_row, out=moved)  # moved is spent
+        return out
 
     def draw(self, state: np.ndarray, u: np.ndarray, base=None) -> np.ndarray:
         """Next states as ``TruncatedKernel.draw`` gives them from the dense
@@ -618,7 +598,7 @@ def make_limit_kernel(kind: str, size: int, tail_policy: TailPolicy = TailPolicy
     if size < 3:
         raise KernelValidationError("need N >= 3")
     row = _zeta_structure(kind, size, tail_policy).base_row
-    return TruncatedKernel(np.tile(row, (size, 1)), np.zeros(size))
+    return TruncatedKernel(np.tile(row, (size, 1)))
 
 
 def make_kernel(
@@ -654,7 +634,7 @@ def make_kernel(
     if tail_policy == TailPolicy.RENORMALIZE:
         rows[size - 1, size - 1] -= s * pert[-1]  # its band partner lies beyond N
         rows /= rows.sum(axis=1, keepdims=True)
-    return TruncatedKernel(rows, np.zeros(size))
+    return TruncatedKernel(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +717,7 @@ class KernelFamily:
         """Base-row mass beyond the retained states (0 for explicit kernels)."""
         if self.kind in _ZETA_POWER:
             return float(1.0 - _zeta_weights(self.kind, self.size).sum())
-        return float(self.limit.tail_mass.max())
+        return 0.0
 
 
 def zeta2_family(alpha: float, size: int, tail_policy: TailPolicy = TailPolicy.LUMP) -> KernelFamily:
@@ -761,7 +741,7 @@ def zeta4_family(
 def constant_family(kernel: TruncatedKernel) -> KernelFamily:
     """The same kernel at every step; the limit is the kernel itself."""
     struct = None
-    if kernel.is_stochastic and kernel.has_identical_rows():
+    if kernel.has_identical_rows():
         row = kernel.rows[0]
         struct = _make_structure(row / row.sum(), np.zeros(kernel.size))
     return KernelFamily("constant", kernel.size, TailPolicy.LUMP, kernel, structure=struct)
@@ -786,8 +766,6 @@ def family_to_config(family: KernelFamily) -> dict:
             cfg["beta"] = family.beta
     elif family.kind == "constant":
         cfg["matrix"] = family.limit.rows.tolist()
-        if not family.limit.is_stochastic:
-            cfg["tail"] = family.limit.tail_mass.tolist()
     else:
         cfg["matrices"] = [k.rows.tolist() for k in family.table]
         cfg["limit"] = family.limit.rows.tolist()
@@ -806,14 +784,14 @@ def family_from_config(cfg: dict) -> KernelFamily:
     if kind == "zeta4":
         return zeta4_family(cfg.get("alpha"), cfg.get("beta"), int(cfg["N"]), policy)
     if kind == "constant":
-        rows = np.asarray(cfg["matrix"], dtype=float)
-        tail = np.asarray(cfg.get("tail", np.zeros(rows.shape[0])), dtype=float)
-        return constant_family(TruncatedKernel(rows, tail))
+        if "tail" in cfg:
+            raise KernelValidationError(
+                "a constant family takes 'matrix' only, whose rows sum to 1: "
+                "field 'tail' is not supported")
+        return constant_family(TruncatedKernel(np.asarray(cfg["matrix"], dtype=float)))
     if kind == "table":
-        mats = [np.asarray(m, dtype=float) for m in cfg["matrices"]]
-        kernels = [TruncatedKernel(m, np.zeros(m.shape[0])) for m in mats]
-        lim = np.asarray(cfg["limit"], dtype=float)
-        return table_family(kernels, TruncatedKernel(lim, np.zeros(lim.shape[0])))
+        kernels = [TruncatedKernel(np.asarray(m, dtype=float)) for m in cfg["matrices"]]
+        return table_family(kernels, TruncatedKernel(np.asarray(cfg["limit"], dtype=float)))
     raise KernelValidationError(f"unknown family kind {cfg.get('kind')!r}")
 
 
@@ -822,37 +800,33 @@ def family_from_config(cfg: dict) -> KernelFamily:
 # ---------------------------------------------------------------------------
 
 def kernel_product(family: KernelFamily, m: int, n: int) -> TruncatedKernel:
-    """The matrix product P_{m+1} P_{m+2} ... P_n on the truncated space.
-
-    Tail mass is treated as absorbing: mass that ever leaves the retained
-    states stays in the tail of the product.
-    """
+    """The matrix product P_{m+1} P_{m+2} ... P_n on the truncated space."""
     if n <= m or m < 0:
         raise KernelValidationError(f"need n > m >= 0, got m={m}, n={n}")
-    rows, tail = np.eye(family.size), np.zeros(family.size)
+    rows = np.eye(family.size)
     for k in range(m + 1, n + 1):
-        rows, tail = family.kernel_at(k).push(rows, tail)
-    return TruncatedKernel(rows, tail)
+        rows = family.kernel_at(k).push(rows)
+    return TruncatedKernel(rows)
 
 
 def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
-    """Yield (step, probs, tail) for k = 1..n: the step operator P_k and the law of X_k."""
+    """Yield (step, probs) for k = 1..n: the step operator P_k and the law of X_k."""
     if mu0.size != family.size:
         raise KernelValidationError("initial distribution size does not match family")
-    probs, tail = mu0.probs, float(mu0.tail_mass)
+    probs = mu0.probs
     for step in family.steps(n):
-        probs, tail = step.push(probs, tail)
-        yield step, probs, float(tail)
+        probs = step.push(probs)
+        yield step, probs
 
 
 def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> DistributionVector:
     """Exact forward distribution of X_k (k vector-matrix products, never a full product matrix)."""
     if k < 0:
         raise KernelValidationError(f"step count must be >= 0, got {k}")
-    probs, tail = mu0.probs, float(mu0.tail_mass)
-    for _, probs, tail in _propagation_steps(mu0, family, k):
+    probs = mu0.probs
+    for _, probs in _propagation_steps(mu0, family, k):
         pass
-    return DistributionVector(probs, tail, k)
+    return DistributionVector(probs, k)
 
 
 def expected_sum(
@@ -893,8 +867,7 @@ def expected_step_values(
     terms take ``_band_series``: T terms, with T fixed by the family (27 for
     zeta2 at alpha = 0.75, see ``KernelFamily._series_terms``), and at most
     ``SERIES_TOL`` = 2^-60 times max |f_l| dropped from each value.  The other
-    families propagate the law step by step, each value ``probs @ f_l`` plus
-    the tail's share.
+    families propagate the law step by step, each value ``probs @ f_l``.
     """
     if n < 0:
         raise KernelValidationError(f"step count must be >= 0, got {n}")
@@ -903,7 +876,7 @@ def expected_step_values(
     if mu0.size != family.size:
         raise KernelValidationError("initial distribution size does not match family")
     if family._series_terms is not None:
-        return _band_series(mu0, family, obs.value_matrix(), obs.tail_values(), n)[1:]
-    rows = [[float(probs @ o.values) + tail * o.tail_value for o in obs]  # each on its own
-            for _, probs, tail in _propagation_steps(mu0, family, n)]
+        return _band_series(mu0, family, obs.value_matrix(), n)[1:]
+    rows = [[float(probs @ o.values) for o in obs]  # each on its own
+            for _, probs in _propagation_steps(mu0, family, n)]
     return np.array(rows).reshape(n, len(obs))

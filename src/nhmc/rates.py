@@ -68,9 +68,9 @@ def asymptotic_variance(pi, P: TruncatedKernel, f: Observable) -> float:
     p = _pi_vector(pi)
     if p.shape != (P.size,) or f.size != P.size:
         raise KernelValidationError("pi, kernel, and observable sizes must agree")
-    pf = P.apply_to_function(f.values, f.tail_value)
+    pf = P.apply_to_function(f.values)
     defining = float(p @ (f.values**2 - pf**2))
-    pf2 = P.apply_to_function(f.values**2, f.tail_value**2)
+    pf2 = P.apply_to_function(f.values**2)
     conditional = float(p @ (pf2 - pf**2))
     if abs(defining - conditional) > THETA_FORM_TOL:
         raise RateComputationError(
@@ -83,8 +83,10 @@ def asymptotic_variance(pi, P: TruncatedKernel, f: Observable) -> float:
 def covariance_matrix(pi, P: TruncatedKernel, observables: ObservableSet) -> np.ndarray:
     """The m x m matrix with z' Q z = theta(sum_l z_l f_l) for every z."""
     p = _pi_vector(pi)
+    if p.shape != (P.size,) or observables.size != P.size:
+        raise KernelValidationError("pi, kernel, and observable sizes must agree")
     V = observables.value_matrix()
-    PV = np.stack([P.apply_to_function(o.values, o.tail_value) for o in observables])
+    PV = np.stack([P.apply_to_function(o.values) for o in observables])
     Q = (V * p) @ V.T - (PV * p) @ PV.T
     Q = 0.5 * (Q + Q.T)
     eigs = np.linalg.eigvalsh(Q)
@@ -113,6 +115,9 @@ def rate_multi(x, Q: np.ndarray, check_probes: int = 0) -> float:
     """
     x = np.asarray(x, dtype=float)
     Q = np.asarray(Q, dtype=float)
+    if x.ndim != 1 or Q.shape != (x.size, x.size):
+        raise KernelValidationError(f"x of shape {x.shape} needs a square Q of its size, "
+                                    f"got {Q.shape}")
     lam, vec = np.linalg.eigh(0.5 * (Q + Q.T))
     lam_max = float(lam.max(initial=0.0))
     keep = lam > DEFAULT_PSD_TOL * max(lam_max, 0.0) if lam_max > 0 else np.zeros_like(lam, bool)
@@ -181,9 +186,8 @@ def measure_rate_lower_bound(
     (nested families only), and a lower bound for the full measure-level
     rate, which is never computed exactly.
     """
-    y = np.array([nu.pair(f) for f in observables])
     Q = covariance_matrix(pi, P, observables)
-    return rate_multi(y, Q)
+    return rate_multi(np.array([nu.pair(f) for f in observables]), Q)
 
 
 # ---------------------------------------------------------------------------

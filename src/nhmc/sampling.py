@@ -206,12 +206,6 @@ def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
     return paths
 
 
-def _require_resolved_start(mu0: InitialDistribution) -> None:
-    """Paths start on a state: reject a start law with tail mass."""
-    if mu0.tail_mass > 0.0:
-        raise KernelValidationError("initial distribution must resolve all mass onto 1..N")
-
-
 def sample_paths(
     seeds, mu0: InitialDistribution, family: KernelFamily, n: int
 ) -> np.ndarray:
@@ -220,7 +214,6 @@ def sample_paths(
         raise KernelValidationError(f"horizon must be >= 0, got {n}")
     if mu0.size != family.size:
         raise KernelValidationError("initial distribution size does not match family")
-    _require_resolved_start(mu0)
     try:
         seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     except OverflowError:

@@ -36,9 +36,7 @@ from .kernels import (
     expected_sum,
 )
 from .rates import ThetaPositivityError, rate_1d
-from .sampling import (
-    _require_resolved_start, _tile_width, _walk, iter_seed_blocks, sample_paths, trial_seeds,
-)
+from .sampling import _tile_width, _walk, iter_seed_blocks, sample_paths, trial_seeds
 from .sumdist import exact_sum_distribution
 
 __all__ = [
@@ -231,6 +229,8 @@ def mdp_diagnostic(
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"
         )
+    if not np.isfinite(np.asarray(x_grid, dtype=float)).all():
+        raise KernelValidationError("x_grid entries must be finite")
     n_grid = _Horizons(n_grid, "n_grid")
     if method == "exact_dp":  # one DP sweep and one pass of the means serve every horizon
         dists = exact_sum_distribution(mu0, family, f, n_grid)
@@ -329,7 +329,7 @@ def _puller(family: KernelFamily, h: Observable):
     walked states: O(len(states)) on band steps, whose k-free terms are
     computed once here; a dense kernel pulls h to every state."""
     if family.structure is None:
-        return lambda step, states: step.apply_to_function(h.values, h.tail_value)[states]
+        return lambda step, states: step.apply_to_function(h.values)[states]
     terms = family.structure.pull_terms(h.values)
     return lambda step, states: step.apply_at(h.values, states, *terms)
 
@@ -353,7 +353,6 @@ def martingale_check(
     functional's max |F| dropped (see ``KernelFamily._series_terms``); on the
     others, and where that bound does not close, it is one propagation.
     """
-    _require_resolved_start(mu0)  # the Monte Carlo pass needs it; fail before the exact one
     g = observables.combine(z)
     n_grid = _horizon_grid(n_grid, "n_grid")
     n_max = int(n_grid[-1])
@@ -364,17 +363,16 @@ def martingale_check(
         theta_value = asymptotic_variance(stationary(family.limit), family.limit, g)
 
     # exact pass: E g(X_k) and E[D_k^2] = E[(P_k g^2 - (P_k g)^2)(X_{k-1})]
-    g2_values, g2_tail = g.values**2, g.tail_value**2
+    g2_values = g.values**2
     if family._series_terms is not None:
         # P_k h = b·h + s(k) pert∘dh, so with a = pert∘dg and a2 = pert∘d(g^2),
         # E[D_k^2] = b·g^2 - (b·g)^2 + s(k) E[a2 - 2 (b·g) a] - s(k)^2 E[a^2]
-        # at X_{k-1} (the start has no tail mass): three functionals of one series
+        # at X_{k-1}: three functionals of one series
         band = family.structure
         bg, dg = band.pull_terms(g.values)
         bg2, dg2 = band.pull_terms(g2_values)
         a, a2 = band.pert * dg, band.pert * dg2
-        terms = _band_series(mu0, family, np.stack([g.values, a2 - 2.0 * bg * a, a * a]),
-                             np.array([g.tail_value, 0.0, 0.0]), n_max)
+        terms = _band_series(mu0, family, np.stack([g.values, a2 - 2.0 * bg * a, a * a]), n_max)
         scales = family.perturbation_scale(np.arange(1, n_max + 1))
         var_cum = np.cumsum(bg2 - bg * bg + scales * terms[:-1, 1]
                             - scales * scales * terms[:-1, 2])
@@ -385,12 +383,12 @@ def martingale_check(
         var_cum = np.empty(n_max)
         total = 0.0
         law = mu0.probs
-        for k, (step, probs, tail) in enumerate(_propagation_steps(mu0, family, n_max)):
-            pg = step.apply_to_function(g.values, g.tail_value)
-            pg2 = step.apply_to_function(g2_values, g2_tail)
-            total += float(law @ (pg2 - pg**2))  # tail states are absorbing: zero spread
+        for k, (step, probs) in enumerate(_propagation_steps(mu0, family, n_max)):
+            pg = step.apply_to_function(g.values)
+            pg2 = step.apply_to_function(g2_values)
+            total += float(law @ (pg2 - pg**2))
             var_cum[k] = total
-            step_mean[k] = (g_row @ probs)[0] + tail * g.tail_value
+            step_mean[k] = (g_row @ probs)[0]
             law = probs
     variance_values = var_cum[n_grid - 1] / n_grid
 

@@ -13,8 +13,9 @@ On the merged path each step is one small class-level matrix
 ``A_k = base 1^T + s(k) C^T``.  The classes come sorted by f value, so each
 value group is a row block whose product lands in one shifted slice of the
 next table.  Other families (renormalize, tables, ``merge=False``) run on
-the raw states, each step pushed through ``KernelFamily.steps`` and
-scattered by state value.  Either way one sweep walks only the window of
+the raw states 1..N: each step pushes the partial-sum columns through
+``KernelFamily.steps`` as a stack of laws, each with its own total as its
+mass, and scatters them by state value.  Either way one sweep walks only the window of
 partial sums that still hold mass: at the window's edges it drops the
 columns whose total is below the smallest normal float, whose subnormal
 arithmetic would otherwise dominate the sweep, and reports their total as
@@ -31,7 +32,7 @@ snapshot's mean is checked against one pass of ``expected_sum`` read off at
 each horizon.  Each snapshot is bit-identical to a one-horizon DP to h.
 
 The DP holds two float64 tables of classes x (n * range + 1) cells for the
-largest horizon n, and the raw-state step three more tables' worth of work
+largest horizon n, and the raw-state step two more tables' worth of work
 arrays, plus the snapshots of the earlier horizons (the last one is taken
 once the second table is released); the cell budget counts those cells and
 is checked before anything of their size is allocated or any step runs.
@@ -121,9 +122,7 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     coeff_t`` (column c holds where a unit of class-c mass goes), the class f
     values in ascending order, and the class start law; or None when the
     family carries no rank-one-plus-band structure or replaces its last row
-    (renormalize).  Start mass beyond N sits in an absorbing class with the
-    tail value, as on the raw path; the class exists only when that mass is
-    positive.
+    (renormalize).
     """
     struct = family.structure
     if struct is None or struct.last:
@@ -150,14 +149,6 @@ def _lumped_chain(family: KernelFamily, mu0: InitialDistribution, f: Observable)
     fixed = np.repeat(base[:, None], m, axis=1)
     coeff_t = coeff[first].T
     values = np.round(f.values[first]).astype(np.int64)
-    if mu0.tail_mass > 0.0:
-        tail = int(round(f.tail_value))
-        at = int(np.searchsorted(values, tail, side="right"))
-        fixed, coeff_t = (np.insert(np.insert(a, at, 0.0, axis=0), at, 0.0, axis=1)
-                          for a in (fixed, coeff_t))
-        fixed[at, at] = 1.0
-        values = np.insert(values, at, tail)
-        start = np.insert(start, at, mu0.tail_mass)
     return fixed, coeff_t, values, start
 
 
@@ -203,21 +194,14 @@ def _write_classes(step, sub, nxt, lo, groups):
 
 def _raw_step(sub: np.ndarray, op) -> np.ndarray:
     """One raw-state step of the partial-sum columns ``sub`` through ``op``,
-    before the shift by each state's value.  Each partial sum's retained
-    states are pushed as a law of their own, since a band step takes a law's
-    retained mass to be one minus its tail.  Its work arrays die on return."""
-    held = sub[:-1].sum(axis=0)
-    law = sub[:-1].T / np.where(held > 0.0, held, 1.0)[:, None]
-    probs, escaped = op.push(law, np.zeros(sub.shape[1]))
-    mass = np.empty_like(sub)
-    np.multiply(probs.T, held, out=mass[:-1])
-    mass[-1] = sub[-1] + escaped * held
-    return mass
+    before the shift by each state's value: the columns are pushed as a stack
+    of laws, each with its own total as the mass a band step puts on the
+    base row.  Its work arrays die on return."""
+    return op.push(sub.T, sub.sum(axis=0)).T
 
 
 def _write_states(op, sub, nxt, lo, groups):
-    """One raw-state step through the operator ``op``, scattered by state
-    value; the last row is the absorbing pseudo-state for escaped tail mass."""
+    """One raw-state step through the operator ``op``, scattered by state value."""
     mass = _raw_step(sub, op)
     for g, rows in groups:
         nxt[rows, lo + g:lo + g + sub.shape[1]] = mass[rows]
@@ -243,7 +227,7 @@ def exact_sum_distribution(
     Raises KernelValidationError, before allocating anything of the DP's
     size or running any step, when its float64 cells exceed
     ``cell_budget``: two tables of classes x (n * range + 1) cells for the
-    largest horizon n (on the raw states three more tables' worth of
+    largest horizon n (on the raw states two more tables' worth of
     per-step work arrays), the n step scales, and the snapshot pmfs of
     h * range + 1 cells of each earlier horizon h (the last pmf is made
     once the second table is released).  Raises
@@ -262,19 +246,15 @@ def exact_sum_distribution(
     if lumped is not None:
         fixed, coeff_t, values, start = lumped
     else:
-        # raw states, plus one absorbing pseudo-state for escaped tail mass
-        values = np.concatenate(
-            [np.round(f.values).astype(np.int64), [int(round(f.tail_value))]]
-        )
-        start = np.concatenate([mu0.probs, [mu0.tail_mass]])
+        values, start = np.round(f.values).astype(np.int64), mu0.probs
     m = values.size
     vmin = int(values.min())
     vrange = int(values.max()) - vmin
     width = n_max * vrange + 1
-    # a raw step also holds the laws and two more tables at once (the push's
-    # work arrays, then its result and the pushed mass); n more cells hold
-    # the step scales, and the earlier horizons' pmfs wait beside the tables
-    tables = 2 if lumped is not None else 5
+    # a raw step also holds two more tables at once (the push's work array
+    # and its result); n more cells hold the step scales, and the earlier
+    # horizons' pmfs wait beside the tables
+    tables = 2 if lumped is not None else 4
     snapshots = sum(h * vrange + 1 for h in grid[:-1])
     cells = tables * m * width + n_max + snapshots
     if cells > cell_budget:

@@ -108,6 +108,19 @@ class TestValidate:
         last = 2**63 - 1200  # trials = 1200: the last trial's seed is 2**63 - 1
         assert ExperimentConfig.from_dict(base_config(tmp_path, base_seed=last)).base_seed == last
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"family": {"kind": "constant", "matrix": [[0.5, 0.3], [0.2, 0.7]],
+                     "tail": [0.2, 0.1]}}, "'tail'"),
+        ({"initial": {"kind": "table", "probs": [0.9 / 120] * 120, "tail_mass": 0.1}},
+         "'tail_mass'"),
+    ], ids=["constant_tail", "initial_tail_mass"])
+    def test_mass_off_the_states_exits_2(self, tmp_path, capsys, overrides, field):
+        """Every kernel row and start law lives on 1..N: a field that would
+        put mass beyond N is refused by name, not ignored."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert field in capsys.readouterr().err
+
     def test_missing_schema_version_exits_2(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         del cfg["schema_version"]
@@ -206,7 +219,6 @@ class TestTableFamily:
         assert again.kind == "table" and len(again.table) == len(family.table) == 2
         for a, b in zip(again.table + (again.limit,), family.table + (family.limit,)):
             np.testing.assert_array_equal(a.rows, b.rows)
-            np.testing.assert_array_equal(a.tail_mass, b.tail_mass)
 
 class TestRate:
     def test_theta_matches_row_variance(self, tmp_path, q_zeta2):

@@ -37,7 +37,7 @@ from conftest import random_stochastic
 class TestSupRowNorm:
     def test_stochastic_kernel_has_norm_one(self):
         rng = np.random.default_rng(0)
-        kern = TruncatedKernel(random_stochastic(rng, 30), np.zeros(30))
+        kern = TruncatedKernel(random_stochastic(rng, 30))
         assert sup_row_norm(kern) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_matrix(self):
@@ -66,7 +66,7 @@ class TestDobrushinDelta:
         assert dobrushin_delta(iid_family.limit) == 0.0
 
     def test_identity_gives_one(self):
-        kern = TruncatedKernel(np.eye(6), np.zeros(6))
+        kern = TruncatedKernel(np.eye(6))
         assert dobrushin_delta(kern) == pytest.approx(1.0)
 
     def test_zeta2_bounded_and_closed_form_matches_dense(self):
@@ -80,19 +80,19 @@ class TestDobrushinDelta:
     @settings(max_examples=40, deadline=None)
     def test_bounded_by_unit_interval(self, n, seed):
         rng = np.random.default_rng(seed)
-        kern = TruncatedKernel(random_stochastic(rng, n), np.zeros(n))
+        kern = TruncatedKernel(random_stochastic(rng, n))
         val = dobrushin_delta(kern)
         assert -1e-12 <= val <= 1.0 + 1e-12
 
     def test_zero_iff_identical_rows(self):
         rng = np.random.default_rng(1)
         row = random_stochastic(rng, 8)[0]
-        rank_one = TruncatedKernel(np.tile(row, (8, 1)), np.zeros(8))
+        rank_one = TruncatedKernel(np.tile(row, (8, 1)))
         assert dobrushin_delta(rank_one) == 0.0
         perturbed = rank_one.rows.copy()
         perturbed[0, 0] += 0.01
         perturbed[0, 1] -= 0.01
-        assert dobrushin_delta(TruncatedKernel(perturbed, np.zeros(8))) > 0.0
+        assert dobrushin_delta(TruncatedKernel(perturbed)) > 0.0
 
     @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
     @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
@@ -130,14 +130,13 @@ class TestDobrushinDelta:
         for base, pert in bands:
             size = base.size
             band = nhmc.kernels._make_structure(base, pert, float(base[-1]))
-            limit = TruncatedKernel(np.tile(base, (size, 1)), np.zeros(size))
+            limit = TruncatedKernel(np.tile(base, (size, 1)))
             fam = dataclasses.replace(zeta2_family(0.75, size, nhmc.TailPolicy.RENORMALIZE),
                                       structure=band, limit=limit)
             deltas = delta_sequence(fam, 20)
             deviations = ergodicity._deviation_sequence(fam, 20)
             for k, step in enumerate(fam.steps(20), start=1):
-                rows, _ = step.push(np.eye(size), np.zeros(size))
-                kern = TruncatedKernel(rows, np.zeros(size))
+                kern = TruncatedKernel(step.push(np.eye(size)))
                 assert deltas[k - 1] == pytest.approx(dobrushin_delta(kern), rel=1e-12, abs=0)
                 assert deltas[k - 1] > step.scale * np.sort(pert)[-2:].sum()
                 assert deviations[k - 1] == pytest.approx(
@@ -150,8 +149,8 @@ class TestDobrushinDelta:
         1), with the values of the scan at every step."""
         rng = np.random.default_rng(8)
         size = 20
-        limit = TruncatedKernel(random_stochastic(rng, size), np.zeros(size))
-        table = [TruncatedKernel(random_stochastic(rng, size), np.zeros(size))
+        limit = TruncatedKernel(random_stochastic(rng, size))
+        table = [TruncatedKernel(random_stochastic(rng, size))
                  for _ in range(3)]
         scan = ergodicity.dobrushin_delta
         for fam, scans in ((nhmc.table_family(table, limit), 4), (constant_family(limit), 1)):
@@ -194,15 +193,6 @@ class TestConditionProfiles:
         assert (prof.m_argmax == 0).all()  # deviations decrease in m
         slope = np.polyfit(np.log10(grid), np.log10(prof.values), 1)[0]
         assert -0.80 <= slope <= -0.70
-
-    def test_table_limit_with_tail_mass(self):
-        """A stochastic step kernel against a limit that loses 0.1 per row:
-        the deviation counts the tail, 0.1 in the rows plus 0.1 escaped."""
-        k1 = TruncatedKernel(random_stochastic(np.random.default_rng(5), 3), np.zeros(3))
-        lim = TruncatedKernel(0.9 * k1.rows, np.full(3, 0.1))
-        prof = condition_profile(nhmc.table_family([k1], lim), "mean_kernel_deviation",
-                                 [2, 4], 3)
-        np.testing.assert_allclose(prof.values, [0.1, 0.05], atol=1e-15)
 
     def test_delta_sum_profile_matches_direct_summation(self):
         fam = zeta4_family(0.75, 1.0, 80)
@@ -262,15 +252,13 @@ def _cesaro_by_start(family, n_grid, m_sup_range):
     values = np.zeros(len(n_grid))
     argmax = np.zeros(len(n_grid), dtype=np.int64)
     for m in range(m_sup_range + 1):
-        rows, tail = np.eye(family.size), np.zeros(family.size)
-        running, running_tail = np.zeros_like(R), np.zeros(family.size)
+        rows, running = np.eye(family.size), np.zeros_like(R)
         for t in range(1, n_grid[-1] + 1):
-            rows, tail = family.kernel_at(m + t).push(rows, tail)
+            rows = family.kernel_at(m + t).push(rows)
             running += rows
-            running_tail += tail
             if t in n_grid:
                 g = n_grid.index(t)
-                val = float((np.abs(running / t - R).sum(axis=1) + running_tail / t).max())
+                val = float(np.abs(running / t - R).sum(axis=1).max())
                 if val > values[g]:
                     values[g], argmax[g] = val, m
     return values, argmax
@@ -420,7 +408,7 @@ class TestStationary:
         np.testing.assert_allclose(pi.pi, iid_family.limit.rows[0], atol=1e-13)
 
     def test_two_state_symmetric(self):
-        kern = TruncatedKernel(np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros(2))
+        kern = TruncatedKernel(np.array([[0.5, 0.5], [0.5, 0.5]]))
         np.testing.assert_allclose(stationary(kern).pi, [0.5, 0.5], atol=1e-14)
 
     def test_zeta2_limit_pi_is_the_lumped_row(self):
@@ -431,7 +419,7 @@ class TestStationary:
 
     def test_random_kernel_fixed_point(self):
         rng = np.random.default_rng(3)
-        kern = TruncatedKernel(random_stochastic(rng, 40), np.zeros(40))
+        kern = TruncatedKernel(random_stochastic(rng, 40))
         pi = stationary(kern)
         assert np.abs(pi.pi @ kern.rows - pi.pi).sum() <= 1e-10
 
@@ -447,7 +435,7 @@ class TestStationary:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+        kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert period(kern) == 2
         np.testing.assert_allclose(stationary(kern).pi, [0.5, 0.5], atol=1e-12)
         assert calls == []
@@ -463,8 +451,7 @@ class TestStationary:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        kern = TruncatedKernel(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-                               np.zeros(3))
+        kern = TruncatedKernel(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         assert period(kern) == 2
         pi = stationary(kern)
         assert len(calls) == 1
@@ -472,7 +459,7 @@ class TestStationary:
         assert pi.residual <= 1e-14
 
     def test_reducible_rejected(self):
-        kern = TruncatedKernel(np.eye(3), np.zeros(3))
+        kern = TruncatedKernel(np.eye(3))
         with pytest.raises(ReducibleKernelError):
             stationary(kern)
 
@@ -481,7 +468,7 @@ class TestStationary:
         ([[1.0, 0.0], [0.5, 0.5]], "state 2 is not reachable from state 1"),
     ], ids=["reached_but_not_back", "reaching_but_not_reached"])
     def test_reducible_in_one_direction_rejected(self, rows, message):
-        kern = TruncatedKernel(np.array(rows), np.zeros(2))
+        kern = TruncatedKernel(np.array(rows))
         for fn in (stationary, period):
             with pytest.raises(ReducibleKernelError, match=message):
                 fn(kern)
@@ -490,17 +477,17 @@ class TestStationary:
 class TestPeriod:
     def test_self_loop_forces_aperiodicity(self):
         rng = np.random.default_rng(2)
-        kern = TruncatedKernel(random_stochastic(rng, 5), np.zeros(5))
+        kern = TruncatedKernel(random_stochastic(rng, 5))
         assert period(kern) == 1
 
     def test_two_state_swap(self):
-        kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+        kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert period(kern) == 2
 
     def test_three_cycle(self):
         rows = np.zeros((3, 3))
         rows[0, 1] = rows[1, 2] = rows[2, 0] = 1.0
-        assert period(TruncatedKernel(rows, np.zeros(3))) == 3
+        assert period(TruncatedKernel(rows)) == 3
 
     def test_zeta2_limit_is_aperiodic(self):
         assert period(make_limit_kernel("zeta2", 50)) == 1
@@ -519,7 +506,7 @@ class TestPeriod:
         for i in np.nonzero(~adj.any(axis=1))[0]:
             adj[i, rng.choice(np.nonzero(allowed[i])[0])] = True
         rows = np.where(adj, rng.random((n, n)) + 0.1, 0.0)
-        kern = TruncatedKernel(rows / rows.sum(axis=1, keepdims=True), np.zeros(n))
+        kern = TruncatedKernel(rows / rows.sum(axis=1, keepdims=True))
 
         A = adj.astype(np.int64)
         reach = np.eye(n, dtype=np.int64) | A
@@ -544,19 +531,24 @@ class TestStrongErgodicity:
         np.testing.assert_allclose(vals, 0.0, atol=1e-13)
 
     def test_identity_does_not_decay(self):
-        kern = TruncatedKernel(np.eye(3), np.zeros(3))
+        kern = TruncatedKernel(np.eye(3))
         vals = strong_ergodicity_profile(kern, [1, 5, 25], pi=np.full(3, 1 / 3))
         assert (np.diff(vals) == 0).all() and vals[0] > 0.5
 
     @pytest.mark.parametrize("k_grid", [[], [3, 3]])
     def test_empty_or_repeated_grid_is_a_validation_error(self, k_grid):
-        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]), np.zeros(2))
+        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
         with pytest.raises(KernelValidationError):
             strong_ergodicity_profile(kern, k_grid)
 
+    def test_pi_of_the_wrong_length_is_a_validation_error(self):
+        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        with pytest.raises(KernelValidationError, match="pi must have shape"):
+            strong_ergodicity_profile(kern, [1, 2], pi=np.full(3, 1 / 3))
+
     def test_two_state_geometric_rate(self):
         """||P^k - R|| = c * 0.7^k for the 2-state chain with gap eigenvalue 0.7."""
-        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]), np.zeros(2))
+        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
         ks = np.arange(1, 40)
         vals = strong_ergodicity_profile(kern, ks)
         slope = np.polyfit(ks, np.log(vals), 1)[0]

@@ -32,23 +32,18 @@ class TestTruncatedKernel:
     def test_row_mass_must_be_one(self):
         rows = np.array([[0.5, 0.4], [0.5, 0.5]])
         with pytest.raises(KernelValidationError):
-            TruncatedKernel(rows, np.zeros(2))
+            TruncatedKernel(rows)
 
     def test_entries_clamped_within_tolerance(self):
         rows = np.array([[-1e-13, 1.0 + 1e-13], [0.5, 0.5]])
-        kern = TruncatedKernel(rows, np.zeros(2))
+        kern = TruncatedKernel(rows)
         assert kern.rows.min() >= 0.0
         assert kern.rows.max() <= 1.0
 
     def test_negative_entry_beyond_tolerance_rejected(self):
         rows = np.array([[-1e-9, 1.0 + 1e-9], [0.5, 0.5]])
         with pytest.raises(KernelValidationError):
-            TruncatedKernel(rows, np.zeros(2))
-
-    def test_tail_mass_accounted(self):
-        rows = np.array([[0.5, 0.3], [0.2, 0.7]])
-        kern = TruncatedKernel(rows, np.array([0.2, 0.1]))
-        assert not kern.is_stochastic
+            TruncatedKernel(rows)
 
     def test_immutable(self):
         kern = make_limit_kernel("zeta2", 5)
@@ -101,7 +96,7 @@ class TestMakeKernel:
             make_kernel("zeta4", k, 60, alpha=0.6, beta=1.0),
         ):
             assert kern.rows.min() >= 0.0
-            np.testing.assert_allclose(kern.rows.sum(1) + kern.tail_mass, 1.0, atol=1e-12)
+            np.testing.assert_allclose(kern.rows.sum(1), 1.0, atol=1e-12)
 
     def test_zeta4_largest_scale_below_one_accepted(self):
         """At alpha=0.75, beta=2 the largest s(k) is 0.962, at k=14."""
@@ -147,12 +142,11 @@ class TestBandStep:
         for k in (1, 2, 3, 10, 550):
             step, kern = steps[k - 1], fam.kernel_at(k)
             p = rng.random(size)
-            p *= 0.9 / p.sum()
-            for got, want in zip(step.push(p, 0.1), kern.push(p, 0.1)):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            p /= p.sum()
+            np.testing.assert_allclose(step.push(p), kern.push(p), rtol=0, atol=1e-15)
             h = rng.standard_normal(size)
-            np.testing.assert_allclose(step.apply_to_function(h, 3.0),
-                                       kern.apply_to_function(h, 3.0), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(step.apply_to_function(h),
+                                       kern.apply_to_function(h), rtol=0, atol=1e-14)
             state = np.repeat([0, size - 2, size - 1], 400)
             u = rng.random(state.size)
             u[::400] = 1.0 - 2.0**-53
@@ -174,21 +168,28 @@ class TestBandStep:
             np.testing.assert_array_equal(step.apply_at(h, states, *terms),
                                           step.apply_to_function(h)[states])
 
-    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
-    def test_stack_push_with_per_law_tails_matches_dense(self, policy):
-        """A stack of N laws, each with its own tail: a tail broadcast against
-        the columns would raise no shape error at this width."""
-        size = 40
+    @given(st.sampled_from(list(nhmc.TailPolicy)), st.integers(3, 60), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(nhmc.TailPolicy.LUMP, 40, 5, 3)
+    @example(nhmc.TailPolicy.RENORMALIZE, 40, 5, 3)
+    def test_stack_push_with_per_law_masses_matches_dense(self, policy, size, k, seed):
+        """A stack of N laws, each scaled by its own mass (0, a subnormal, 1
+        and random ones), pushed with those masses equals the dense product
+        within 1e-13 of each law's mass (floored at the smallest normal float,
+        below which floats keep only absolute precision).  A mass taken as
+        1 - (1 - mass) loses the subnormal law's mass; a mass broadcast
+        against the columns would raise no shape error at this width."""
         fam = zeta2_family(0.75, size, policy)
-        step, kern = list(fam.steps(5))[-1], fam.kernel_at(5)
-        rng = np.random.default_rng(3)
-        tails = rng.random(size) * 0.5
+        *_, step = fam.steps(k)
+        rng = np.random.default_rng(seed)
+        masses = np.concatenate([[0.0, 1e-310, 1.0], rng.random(size - 3)])
         laws = rng.random((size, size))
-        laws *= ((1.0 - tails) / laws.sum(axis=1))[:, None]
-        rows, tail = step.push(laws, tails)
-        want_rows, want_tail = kern.push(laws, tails)
-        np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(tail, want_tail)
+        laws *= (masses / laws.sum(axis=1))[:, None]
+        got = step.push(laws, masses)
+        want = laws @ fam.kernel_at(k).rows
+        tol = 1e-13 * np.maximum(masses, np.finfo(float).tiny)
+        assert np.all(np.abs(got - want) <= tol[:, None])
 
 
 class TestGuideTable:
@@ -230,7 +231,7 @@ class TestKernelProduct:
     def test_product_of_stochastic_kernels_is_stochastic(self):
         fam = zeta2_family(0.75, 100)
         prod = kernel_product(fam, 0, 2)
-        np.testing.assert_allclose(prod.rows.sum(axis=1) + prod.tail_mass, 1.0, atol=1e-12)
+        np.testing.assert_allclose(prod.rows.sum(axis=1), 1.0, atol=1e-12)
 
     def test_triple_product_entry_matches_naive_loops(self):
         """P1 P2 P3 entry (1,1) against a direct index-summed product."""
@@ -270,17 +271,13 @@ class TestPropagate:
         out = propagate(mu0, iid_family, 1)
         np.testing.assert_allclose(out.probs, iid_family.limit.rows[0], atol=1e-14)
 
-    @pytest.mark.parametrize("tail", [0.0, 0.1])
-    def test_structured_path_matches_dense_propagation(self, zeta2_small, start200, tail):
-        """The O(N) update must agree with explicit vector-kernel products,
-        also for a start law whose escaped mass stays in the tail."""
-        mu0 = nhmc.InitialDistribution((1.0 - tail) * start200.probs, tail)
-        out = propagate(mu0, zeta2_small, 25)
-        probs = mu0.probs.copy()
+    def test_structured_path_matches_dense_propagation(self, zeta2_small, start200):
+        """The O(N) update must agree with explicit vector-kernel products."""
+        out = propagate(start200, zeta2_small, 25)
+        probs = start200.probs.copy()
         for k in range(1, 26):
             probs = probs @ zeta2_small.kernel_at(k).rows
         np.testing.assert_allclose(out.probs, probs, atol=1e-13)
-        assert out.tail_mass == tail
 
     def test_monte_carlo_oracle(self):
         """Distribution at k=10 against 10^6 sampled trajectories, 3 SE per state."""
@@ -356,25 +353,25 @@ class TestExpectedSum:
 def propagated_step_values(mu0, family, obs, n):
     """E f_l(X_k), k = 1..n, by step-by-step propagation of the law."""
     out = np.empty((n, len(obs)))
-    for k, (_, probs, tail) in enumerate(_propagation_steps(mu0, family, n)):
-        out[k] = [probs @ o.values + tail * o.tail_value for o in obs]
+    for k, (_, probs) in enumerate(_propagation_steps(mu0, family, n)):
+        out[k] = [probs @ o.values for o in obs]
     return out
 
 
 class TestBandSeries:
     @given(st.sampled_from(["zeta2", "zeta4", "constant"]), st.floats(0.51, 3.0),
-           st.floats(0.05, 2.0), st.integers(3, 300), st.floats(0.0, 0.5),
+           st.floats(0.05, 2.0), st.integers(3, 300),
            st.integers(0, 2**32 - 1), st.integers(1, 3000))
     @settings(max_examples=40, deadline=None)
-    @example("zeta2", 0.75, 1.0, 300, 0.2, 1, 3000)
-    @example("zeta4", 0.75, 1.0, 300, 0.3, 2, 3000)
-    @example("zeta4", 0.51, 1.0, 200, 0.1, 3, 3000)  # T = 223, near the cap
-    @example("zeta2", 0.51, 1.0, 3, 0.0, 4, 3000)
-    @example("constant", 1.0, 1.0, 100, 0.4, 5, 2000)
-    def test_matches_propagation(self, kind, alpha, beta, size, start_tail, seed, n):
+    @example("zeta2", 0.75, 1.0, 300, 1, 3000)
+    @example("zeta4", 0.75, 1.0, 300, 2, 3000)
+    @example("zeta4", 0.51, 1.0, 200, 3, 3000)  # T = 223, near the cap
+    @example("zeta2", 0.51, 1.0, 3, 4, 3000)
+    @example("constant", 1.0, 1.0, 100, 5, 2000)
+    def test_matches_propagation(self, kind, alpha, beta, size, seed, n):
         """Per-step E f(X_k) and grid totals agree with propagation to 1e-13
-        of max |f| (times the horizon for a total), for start laws and
-        observables with tail mass and tail values."""
+        of max |f| (times the horizon for a total), for random start laws
+        and observables."""
         try:
             fam = {"zeta2": lambda: zeta2_family(alpha, size),
                    "zeta4": lambda: zeta4_family(alpha, beta, size),
@@ -384,7 +381,7 @@ class TestBandSeries:
         assume(fam._series_terms is not None)
         rng = np.random.default_rng(seed)
         probs = rng.random(size)
-        mu0 = nhmc.InitialDistribution(probs * (1.0 - start_tail) / probs.sum(), start_tail)
+        mu0 = nhmc.InitialDistribution(probs / probs.sum())
         obs = nhmc.ObservableSet((indicator_observable(1, size),
                                   nhmc.Observable(rng.normal(size=size), rng.normal()),
                                   nhmc.Observable(rng.integers(-3, 4, size) * 1.0, 5.0)))
@@ -472,7 +469,7 @@ class TestSerialization:
 
     def test_constant_round_trip(self):
         rng = np.random.default_rng(5)
-        kern = TruncatedKernel(random_stochastic(rng, 6), np.zeros(6))
+        kern = TruncatedKernel(random_stochastic(rng, 6))
         fam = constant_family(kern)
         back = family_from_config(family_to_config(fam))
         np.testing.assert_allclose(back.limit.rows, kern.rows)

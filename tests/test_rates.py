@@ -6,6 +6,7 @@ import pytest
 import nhmc
 from nhmc import (
     AtomicSignedMeasure,
+    KernelValidationError,
     Observable,
     ObservableSet,
     RateComputationError,
@@ -67,7 +68,7 @@ class TestAsymptoticVariance:
         """For a rank-one kernel theta(f) is the plain variance under the row."""
         rng = np.random.default_rng(7)
         row = random_stochastic(rng, 30)[0]
-        kern = TruncatedKernel(np.tile(row, (30, 1)), np.zeros(30))
+        kern = TruncatedKernel(np.tile(row, (30, 1)))
         f = Observable(rng.uniform(-2, 2, 30))
         direct = float(row @ f.values**2 - (row @ f.values) ** 2)
         val = asymptotic_variance(stationary(kern), kern, f)
@@ -83,7 +84,7 @@ class TestAsymptoticVariance:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
-        kern = TruncatedKernel(random_stochastic(rng, 25), np.zeros(25))
+        kern = TruncatedKernel(random_stochastic(rng, 25))
         pi = stationary(kern)
         for _ in range(20):
             f = Observable(rng.uniform(-1, 1, 25))
@@ -94,7 +95,7 @@ class TestAsymptoticVariance:
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(13)
-        kern = TruncatedKernel(random_stochastic(rng, 25), np.zeros(25))
+        kern = TruncatedKernel(random_stochastic(rng, 25))
         pi = stationary(kern)
         f = Observable(rng.uniform(-1, 1, 25))
         base = asymptotic_variance(pi, kern, f)
@@ -106,7 +107,7 @@ class TestAsymptoticVariance:
 
     def test_broken_pi_detected(self):
         rng = np.random.default_rng(17)
-        kern = TruncatedKernel(random_stochastic(rng, 10), np.zeros(10))
+        kern = TruncatedKernel(random_stochastic(rng, 10))
         wrong_pi = np.full(10, 0.1)  # not stationary for a random kernel
         f = Observable(rng.uniform(-1, 1, 10))
         with pytest.raises(RateComputationError):
@@ -163,6 +164,14 @@ class TestCovarianceMatrix:
             theta_z = asymptotic_variance(pi, lim, obs.combine(z))
             assert float(z @ Q @ z) == pytest.approx(theta_z, abs=1e-10)
 
+    @pytest.mark.parametrize("pi_size, obs_size", [(199, 200), (200, 199)],
+                             ids=["pi", "observables"])
+    def test_size_mismatch_is_a_validation_error(self, iid_family, pi_size, obs_size):
+        pi = np.full(pi_size, 1.0 / pi_size)
+        obs = ObservableSet((indicator_observable(1, obs_size),))
+        with pytest.raises(KernelValidationError, match="sizes must agree"):
+            covariance_matrix(pi, iid_family.limit, obs)
+
 
 class TestRateMulti:
     def test_zero_is_free(self):
@@ -206,6 +215,12 @@ class TestRateMulti:
             boundary = u * math.sqrt(level / denom)
             assert np.linalg.norm(boundary) <= math.sqrt(2 * level * lam_max) + 1e-9
 
+    @pytest.mark.parametrize("x, Q", [(np.ones(3), np.eye(2)), (np.ones(2), np.ones((2, 3)))],
+                             ids=["longer_x", "non_square_Q"])
+    def test_size_mismatch_is_a_validation_error(self, x, Q):
+        with pytest.raises(KernelValidationError, match="square Q"):
+            rate_multi(x, Q)
+
 
 class TestMeasureRate:
     def test_zero_measure_costs_nothing(self, iid_family, ind200):
@@ -244,6 +259,12 @@ class TestMeasureRate:
         f = Observable(np.arange(1.0, 201.0), tail_value=-7.0)
         nu = AtomicSignedMeasure({1000: 2.0, 3.5: 1.0})
         assert nu.pair(f) == pytest.approx(-21.0)
+
+    def test_size_mismatch_is_a_validation_error(self, iid_family):
+        pi = stationary(iid_family.limit)
+        obs = ObservableSet((indicator_observable(1, 150),))
+        with pytest.raises(KernelValidationError, match="sizes must agree"):
+            measure_rate_lower_bound(AtomicSignedMeasure({1: 0.3}), pi, iid_family.limit, obs)
 
 
 class TestRateModel:

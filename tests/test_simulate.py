@@ -205,6 +205,18 @@ class TestMdpDiagnostic:
         scaled = [e.scaled for e in ests]
         assert all(b < a for a, b in zip(scaled, scaled[1:]))
 
+    @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
+    def test_non_finite_x_rejected_before_any_pass(self, iid_family, start200, ind200,
+                                                   theta_iid, monkeypatch, method):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(nhmc.simulate, "exact_sum_distribution", no_pass)
+        monkeypatch.setattr(nhmc.simulate, "simulate_sums", no_pass)
+        with pytest.raises(KernelValidationError, match="x_grid entries must be finite"):
+            mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6),
+                           [0.0, float("nan")], [50], theta_iid, method=method)
+
     @pytest.mark.parametrize("n_grid", [[200], [200, 800], [50, 200, 800, 1600]],
                              ids=["one", "two", "four"])
     def test_exact_dp_sweeps_and_propagates_once_per_grid(self, iid_family, start200, ind200,
@@ -223,9 +235,9 @@ class TestMdpDiagnostic:
             sweeps.append(args[-1])
             return real_sweep(*args)
 
-        def series(mu0, family, values, tails, n):
+        def series(mu0, family, values, n):
             propagations.append(n)
-            return real_series(mu0, family, values, tails, n)
+            return real_series(mu0, family, values, n)
 
         monkeypatch.setattr(nhmc.simulate, "expected_sum", second_propagation)
         monkeypatch.setattr(nhmc.sumdist, "_window_sweep", sweep)
@@ -240,9 +252,9 @@ class TestMdpDiagnostic:
         propagations = []
         real_series = nhmc.kernels._band_series
 
-        def series(mu0, family, values, tails, n):
+        def series(mu0, family, values, n):
             propagations.append(n)
-            return real_series(mu0, family, values, tails, n)
+            return real_series(mu0, family, values, n)
 
         monkeypatch.setattr(nhmc.kernels, "_band_series", series)
         ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0, 0.3],
@@ -391,18 +403,6 @@ class TestMartingaleCheck:
         np.testing.assert_allclose(band.variance_values, dense.variance_values,
                                    rtol=1e-12, atol=0)
 
-    def test_start_with_tail_mass_rejected_before_exact_pass(self, zeta2_small,
-                                                            monkeypatch):
-        def no_propagation(*args):
-            raise AssertionError("the exact pass ran")
-
-        monkeypatch.setattr(nhmc.simulate, "_propagation_steps", no_propagation)
-        monkeypatch.setattr(nhmc.simulate, "_band_series", no_propagation)
-        mu0 = nhmc.InitialDistribution(np.full(200, 0.9 / 200), tail_mass=0.1)
-        obs = ObservableSet((indicator_observable(1, 200),))
-        with pytest.raises(KernelValidationError, match="resolve all mass"):
-            martingale_check(zeta2_small, mu0, obs, [1.0], [10], trials=8, theta_value=0.2)
-
     @pytest.mark.parametrize("kind", ["zeta2", "zeta4", "constant"])
     def test_series_variance_matches_propagation_loop(self, kind):
         """The series' three functionals give the variance profile of the
@@ -418,9 +418,9 @@ class TestMartingaleCheck:
         mu0 = nhmc.uniform_initial(80)
         g = obs.combine(z)
         total, law, var_cum = 0.0, mu0.probs, []
-        for step, probs, _ in nhmc.kernels._propagation_steps(mu0, fam, grid[-1]):
-            pg = step.apply_to_function(g.values, g.tail_value)
-            pg2 = step.apply_to_function(g.values**2, g.tail_value**2)
+        for step, probs in nhmc.kernels._propagation_steps(mu0, fam, grid[-1]):
+            pg = step.apply_to_function(g.values)
+            pg2 = step.apply_to_function(g.values**2)
             total += float(law @ (pg2 - pg**2))
             var_cum.append(total)
             law = probs
@@ -432,9 +432,9 @@ class TestMartingaleCheck:
         calls = []
         real = nhmc.kernels._band_series
 
-        def series(mu0, family, values, tails, n):
+        def series(mu0, family, values, n):
             calls.append(n)
-            return real(mu0, family, values, tails, n)
+            return real(mu0, family, values, n)
 
         monkeypatch.setattr(nhmc.simulate, "_band_series", series)
         martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [20, 60, 90],

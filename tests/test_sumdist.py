@@ -25,8 +25,8 @@ from nhmc import (
 
 
 def full_sweep_dp(mu0, family, f, n):
-    """Plain forward DP over every (state, partial sum) on the dense kernels,
-    for a start law without tail mass; returns the pmf from n * min f."""
+    """Plain forward DP over every (state, partial sum) on the dense kernels;
+    returns the pmf from n * min f."""
     rel = np.round(f.values).astype(np.int64)
     rel -= rel.min()
     width = n * int(rel.max()) + 1
@@ -69,18 +69,6 @@ class TestExactSumDistribution:
         raw = exact_sum_distribution(start200, fam, f, 12, merge=False)
         np.testing.assert_allclose(merged.pmf, raw.pmf, atol=1e-13)
         assert merged.support_offset == 12
-
-    @pytest.mark.parametrize("observable", ["indicator", "capped_identity"])
-    def test_merged_keeps_start_tail_mass(self, observable):
-        """Start mass beyond N stays in an absorbing class with the tail value."""
-        fam = zeta2_family(0.75, 40)
-        mu0 = nhmc.InitialDistribution(np.full(40, 0.9 / 40), tail_mass=0.1)
-        f = (indicator_observable(1, 40) if observable == "indicator"
-             else capped_identity_observable(3, 40))
-        merged = exact_sum_distribution(mu0, fam, f, 60)
-        raw = exact_sum_distribution(mu0, fam, f, 60, merge=False)
-        assert merged.support_offset == raw.support_offset
-        np.testing.assert_allclose(merged.pmf, raw.pmf, rtol=0, atol=1e-13)
 
     @given(st.sampled_from(["zeta2", "zeta4"]), st.floats(0.55, 2.0), st.integers(4, 12),
            st.sampled_from(["indicator", "capped_identity"]), st.integers(1, 300),
@@ -131,10 +119,10 @@ class TestExactSumDistribution:
 
     @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
     def test_renormalize_raw_dp_matches_dense_twin(self, kind):
-        """Raw-state DP through the band steps, start tail mass included."""
+        """Raw-state DP through the band steps against the dense kernels."""
         fam = (zeta2_family(0.75, 40, nhmc.TailPolicy.RENORMALIZE) if kind == "zeta2"
                else nhmc.zeta4_family(0.75, 1.0, 40, nhmc.TailPolicy.RENORMALIZE))
-        mu0 = nhmc.InitialDistribution(np.full(40, 0.9 / 40), tail_mass=0.1)
+        mu0 = nhmc.uniform_initial(40)
         f = capped_identity_observable(3, 40)
         band = exact_sum_distribution(mu0, fam, f, 60)
         dense = exact_sum_distribution(mu0, dataclasses.replace(fam, structure=None), f, 60)
@@ -197,15 +185,16 @@ class TestExactSumDistribution:
 
     @pytest.mark.parametrize("kind", ["merged", "raw_band", "raw_dense"])
     def test_budget_bounds_peak_memory(self, kind):
-        """The budget counts two tables of states x (n * range + 1) cells (five
-        on the raw states, whose step holds work arrays) plus n step scales;
-        a DP at exactly its count runs within 10% of that many float64s."""
+        """The budget counts two tables of states x (n * range + 1) cells (four
+        on the raw states, whose push holds two work arrays) plus n step
+        scales; a DP at exactly its count runs within 10% of that many
+        float64s."""
         renormalize = zeta2_family(0.75, 60, nhmc.TailPolicy.RENORMALIZE)
         fam, n, cells = {
             "merged": (zeta2_family(0.75, 60), 5000, 2 * 3 * 10001 + 5000),
-            "raw_band": (renormalize, 600, 5 * 61 * 1201 + 600),
+            "raw_band": (renormalize, 600, 4 * 60 * 1201 + 600),
             "raw_dense": (dataclasses.replace(renormalize, structure=None), 600,
-                          5 * 61 * 1201 + 600),
+                          4 * 60 * 1201 + 600),
         }[kind]
         mu0, f = point_mass(1, 60), capped_identity_observable(3, 60)
         with pytest.raises(KernelValidationError, match="budget"):
@@ -290,15 +279,12 @@ def _grid_case(case):
     lump2, lump4 = zeta2_family(0.75, size), zeta4_family(0.75, 1.0, size)
     ren = zeta2_family(0.75, size, nhmc.TailPolicy.RENORMALIZE)
     point, f = point_mass(1, size), capped_identity_observable(3, size)
-    tail_start = nhmc.InitialDistribution(np.full(size, 0.9 / size), tail_mass=0.1)
     return {
         "merged_zeta2": (lump2, point, indicator_observable(1, size)),
         "merged_zeta4": (lump4, point, f),
         "renormalize": (ren, point, f),
         "table": (nhmc.table_family([lump2.kernel_at(k) for k in range(1, 6)], lump2.limit),
                   point, f),
-        "start_tail_mass": (lump4, tail_start, f),
-        "raw_start_tail_mass": (ren, tail_start, indicator_observable(2, size)),
     }[case]
 
 
@@ -311,8 +297,7 @@ def _assert_bit_identical(grid_dist, single):
 
 
 class TestHorizonGrid:
-    @given(st.sampled_from(["merged_zeta2", "merged_zeta4", "renormalize", "table",
-                            "start_tail_mass", "raw_start_tail_mass"]),
+    @given(st.sampled_from(["merged_zeta2", "merged_zeta4", "renormalize", "table"]),
            st.booleans(), st.sets(st.integers(1, 150), min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_grid_equals_one_call_per_horizon(self, case, merge, horizons):
