@@ -168,6 +168,21 @@ class TestBandStep:
             np.testing.assert_array_equal(step.apply_at(h, states, *terms),
                                           step.apply_to_function(h)[states])
 
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    def test_stack_push_with_per_law_tails_matches_dense(self, policy):
+        """A stack of N laws, each short of 1 by its own amount and pushed
+        with its own mass: a mass broadcast against the columns would raise
+        no shape error at this width."""
+        size = 40
+        fam = zeta2_family(0.75, size, policy)
+        step, kern = list(fam.steps(5))[-1], fam.kernel_at(5)
+        rng = np.random.default_rng(3)
+        masses = 1.0 - rng.random(size) * 0.5
+        laws = rng.random((size, size))
+        laws *= (masses / laws.sum(axis=1))[:, None]
+        np.testing.assert_allclose(step.push(laws, masses), kern.push(laws, masses),
+                                   rtol=0, atol=1e-15)
+
     @given(st.sampled_from(list(nhmc.TailPolicy)), st.integers(3, 60), st.integers(1, 40),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
