@@ -19,6 +19,7 @@ from .kernels import (
     KernelValidationError,
     Observable,
     ObservableSet,
+    _config_int,
     capped_identity_observable,
     family_from_config,
     indicator_observable,
@@ -39,9 +40,9 @@ class InvalidConfigError(ValueError):
 def _observable_from_spec(spec: dict, size: int) -> Observable:
     kind = spec.get("kind")
     if kind == "indicator":
-        return indicator_observable(int(spec["state"]), size)
+        return indicator_observable(_config_int(spec["state"], "observable state"), size)
     if kind == "capped_identity":
-        return capped_identity_observable(int(spec["cap"]), size)
+        return capped_identity_observable(_config_int(spec["cap"], "observable cap"), size)
     if kind == "table":
         values = np.asarray(spec["values"], dtype=float)
         if values.shape != (size,):
@@ -55,7 +56,7 @@ def _observable_from_spec(spec: dict, size: int) -> Observable:
 def _initial_from_spec(spec: dict, size: int) -> InitialDistribution:
     kind = spec.get("kind", "point_mass")
     if kind == "point_mass":
-        return point_mass(int(spec.get("state", 1)), size)
+        return point_mass(_config_int(spec.get("state", 1), "initial state"), size)
     if kind == "uniform":
         return uniform_initial(size)
     if kind == "table":
@@ -120,19 +121,19 @@ class ExperimentConfig:
         except KernelValidationError as exc:
             raise InvalidConfigError(str(exc)) from exc
 
-        n_grid = tuple(int(v) for v in raw.get("n_grid", []))
+        n_grid = tuple(_config_int(v, "n_grid entries") for v in raw.get("n_grid", []))
         if not n_grid or any(v < 1 for v in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise InvalidConfigError("n_grid must be a strictly increasing list of ints >= 1")
         x_grid = tuple(float(v) for v in raw.get("x_grid", [0.0]))
         if not np.isfinite(x_grid).all():
             raise InvalidConfigError("x_grid entries must be finite")
-        m_sup_range = int(raw.get("m_sup_range", 200))
+        m_sup_range = _config_int(raw.get("m_sup_range", 200), "m_sup_range")
         if m_sup_range < 0:
             raise InvalidConfigError("m_sup_range must be >= 0")
-        trials = int(raw.get("trials", 10000))
+        trials = _config_int(raw.get("trials", 10000), "trials")
         if trials < 1:
             raise InvalidConfigError("trials must be >= 1")
-        base_seed = int(raw.get("base_seed", 0))
+        base_seed = _config_int(raw.get("base_seed", 0), "base_seed")
         # trial t draws from the stream seeded base_seed + t, an int64
         if not 0 <= base_seed <= 2**63 - trials:
             raise InvalidConfigError(

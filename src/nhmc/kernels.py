@@ -92,6 +92,16 @@ class TailPolicy(str, Enum):
 # value types
 # ---------------------------------------------------------------------------
 
+def _config_int(value, name: str) -> int:
+    """An integer config field: an int or an integral float (``1e4``).  A
+    bool, a fraction or a non-number is refused by name, never truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise KernelValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _horizon_grid(values, name: str) -> np.ndarray:
     """The sorted int64 horizons; rejects an empty grid, repeats and entries below 1."""
     grid = np.asarray(sorted(int(v) for v in np.atleast_1d(values)), dtype=np.int64)
@@ -780,9 +790,10 @@ def family_from_config(cfg: dict) -> KernelFamily:
     except ValueError as exc:
         raise KernelValidationError(f"unknown tail policy {cfg.get('tail_policy')!r}") from exc
     if kind == "zeta2":
-        return zeta2_family(cfg.get("alpha"), int(cfg["N"]), policy)
+        return zeta2_family(cfg.get("alpha"), _config_int(cfg["N"], "family N"), policy)
     if kind == "zeta4":
-        return zeta4_family(cfg.get("alpha"), cfg.get("beta"), int(cfg["N"]), policy)
+        return zeta4_family(cfg.get("alpha"), cfg.get("beta"), _config_int(cfg["N"], "family N"),
+                            policy)
     if kind == "constant":
         if "tail" in cfg:
             raise KernelValidationError(

@@ -17,14 +17,17 @@ shorter horizon.
 
 Memory.  The uniforms are drawn in time tiles: ``_uniform_tiles`` fills a
 (trials, width) tile from each trial's generator, which stays where the tile
-left it, so the tiles concatenate to the whole stream.  A block holds at most
-``_MAX_BLOCK`` (4096) trials, and its int32 path table plus its float64
-uniforms tile fit ``_BLOCK_BYTES`` (64 MiB): ``sample_paths`` sizes its
-blocks by the path table (a tile of at least ``_MIN_TILE`` columns must fit
-beside it), and the tile takes what the table leaves, up to ``_TILE_BYTES``
-(8 MiB; a tile costs one ``random`` call per trial, about 1 µs).  A walk
-that stores no path, as the martingale pass, holds 4096 trials at any
-horizon and only a tile of uniforms.
+left it, so the tiles concatenate to the whole stream.  A path table holds
+each state in the smallest signed integer type that holds every label 1..N
+(``_path_dtype``: int8, int16 or int32).  A block holds at most
+``_MAX_BLOCK`` (4096) trials, and its path table plus its float64 uniforms
+tile fit ``_BLOCK_BYTES`` (64 MiB): ``sample_paths`` sizes its blocks by a
+path table of 4 bytes a state, an upper bound for every type (a tile of at
+least ``_MIN_TILE`` columns must fit beside it), and the tile takes what
+the actual table leaves, up to ``_TILE_BYTES`` (8 MiB; a tile costs one
+``random`` call per trial, about 1 µs).  A walk that stores no path, as the
+martingale pass, holds 4096 trials at any horizon and only a tile of
+uniforms.
 
 Each step is drawn by the step operator of ``KernelFamily.steps``: its
 ``draw`` maps the current states and one uniform each to the next states.
@@ -185,8 +188,16 @@ def _walk(family: KernelFamily, mu0: InitialDistribution, n: int, seeds: np.ndar
             yield k, step, state
 
 
+def _path_dtype(size: int) -> np.dtype:
+    """The smallest signed integer type that holds every label 1..size."""
+    for dtype in (np.int8, np.int16):
+        if size <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int32)
+
+
 def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
-    paths = np.empty((len(seeds), n + 1), dtype=np.int32)
+    paths = np.empty((len(seeds), n + 1), dtype=_path_dtype(family.size))
     width = _tile_width(len(seeds), n + 1, paths.itemsize)
     if family.kind == "constant" and family.structure is not None:
         # i.i.d. draws from one row: the base-CDF search is the draw
@@ -209,7 +220,14 @@ def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
 def sample_paths(
     seeds, mu0: InitialDistribution, family: KernelFamily, n: int
 ) -> np.ndarray:
-    """Paths (len(seeds), n+1) of 0-based states; add 1 for state labels."""
+    """Paths (len(seeds), n+1) of 0-based states; add 1 for state labels.
+
+    ``seeds`` is one seed or a non-empty 1-d sequence of them.  The table's
+    dtype is the smallest signed integer type that holds every label 1..N:
+    int8 for N <= 127, int16 for N <= 32767 and int32 otherwise.  A state
+    plus 1 always fits, but other arithmetic on the table wraps in its
+    dtype: widen it first (``paths.astype(np.int64)``).
+    """
     if n < 0:
         raise KernelValidationError(f"horizon must be >= 0, got {n}")
     if mu0.size != family.size:
@@ -218,6 +236,9 @@ def sample_paths(
         seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     except OverflowError:
         raise KernelValidationError("trial seeds must lie in [0, 2**63)") from None
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise KernelValidationError(
+            f"trial seeds must be a non-empty 1-d sequence, got shape {seeds.shape}")
     blocks = [
         _sample_block(family, mu0, n, chunk)
         for chunk in iter_seed_blocks(seeds, n)
@@ -227,9 +248,10 @@ def sample_paths(
 
 def iter_seed_blocks(seeds: np.ndarray, n: int, paths: bool = True):
     """Split seeds into blocks of at most ``_MAX_BLOCK`` trials, sized so a
-    block's int32 path table to horizon n (when it keeps ``paths``) plus a
-    uniforms tile of ``_MIN_TILE`` columns fit the budget (one trial per
-    block once a single trial's path table exceeds it)."""
+    block's path table to horizon n (when it keeps ``paths``), budgeted at 4
+    bytes a state whatever its dtype, plus a uniforms tile of ``_MIN_TILE``
+    columns fit the budget (one trial per block once a single trial's path
+    table exceeds it)."""
     per_trial = 4 * (n + 1) * paths + 8 * min(n + 1, _MIN_TILE)
     block = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // per_trial))
     for start in range(0, len(seeds), block):
@@ -239,5 +261,7 @@ def iter_seed_blocks(seeds: np.ndarray, n: int, paths: bool = True):
 def sample_trajectory(
     rng_seed: int, mu0: InitialDistribution, family: KernelFamily, n: int
 ) -> np.ndarray:
-    """One path of 1-based state labels, length n+1, deterministic in the seed."""
+    """One path of 1-based state labels, length n+1, deterministic in the
+    seed, in ``sample_paths``' dtype (labels 1..N fit it; other arithmetic
+    on it can wrap)."""
     return sample_paths([rng_seed], mu0, family, n)[0] + 1

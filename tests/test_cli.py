@@ -121,6 +121,34 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"n_grid": [10.7, 20.2]}, "n_grid entries"),
+        ({"trials": 1000.9}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"m_sup_range": 3.5}, "m_sup_range"),
+        ({"base_seed": 4.2}, "base_seed"),
+        ({"family": {"kind": "zeta2", "alpha": 0.75, "N": 120.5}}, "family N"),
+        ({"observables": [{"kind": "indicator", "state": 1.9}]}, "observable state"),
+        ({"observables": [{"kind": "capped_identity", "cap": 2.5}]}, "observable cap"),
+        ({"initial": {"kind": "point_mass", "state": 1.5}}, "initial state"),
+    ], ids=["n_grid", "trials", "trials_bool", "m_sup_range", "base_seed", "N",
+            "indicator_state", "cap", "initial_state"])
+    def test_non_integral_integer_field_exits_2(self, tmp_path, capsys, overrides, field):
+        """An integer field is refused by name, not truncated."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(base_config(
+            tmp_path, n_grid=[50.0, 2e2], trials=1e4, m_sup_range=20.0, base_seed=11.0,
+            family={"kind": "zeta2", "alpha": 0.75, "N": 120.0},
+            initial={"kind": "point_mass", "state": 2.0}))
+        assert cfg.n_grid == (50, 200) and cfg.trials == 10000 and cfg.family.size == 120
+        assert all(type(v) is int for v in (*cfg.n_grid, cfg.trials, cfg.m_sup_range,
+                                            cfg.base_seed, cfg.family.size))
+        assert cfg.initial.probs[1] == 1.0
+
     def test_missing_schema_version_exits_2(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         del cfg["schema_version"]

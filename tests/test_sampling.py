@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from nhmc import (
     KernelValidationError,
     TruncatedKernel,
     constant_family,
+    indicator_observable,
     point_mass,
     sample_paths,
     sample_trajectory,
@@ -75,6 +78,16 @@ class TestStream:
         with pytest.raises(KernelValidationError, match="seeds must lie in"):
             sample_paths(seeds, start200, zeta2_small, 5)
 
+    @pytest.mark.parametrize("seeds", [[], [[1, 2], [3, 4]]], ids=["empty", "2d"])
+    def test_seeds_must_be_a_nonempty_vector(self, seeds, start200, zeta2_small, monkeypatch):
+        """No seed, or a seed table, is refused before any block is sampled."""
+        def sample_block(*args):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr(sampling, "_sample_block", sample_block)
+        with pytest.raises(KernelValidationError, match="non-empty 1-d"):
+            sample_paths(seeds, start200, zeta2_small, 5)
+
     def test_negative_base_seed_rejected_by_the_martingale_pass(self, start200, zeta2_small,
                                                                 ind200):
         with pytest.raises(KernelValidationError, match="seeds must lie in"):
@@ -83,8 +96,8 @@ class TestStream:
 
     @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**6, 16), (10**7, 1)])
     def test_blocks_fit_the_uniforms_budget(self, n, block):
-        """A block's int32 path table plus its uniforms tile fit 64 MiB, the
-        tile at most 8 MiB; a walk that keeps no path holds 4096 trials at any
+        """A path table of at most 4 bytes a state plus its uniforms tile fit
+        64 MiB, the tile at most 8 MiB; a walk that keeps no path holds 4096 trials at any
         horizon.  Block sizes are read off the seed slices; no uniforms are
         drawn."""
         seeds = np.arange(5000, dtype=np.int64)
@@ -133,8 +146,9 @@ class TestDeterminism:
         whole = sample_paths(seeds, start200, family, 120)
         monkeypatch.setattr(sampling, "_MIN_TILE", 1)
         monkeypatch.setattr(sampling, "_BLOCK_BYTES", 3 * (4 * 121 + 8 * 2) + 8)
+        monkeypatch.setattr(sampling, "_TILE_BYTES", 3 * 8 * 2)
         assert [len(b) for b in iter_seed_blocks(seeds, 120)][:2] == [3, 3]
-        assert _tile_width(3, 121, 4) == 2
+        assert _tile_width(3, 121, whole.itemsize) == 2
         np.testing.assert_array_equal(sample_paths(seeds, start200, family, 120), whole)
 
     def test_batched_equals_individual(self, zeta2_small, start200):
@@ -201,3 +215,40 @@ class TestSamplerCorrectness:
         pa = sample_trajectory(31, mu_a, fam_a, 2000)
         pb = sample_trajectory(31, mu_b, fam_b, 2000)
         np.testing.assert_array_equal(pa == 1, pb == 1)
+
+
+class TestPathTable:
+    @pytest.mark.parametrize("size, dtype", [
+        (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+    ])
+    def test_smallest_type_that_holds_every_label(self, size, dtype):
+        """State N - 1 is stored and label N returned without wrapping, at
+        the edges where N + 1 would leave the type.  The family is zeta2's
+        band without its dense N x N limit kernel (8 GiB at N = 32768),
+        which the walk never reads."""
+        lump = nhmc.TailPolicy.LUMP
+        fam = nhmc.KernelFamily("zeta2", size, lump, limit=None, alpha=0.75,
+                                structure=nhmc.kernels._zeta_structure("zeta2", size, lump))
+        mu0 = point_mass(size, size)
+        paths = sample_paths(trial_seeds(5, 3), mu0, fam, 4)
+        assert paths.dtype == dtype
+        np.testing.assert_array_equal(paths[:, 0], size - 1)
+        path = sample_trajectory(5, mu0, fam, 4)
+        assert path.dtype == dtype and path[0] == size
+
+    def test_sums_hold_a_two_byte_table_and_one_uniforms_tile(self):
+        """At N = 1000 the table takes 2 bytes a state: the peak of
+        ``simulate_sums`` stays within 1.2x of that table plus its tile."""
+        fam = zeta2_family(0.75, 1000)
+        mu0 = point_mass(1, 1000)
+        f = indicator_observable(1, 1000)
+        trials, n = 200, 2 * 10**4
+        table = trials * (n + 1) * 2
+        tile = trials * 8 * _tile_width(trials, n + 1, 2)
+        tracemalloc.start()
+        try:
+            nhmc.simulate_sums(mu0, fam, f, n, trials, base_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (table + tile)
