@@ -102,9 +102,14 @@ def _config_int(value, name: str) -> int:
     raise KernelValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _config_ints(values, name: str) -> list:
+    """``_config_int`` of each entry of a sequence, or of one value."""
+    return [_config_int(v, name) for v in (values if np.ndim(values) else [values])]
+
+
 def _horizon_grid(values, name: str) -> np.ndarray:
-    """The sorted int64 horizons; rejects an empty grid, repeats and entries below 1."""
-    grid = np.asarray(sorted(int(v) for v in np.atleast_1d(values)), dtype=np.int64)
+    """Sorted int64 horizons; refuses an empty grid, repeats, non-integers and entries below 1."""
+    grid = np.asarray(sorted(_config_ints(values, f"{name} entry")), dtype=np.int64)
     if grid.size == 0 or np.any(np.diff(grid) == 0):
         raise KernelValidationError(f"{name} must be nonempty, without repeats")
     if grid[0] < 1:
@@ -182,10 +187,9 @@ class TruncatedKernel:
         cdf[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
         return cdf
 
-    def draw(self, state: np.ndarray, u: np.ndarray, base=None) -> np.ndarray:
+    def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states ``min{j : C[state, j] >= u}`` (one uniform per state): the
-        count of row-CDF entries strictly below u.  ``base``, the base-row
-        search a band step may be handed, has no use here."""
+        count of row-CDF entries strictly below u."""
         return (self._row_cdf[state] < u[:, None]).sum(axis=1)
 
 
@@ -399,6 +403,14 @@ class _RankOneBand:
             out[miss] = np.searchsorted(self.base_cdf, u[miss], side="left")
         return out
 
+    def promotions(self, base: np.ndarray, u: np.ndarray, scale, out=None) -> np.ndarray:
+        """``u > C[base] - scale * pert[base]``: where a draw from state ``base``
+        moves up one (never from N: C = 1, pert = 0).  ``scale`` may be a
+        column of per-step scales for a step-major span."""
+        limit = self.pert[base]
+        limit *= scale  # in place: a span's temporaries drive the walk's peak memory
+        return np.greater(u, np.subtract(self.base_cdf[base], limit, out=limit), out=out)
+
     def pull_terms(self, values: np.ndarray) -> tuple[float, np.ndarray]:
         """(b·h, dh) with ``dh[i] = h[i+1] - h[i]`` (0 at N): the parts of
         ``P_k h`` that do not depend on k."""
@@ -512,24 +524,25 @@ class _BandStep:
         out += np.multiply(mass, self.band.base_row, out=moved)  # moved is spent
         return out
 
-    def draw(self, state: np.ndarray, u: np.ndarray, base=None) -> np.ndarray:
+    def draw(self, state: np.ndarray, u: np.ndarray, base=None, promote=None) -> np.ndarray:
         """Next states as ``TruncatedKernel.draw`` gives them from the dense
         ``make_kernel`` rows, except for uniforms within about one ulp of a
         row-CDF entry: the two CDFs round differently, so there a draw may land
         on a nearby state (about 5% of the uniforms at and one ulp either side
         of each entry, under either tail policy).  Row i < N is the base row
         with ``scale * pert[i]`` mass moved from column i to i+1, which lowers
-        its CDF at index i alone: one base-CDF search serves every such state,
-        plus a promotion to i+1 when the base draw is the current state i and u
-        exceeds ``C[i] - scale * pert[i]``.  The base search is
-        ``band.search(u)``, or ``base`` when the caller has done it.  A draw
-        from state N searches the last row's own CDF."""
-        cdf = self.band.base_cdf
+        its CDF at index i alone.  So the draw is ``base = band.search(u)``
+        plus one where ``base`` is the current state and ``promote =
+        band.promotions(base, u, scale)`` holds; neither reads the state, so a
+        walk may hand both in for a span of steps.  A draw from state N
+        under renormalize searches the last row's own CDF."""
         if base is None:
             base = self.band.search(u)
+            promote = self.band.promotions(base, u, self.scale)
         # a promoted draw equals the current state, so promotion adds one
-        out = base + ((base == state) & (u > cdf[state] - self.scale * self.band.pert[state]))
+        out = base + ((base == state) & promote)
         if self.band.last:
+            cdf = self.band.base_cdf
             at_last = state == cdf.size - 1
             last_cdf = cdf / (1.0 - self.scale * self.band.last)
             last_cdf[-1] = 1.0  # a rounded-down end would let a uniform fall past state N

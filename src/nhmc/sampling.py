@@ -31,17 +31,20 @@ uniforms.
 
 Each step is drawn by the step operator of ``KernelFamily.steps``: its
 ``draw`` maps the current states and one uniform each to the next states.
-A band step's draw starts from the base-CDF index of u, which does not
-depend on the state, so the walk finds it for ``_SEARCH_SPAN`` columns of a
-tile at once through the band's guide table (an exact bucket lookup with a
-search only in the buckets that hold a CDF entry; ``_RankOneBand.search``).
+A band step's draw is its base-CDF index B plus the promotion test
+``B == state and u > C[B] - s pert[B]``, and only ``B == state`` reads the
+state.  So the walk copies ``_SEARCH_SPAN`` columns of a tile step-major
+into a reused buffer, searches them through the band's guide table (an
+exact bucket lookup with a search only in the buckets that hold a CDF entry;
+``_RankOneBand.search``) and tests their promotions into a second one, a
+span at once: a step is left a compare and an add.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import InitialDistribution, KernelFamily, KernelValidationError
+from .kernels import InitialDistribution, KernelFamily, KernelValidationError, _config_int
 
 __all__ = ["sample_trajectory", "sample_paths", "iter_seed_blocks", "trial_seeds"]
 
@@ -157,34 +160,40 @@ def _initial_states(mu0: InitialDistribution, u0: np.ndarray) -> np.ndarray:
 def _spans(family: KernelFamily, seeds: np.ndarray, count: int, width: int):
     """Yield (start, u, base) for the uniforms of tiles of ``width`` columns,
     split into spans of ``_SEARCH_SPAN``: ``u`` is the span from column
-    ``start`` on and ``base`` its base-CDF indices ``family.structure.search(u)``
-    (None for a family without the structure), searched transposed so that
-    each column's indices are contiguous.  A band step's base search does not
-    depend on the current state, so one search serves every column of a
-    span."""
+    ``start`` on, copied step-major (row j is step start + j) into a buffer
+    reused by the next span, and ``base`` its base-CDF indices
+    ``family.structure.search(u)`` (None for a family without the structure)."""
     band = family.structure
+    buf = np.empty((_SEARCH_SPAN, len(seeds)))
     start = 0
     for tile in _uniform_tiles(seeds, count, width):
         for j in range(0, tile.shape[1], _SEARCH_SPAN):
-            u = tile[:, j : j + _SEARCH_SPAN]
-            yield start, u, None if band is None else band.search(u.T).T
-            start += u.shape[1]
+            u = buf[: min(_SEARCH_SPAN, tile.shape[1] - j)]
+            np.copyto(u, tile[:, j : j + len(u)].T)
+            yield start, u, None if band is None else band.search(u)
+            start += len(u)
 
 
 def _walk(family: KernelFamily, mu0: InitialDistribution, n: int, seeds: np.ndarray,
           width: int):
     """Yield (k, P_k, X_k) for k = 0..n (``P_0`` is None): X_0 drawn with
     uniform 0 of each trial's stream and X_k by ``P_k.draw`` with uniform k,
-    the uniforms drawn in tiles of ``width`` per trial."""
+    the uniforms drawn in tiles of ``width`` per trial.  A band step gets the
+    base search and promotion test made for its whole span, at s(k) per step."""
     steps = family.steps(n)
+    band = family.structure
+    if band is not None:  # s(k) at index k, the values ``steps`` holds
+        scales = np.concatenate(([0.0], family.perturbation_scale(np.arange(1, n + 1))))
+        promote = np.empty((_SEARCH_SPAN, len(seeds)), dtype=bool)
     for start, u, base in _spans(family, seeds, n + 1, width):
-        bases = [None] * u.shape[1] if base is None else base.T
-        for k, col, col_base in zip(range(start, start + u.shape[1]), u.T, bases):
+        hints = [()] * len(u) if band is None else zip(base, band.promotions(
+            base, u, scales[start : start + len(u), None], out=promote[: len(u)]))
+        for k, col, hint in zip(range(start, start + len(u)), u, hints):
             if k == 0:
                 step, state = None, _initial_states(mu0, col)
             else:
                 step = next(steps)
-                state = step.draw(state, col, col_base)
+                state = step.draw(state, col, *hint)
             yield k, step, state
 
 
@@ -202,9 +211,9 @@ def _sample_block(family, mu0, n: int, seeds: np.ndarray) -> np.ndarray:
     if family.kind == "constant" and family.structure is not None:
         # i.i.d. draws from one row: the base-CDF search is the draw
         for start, u, base in _spans(family, seeds, n + 1, width):
-            paths[:, start : start + u.shape[1]] = base
+            paths[:, start : start + len(u)] = base.T
             if start == 0:
-                paths[:, 0] = _initial_states(mu0, u[:, 0])
+                paths[:, 0] = _initial_states(mu0, u[0])
     else:
         # states gather step-major, one span at a time, and go to the path
         # table a span at a time: a column at a time strides the whole table
@@ -228,6 +237,7 @@ def sample_paths(
     plus 1 always fits, but other arithmetic on the table wraps in its
     dtype: widen it first (``paths.astype(np.int64)``).
     """
+    n = _config_int(n, "horizon")
     if n < 0:
         raise KernelValidationError(f"horizon must be >= 0, got {n}")
     if mu0.size != family.size:

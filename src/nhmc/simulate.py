@@ -29,6 +29,7 @@ from .kernels import (
     ObservableSet,
     _Horizons,
     _band_series,
+    _config_ints,
     _horizon_grid,
     _propagation_steps,
     _readonly,
@@ -112,7 +113,7 @@ def simulate_sums(
     """
     if trials < 1:
         raise KernelValidationError(f"trials must be >= 1, got {trials}")
-    horizons = [int(h) for h in np.atleast_1d(n)]
+    horizons = _config_ints(n, "horizon")
     if not horizons or min(horizons) < 0:
         raise KernelValidationError(f"horizons must be >= 0, got {n}")
     n_max = max(horizons)

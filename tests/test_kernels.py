@@ -365,6 +365,20 @@ class TestExpectedSum:
             expected_sum(start200, zeta2_small, ind200, grid)
 
 
+    @pytest.mark.parametrize("n", [10.7, True, [3, 9.5]], ids=["fraction", "bool", "grid"])
+    def test_non_integer_horizon_rejected(self, n):
+        """A fraction or a bool is refused, never truncated to a horizon."""
+        fam, mu0, f = zeta2_family(0.75, 30), point_mass(1, 30), indicator_observable(1, 30)
+        with pytest.raises(KernelValidationError, match="horizons entry must be an integer"):
+            expected_sum(mu0, fam, f, n)
+
+    def test_integral_float_horizon_is_that_integer(self):
+        fam, mu0, f = zeta2_family(0.75, 30), point_mass(1, 30), indicator_observable(1, 30)
+        assert expected_sum(mu0, fam, f, 10.0) == expected_sum(mu0, fam, f, 10)
+        assert (expected_sum(mu0, fam, f, [4.0, 10.0]).tolist()
+                == expected_sum(mu0, fam, f, [4, 10]).tolist())
+
+
 def propagated_step_values(mu0, family, obs, n):
     """E f_l(X_k), k = 1..n, by step-by-step propagation of the law."""
     out = np.empty((n, len(obs)))

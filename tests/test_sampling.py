@@ -20,7 +20,7 @@ from nhmc import (
     zeta2_family,
 )
 from nhmc import sampling
-from nhmc.sampling import _tile_width, _uniform_tiles, iter_seed_blocks
+from nhmc.sampling import _initial_states, _tile_width, _uniform_tiles, iter_seed_blocks
 
 
 def default_rng_rows(seeds, count):
@@ -29,6 +29,16 @@ def default_rng_rows(seeds, count):
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1]
+
+
+def stepwise_paths(seeds, mu0, steps, n):
+    """The plain walk: X_0 drawn from mu0, then ``step.draw(state, u)`` one
+    column at a time over the n ``steps``, on one tile of the stream."""
+    u = next(_uniform_tiles(seeds, n + 1, n + 1))
+    cols = [_initial_states(mu0, u[:, 0])]
+    for k, step in enumerate(steps, start=1):
+        cols.append(step.draw(cols[-1], u[:, k]))
+    return np.stack(cols, axis=1)
 
 
 class TestStream:
@@ -113,6 +123,17 @@ class TestStream:
         assert 4096 * 8 * _tile_width(4096, n + 1, 0) <= 8 * 2**20
 
 
+class TestHorizon:
+    @pytest.mark.parametrize("n", [3.5, True], ids=["fraction", "bool"])
+    def test_non_integer_horizon_rejected(self, n, start200, zeta2_small):
+        with pytest.raises(KernelValidationError, match="horizon must be an integer"):
+            sample_paths(trial_seeds(1, 2), start200, zeta2_small, n)
+
+    def test_integral_float_horizon_is_that_integer(self, start200, zeta2_small):
+        np.testing.assert_array_equal(sample_paths(trial_seeds(1, 2), start200, zeta2_small, 3.0),
+                                      sample_paths(trial_seeds(1, 2), start200, zeta2_small, 3))
+
+
 class TestDeterminism:
     def test_same_seed_same_path(self, zeta2_small, start200):
         p1 = sample_trajectory(123, start200, zeta2_small, 200)
@@ -181,6 +202,31 @@ class TestSamplerCorrectness:
                 sample_trajectory(seed, start200, fam, 80),
                 sample_trajectory(seed, start200, general, 80),
             )
+
+    @pytest.mark.parametrize("width", [5, 11, 121])
+    @pytest.mark.parametrize("family", [
+        zeta2_family(0.75, 4),
+        zeta2_family(0.75, 4, nhmc.TailPolicy.RENORMALIZE),
+        nhmc.zeta4_family(0.75, 1.0, 4),
+        nhmc.zeta4_family(0.75, 1.0, 4, nhmc.TailPolicy.RENORMALIZE),
+        constant_family(nhmc.make_limit_kernel("zeta2", 4)),
+    ], ids=["zeta2", "zeta2_renormalize", "zeta4", "zeta4_renormalize", "constant"])
+    def test_span_walk_equals_the_stepwise_draw(self, family, width, monkeypatch):
+        """Spans searched and promotion-tested in bulk, cut at tile ends of
+        ``width`` columns, give the paths of one ``step.draw`` per step, at
+        an N small enough that the walk reaches state N and its last row.
+        Those paths are also the dense kernels' (no uniform lies within an
+        ulp of a row-CDF entry here)."""
+        seeds = trial_seeds(123, 40)
+        mu0 = uniform_initial(4)
+        want = stepwise_paths(seeds, mu0, family.steps(120), 120)
+        dense = stepwise_paths(seeds, mu0, (family.kernel_at(k) for k in range(1, 121)), 120)
+        np.testing.assert_array_equal(want, dense)
+        monkeypatch.setattr(sampling, "_MIN_TILE", 1)
+        monkeypatch.setattr(sampling, "_TILE_BYTES", 40 * 8 * width)
+        assert _tile_width(40, 121, 1) == width
+        np.testing.assert_array_equal(sample_paths(seeds, mu0, family, 120), want)
+        assert (want == 3).sum() > 20 and (np.diff(want, axis=1) == 1).sum() > 100
 
     def test_uniform_just_below_one_stays_on_the_states(self):
         """The zeta4 base CDF sums to 1 - 5.6e-16 at N=150; the band step and

@@ -112,6 +112,17 @@ class TestSimulateSums:
         with pytest.raises(KernelValidationError, match="horizons"):
             simulate_sums(start200, zeta2_small, ind200, [5, -1, 9], 10, 1)
 
+    @pytest.mark.parametrize("n", [[5.9], 5.9, True, [True, 3]],
+                             ids=["grid_fraction", "fraction", "bool", "grid_bool"])
+    def test_non_integer_horizon_rejected(self, zeta2_small, start200, ind200, n):
+        """A fraction or a bool is refused, never truncated to a horizon."""
+        with pytest.raises(KernelValidationError, match="horizon must be an integer"):
+            simulate_sums(start200, zeta2_small, ind200, n, 3, 1)
+
+    def test_integral_float_horizon_is_that_integer(self, zeta2_small, start200, ind200):
+        np.testing.assert_array_equal(simulate_sums(start200, zeta2_small, ind200, [5.0], 3, 1),
+                                      simulate_sums(start200, zeta2_small, ind200, [5], 3, 1))
+
     def test_observable_set_returns_matrix(self, zeta2_small, start200):
         obs = ObservableSet(
             (indicator_observable(1, 200), indicator_observable(2, 200))
