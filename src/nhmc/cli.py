@@ -39,7 +39,7 @@ from .ergodicity import (
     condition_profile,
     stationary,
 )
-from .kernels import KernelValidationError, _Horizons, expected_sum
+from .kernels import _ZETA_POWER, KernelValidationError, _BandStep, _Horizons, expected_sum
 from .rates import (
     RateComputationError, ThetaPositivityError, asymptotic_variance, build_rate_model, rate_1d,
 )
@@ -158,17 +158,24 @@ def verify_manifest(out_dir: str | Path) -> bool:
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int,
                  budget: _Budget) -> tuple[list[Path], dict]:
+    """Check the kernels at the sampled steps: a band family's from its base
+    row, band and s(k) in O(N) (``_BandStep.check_rows``), a table or
+    constant family's dense rows."""
     family = cfg.family
     checks = []
     failures = []
     for k in VALIDATE_STEP_SAMPLE:
         try:
-            kern = family.kernel_at(k)
+            if family.kind in _ZETA_POWER:
+                min_entry, row_err = _BandStep(family.structure,
+                                               family.perturbation_scale(k)).check_rows()
+            else:
+                rows = family.kernel_at(k).rows
+                min_entry, row_err = float(rows.min()), float(np.abs(rows.sum(axis=1) - 1.0).max())
         except KernelValidationError as exc:
             failures.append({"k": k, "error": str(exc)})
             continue
-        row_err = float(np.abs(kern.rows.sum(axis=1) - 1.0).max())
-        checks.append({"k": k, "max_row_mass_error": row_err, "min_entry": float(kern.rows.min())})
+        checks.append({"k": k, "max_row_mass_error": row_err, "min_entry": min_entry})
         budget.check(f"kernel k={k}")
     report = {
         "passed": not failures,

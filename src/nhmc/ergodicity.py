@@ -28,6 +28,7 @@ from .kernels import (
     _BandStep,
     _RankOneBand,
     _ZETA_POWER,
+    _config_int,
     _horizon_grid,
     _readonly,
 )
@@ -295,7 +296,7 @@ def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarr
     power = np.zeros((cut, width + 1))  # power[i, d] = (B^t)[i, i+d]
     power[:, 0] = 1.0
     band_sum = np.zeros((len(starts), cut, width + 1))  # sum_t c_t B^t
-    block = np.tile(np.eye(size)[cut:], (len(starts), 1, 1))  # c_t M_t on rows cut..
+    block = np.tile(np.eye(size - cut, size, cut), (len(starts), 1, 1))  # c_t M_t on rows cut..
     block_sum = np.zeros_like(block)
     r = np.tile(band.base_row, (len(starts), 1))
     r_sum = np.zeros_like(r)
@@ -346,6 +347,7 @@ def condition_profile(
     """
     condition = ConvergenceCondition(condition)
     n_grid = _horizon_grid(n_grid, "n_grid")
+    m_sup_range = _config_int(m_sup_range, "m_sup_range")
     if m_sup_range < 0:
         raise KernelValidationError("m_sup_range must be >= 0")
     n_max = int(n_grid[-1])
@@ -415,10 +417,18 @@ def _levels(adj: np.ndarray) -> np.ndarray:
 
 def _check_irreducible(P: TruncatedKernel) -> np.ndarray:
     """Raise unless state 1 reaches every state and every state reaches it;
-    return the forward levels."""
-    adj = P.rows > 0.0
-    level = _levels(adj)
-    for levels, relation in ((level, "is not reachable from"), (_levels(adj.T), "cannot reach")):
+    return the forward levels.  A kernel held as its one row b is checked in
+    O(N): state 1 reaches j (level 1) iff b_j > 0, and every state reaches
+    state 1 iff b_1 > 0, else none does and state 2 comes first."""
+    row = P._row
+    if row is None:
+        adj = P.rows > 0.0
+        level, back = _levels(adj), _levels(adj.T)
+    else:
+        level = np.where(row > 0.0, 1, -1)
+        back = np.full(P.size, 1 if row[0] > 0.0 else -1)
+        level[0] = back[0] = 0
+    for levels, relation in ((level, "is not reachable from"), (back, "cannot reach")):
         if levels.min() < 0:  # argmin is the first unreached state
             raise ReducibleKernelError(
                 f"kernel is reducible: state {levels.argmin() + 1} {relation} state 1"
@@ -432,13 +442,15 @@ def stationary(P: TruncatedKernel) -> StationaryVector:
     Power iteration runs on the transpose with L1 normalization and stops when
     successive iterates agree within ``STATIONARY_TOL``; if it has not
     converged after ``STATIONARY_SWEEPS`` sweeps the fixed point is computed
-    by solving (P^T - I) pi = 0 with a normalization row.
+    by solving (P^T - I) pi = 0 with a normalization row.  A kernel held as
+    its one row b (every built-in limit) starts at its fixed point b / sum(b),
+    which one O(N) sweep confirms.
     """
     _check_irreducible(P)
     n = P.size
-    x = np.full(n, 1.0 / n)
+    x = np.full(n, 1.0 / n) if P._row is None else P._row / P._row.sum()
     for _ in range(STATIONARY_SWEEPS):
-        y = x @ P.rows
+        y = P.push(x)
         y /= y.sum()
         if np.abs(y - x).sum() <= STATIONARY_TOL:
             x = y
@@ -451,15 +463,19 @@ def stationary(P: TruncatedKernel) -> StationaryVector:
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         x = np.clip(x, 0.0, None)
         x /= x.sum()
-    residual = float(np.abs(x @ P.rows - x).sum())
+    residual = float(np.abs(P.push(x) - x).sum())
     if residual > 1e-10:
         raise ConvergenceError(f"stationary solve residual {residual} exceeds 1e-10")
     return StationaryVector(x, residual)
 
 
 def period(P: TruncatedKernel) -> int:
-    """gcd of cycle lengths: of ``level[u] + 1 - level[v]`` over the edges u -> v."""
+    """gcd of cycle lengths: of ``level[u] + 1 - level[v]`` over the edges u -> v.
+    An irreducible kernel held as its one row b has every b_j > 0, so state 1
+    has a loop and the period is 1."""
     level = _check_irreducible(P)
+    if P._row is not None:
+        return 1
     u, v = np.nonzero(P.rows > 0.0)
     return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 

@@ -143,6 +143,13 @@ class TruncatedKernel:
     ``rows[i, j]`` is the probability of moving from state i+1 to state j+1.
     Each row must sum to one within 1e-12; entries may undershoot/overshoot
     [0, 1] by at most 1e-12 and are clamped.
+
+    A kernel whose rows all equal one row b is held as that row when ``rows``
+    is ``np.broadcast_to(b, (N, N))``, a read-only view whose rows share b's
+    memory (a zero first stride).  It is validated on b alone, and
+    ``apply_to_function`` (b·h at every state), ``push`` (each law's mass
+    times b), ``draw`` (a search of b's CDF) and ``has_identical_rows`` take
+    O(N) or less; ``rows`` stays readable as the N x N matrix.
     """
 
     rows: np.ndarray
@@ -154,42 +161,63 @@ class TruncatedKernel:
         n = rows.shape[0]
         if n < 2:
             raise KernelValidationError(f"need at least 2 states, got {n}")
-        if not np.isfinite(rows).all():
+        one_row = rows.strides[0] == 0
+        checked = rows[:1] if one_row else rows
+        if not np.isfinite(checked).all():
             raise KernelValidationError("kernel entries must be finite")
-        if rows.min() < -ROW_TOL or rows.max() > 1.0 + ROW_TOL:
+        if checked.min() < -ROW_TOL or checked.max() > 1.0 + ROW_TOL:
             raise KernelValidationError(
-                f"entries outside [0,1] beyond tolerance: min={rows.min()}, max={rows.max()}"
+                f"entries outside [0,1] beyond tolerance: min={checked.min()}, "
+                f"max={checked.max()}"
             )
-        err = np.abs(rows.sum(axis=1) - 1.0).max()
+        err = np.abs(checked.sum(axis=1) - 1.0).max()
         if err > ROW_TOL:
             raise KernelValidationError(f"row mass deviates from 1 by {err}")
-        object.__setattr__(self, "rows", _readonly(np.clip(rows, 0.0, 1.0)))
+        clipped = np.clip(checked, 0.0, 1.0)  # broadcast_to gives a read-only view
+        object.__setattr__(self, "rows", np.broadcast_to(clipped, rows.shape) if one_row
+                           else _readonly(clipped))
 
     @property
     def size(self) -> int:
         return self.rows.shape[0]
 
+    @property
+    def _row(self) -> np.ndarray | None:
+        """b for a kernel held as its one row, else None."""
+        return self.rows[0] if self.rows.strides[0] == 0 else None
+
     def has_identical_rows(self) -> bool:
+        if self._row is not None:
+            return True
         return bool(np.abs(self.rows - self.rows[0]).max() <= ROW_TOL)
 
     def apply_to_function(self, values: np.ndarray) -> np.ndarray:
         """Row-wise expectation of a state function: (P h)(i)."""
-        return self.rows @ np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if self._row is not None:
+            return np.full((self.size,) + values.shape[1:], self._row @ values)
+        return self.rows @ values
 
     def push(self, probs: np.ndarray, mass=1.0) -> np.ndarray:
         """One forward step of a law, or of a stack of row laws: p P.  A
-        matmul needs no ``mass``; it is taken for the band step's signature."""
+        matmul needs no ``mass``; it is taken for the band step's signature.
+        A kernel held as its one row b gives each law's own total times b."""
+        if self._row is not None:
+            return np.multiply.outer(np.sum(probs, axis=-1), self._row)
         return probs @ self.rows
 
     @cached_property
     def _row_cdf(self) -> np.ndarray:
-        cdf = np.cumsum(self.rows, axis=1)
-        cdf[:, -1] = 1.0  # a rounded-down end would let a uniform fall past state N
+        cdf = np.cumsum(self.rows if self._row is None else self._row, axis=-1)
+        cdf[..., -1] = 1.0  # a rounded-down end would let a uniform fall past state N
         return cdf
 
     def draw(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states ``min{j : C[state, j] >= u}`` (one uniform per state): the
-        count of row-CDF entries strictly below u."""
+        count of row-CDF entries strictly below u, a search of b's CDF for a
+        kernel held as its one row b."""
+        if self._row is not None:
+            return np.searchsorted(self._row_cdf, u, side="left")
         return (self._row_cdf[state] < u[:, None]).sum(axis=1)
 
 
@@ -503,6 +531,28 @@ class _BandStep:
         lost = self.scale * self.band.last
         return (base - lost * values[-1]) / (1.0 - lost)
 
+    def check_rows(self) -> tuple[float, float]:
+        """(smallest entry, largest |row mass - 1|) of P_k in O(N), as the band
+        form defines its rows, or ``KernelValidationError`` beyond ``ROW_TOL``
+        as TruncatedKernel would raise.  Row i < N moves ``scale * pert[i]``
+        within b, so its mass is b's and its smallest entry that of
+        ``b - scale * pert``; renormalize's row N is its own."""
+        b = self.band.base_row
+        low, masses = (b - self.scale * self.band.pert).min(), [b.sum()]
+        if self.band.last:
+            lost = self.scale * self.band.last
+            last = b.copy()
+            last[-1] -= lost
+            last /= 1.0 - lost
+            low = min(low, last.min())
+            masses.append(last.sum())
+        low, err = float(low), float(max(abs(m - 1.0) for m in masses))
+        if low < -ROW_TOL:
+            raise KernelValidationError(f"entries outside [0,1] beyond tolerance: min={low}")
+        if err > ROW_TOL:
+            raise KernelValidationError(f"row mass deviates from 1 by {err}")
+        return low, err
+
     def push(self, probs: np.ndarray, mass=1.0) -> np.ndarray:
         """p P_k: the law's ``mass`` (its total) moves to the base row, and the
         band shifts ``scale * p * pert`` one state up.  ``probs`` may be a
@@ -614,14 +664,15 @@ def _zeta_scale(kind: str, alpha: float, beta: float | None, k) -> np.ndarray | 
 # ---------------------------------------------------------------------------
 
 def make_limit_kernel(kind: str, size: int, tail_policy: TailPolicy = TailPolicy.LUMP) -> TruncatedKernel:
-    """The identical-rows limit kernel of a built-in family, truncated to N states."""
+    """The identical-rows limit kernel of a built-in family, truncated to N
+    states and held as its one base row (O(N) memory; see TruncatedKernel)."""
     kind = _KIND_ALIASES.get(kind, kind)
     if kind not in _ZETA_POWER:
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
     if size < 3:
         raise KernelValidationError("need N >= 3")
     row = _zeta_structure(kind, size, tail_policy).base_row
-    return TruncatedKernel(np.tile(row, (size, 1)))
+    return TruncatedKernel(np.broadcast_to(row, (size, size)))
 
 
 def make_kernel(
@@ -762,7 +813,8 @@ def zeta4_family(
 
 
 def constant_family(kernel: TruncatedKernel) -> KernelFamily:
-    """The same kernel at every step; the limit is the kernel itself."""
+    """The same kernel at every step; the limit is the kernel itself.  A
+    kernel held as its one row skips the O(N^2) identical-rows check."""
     struct = None
     if kernel.has_identical_rows():
         row = kernel.rows[0]
@@ -825,6 +877,7 @@ def family_from_config(cfg: dict) -> KernelFamily:
 
 def kernel_product(family: KernelFamily, m: int, n: int) -> TruncatedKernel:
     """The matrix product P_{m+1} P_{m+2} ... P_n on the truncated space."""
+    m, n = _config_int(m, "start index m"), _config_int(n, "end index n")
     if n <= m or m < 0:
         raise KernelValidationError(f"need n > m >= 0, got m={m}, n={n}")
     rows = np.eye(family.size)
@@ -845,6 +898,7 @@ def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
 
 def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> DistributionVector:
     """Exact forward distribution of X_k (k vector-matrix products, never a full product matrix)."""
+    k = _config_int(k, "step count")
     if k < 0:
         raise KernelValidationError(f"step count must be >= 0, got {k}")
     probs = mu0.probs
@@ -893,6 +947,7 @@ def expected_step_values(
     ``SERIES_TOL`` = 2^-60 times max |f_l| dropped from each value.  The other
     families propagate the law step by step, each value ``probs @ f_l``.
     """
+    n = _config_int(n, "step count")
     if n < 0:
         raise KernelValidationError(f"step count must be >= 0, got {n}")
     if obs.size != family.size:

@@ -24,10 +24,13 @@ each state in the smallest signed integer type that holds every label 1..N
 tile fit ``_BLOCK_BYTES`` (64 MiB): ``sample_paths`` sizes its blocks by a
 path table of 4 bytes a state, an upper bound for every type (a tile of at
 least ``_MIN_TILE`` columns must fit beside it), and the tile takes what
-the actual table leaves, up to ``_TILE_BYTES`` (8 MiB; a tile costs one
-``random`` call per trial, about 1 µs).  A walk that stores no path, as the
-martingale pass, holds 4096 trials at any horizon and only a tile of
-uniforms.
+the actual table leaves, up to ``_TILE_BYTES`` (4 MiB; a tile costs one
+``random`` call per trial).  The tile's buffer is rounded up to a power of
+two floats, so the passes of one process reuse one freed block for their
+tiles; glibc keeps up to twice the largest block it has mapped and freed,
+so a smaller cap also bounds what it keeps between passes.  A walk that
+stores no path, as the martingale pass, holds 4096 trials at any horizon
+and only a tile of uniforms.
 
 Each step is drawn by the step operator of ``KernelFamily.steps``: its
 ``draw`` maps the current states and one uniform each to the next states.
@@ -49,7 +52,7 @@ from .kernels import InitialDistribution, KernelFamily, KernelValidationError, _
 __all__ = ["sample_trajectory", "sample_paths", "iter_seed_blocks", "trial_seeds"]
 
 _BLOCK_BYTES = 64 * 2**20  # a block's path table plus its uniforms tile
-_TILE_BYTES = 8 * 2**20  # a uniforms tile, at the most
+_TILE_BYTES = 4 * 2**20  # a uniforms tile, at the most
 _MAX_BLOCK = 4096  # trials per block
 _MIN_TILE = 64  # uniforms per trial in a tile, at the least
 _SEARCH_SPAN = 8  # tile columns per bulk base-CDF search
@@ -132,7 +135,11 @@ def _uniform_tiles(seeds: np.ndarray, count: int, width: int):
     gens = [np.random.Generator(np.random.PCG64(_StateWords(words)))
             for words in np.stack(_seed_state_words(seeds), axis=1)]
     width = min(width, count)
-    buf = np.empty((len(seeds), width))
+    # a buffer of a power of two floats, used only as far as the tile needs:
+    # passes whose tiles differ a little then ask for the same size, and one
+    # reuses the block another freed where a larger one would take fresh memory
+    size = len(seeds) * width
+    buf = np.empty(1 << (size - 1).bit_length())[:size].reshape(len(seeds), width)
     for start in range(0, count, width):
         tile = buf[:, : min(width, count - start)]
         for gen, row in zip(gens, tile):

@@ -54,6 +54,34 @@ class TestValidate:
         assert report["truncation_tail_mass"] == pytest.approx(6 / np.pi**2 / 1000, rel=0.01)
         assert max(c["max_row_mass_error"] for c in report["kernel_checks"]) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    @pytest.mark.parametrize("policy", ["lump", "renormalize"])
+    def test_band_family_checked_from_its_band_form(self, tmp_path, monkeypatch, kind, policy):
+        """A band family's sampled steps are checked from b, pert and s(k),
+        without building a dense kernel; the smallest entry is the dense
+        kernel's and each row mass is 1 within rounding."""
+        family = {"kind": kind, "alpha": 0.75, "beta": 1.0, "N": 60, "tail_policy": policy}
+        cfg = base_config(tmp_path / "out", family=family)
+        fam = ExperimentConfig.from_dict(cfg).family
+        dense = {k: fam.kernel_at(k).rows for k in cli.VALIDATE_STEP_SAMPLE}
+
+        def no_dense(self, k):
+            raise AssertionError("kernel_at called")
+
+        monkeypatch.setattr(nhmc.KernelFamily, "kernel_at", no_dense)
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "validate_report.json").read_text())
+        assert [c["k"] for c in report["kernel_checks"]] == list(cli.VALIDATE_STEP_SAMPLE)
+        for check in report["kernel_checks"]:
+            assert check["min_entry"] == pytest.approx(dense[check["k"]].min(), abs=1e-16)
+            assert check["max_row_mass_error"] <= 1e-15
+
+    def test_band_form_beyond_tolerance_is_a_failure(self):
+        fam = nhmc.zeta2_family(0.75, 20)
+        with pytest.raises(nhmc.KernelValidationError, match="outside"):
+            nhmc.kernels._BandStep(fam.structure, 1.5).check_rows()
+
     @pytest.mark.parametrize("family", [
         {"kind": "zeta2", "alpha": 0.4, "N": 50},
         {"kind": "zeta2", "alpha": float("nan"), "N": 50},
@@ -442,6 +470,23 @@ def test_every_command_runs_with_scipy_unimportable(tmp_path):
     path = write_config(tmp_path, "cfg.json", cfg)
     code = ("import json, sys\n"
             "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+            "from nhmc import cli\n"
+            "print(json.dumps({c: cli.main([c, '--config', sys.argv[1]]) for c in cli.COMMANDS}))")
+    codes = json.loads(run_python(code, path).splitlines()[-1])
+    assert codes == dict.fromkeys(cli.COMMANDS, 0)
+
+
+def test_every_command_runs_at_n_32767_in_3_gib(tmp_path):
+    """No command builds an N x N array for a built-in family: at N = 32767,
+    where one would take 8 GiB, all six exit 0 under a 3 GiB address-space
+    limit."""
+    cfg = base_config(tmp_path / "out", family={"kind": "zeta2", "alpha": 0.75, "N": 32767},
+                      observables=[{"kind": "indicator", "state": 1},
+                                   {"kind": "capped_identity", "cap": 3}],
+                      n_grid=[10, 40], m_sup_range=4, trials=1000)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    code = ("import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n"
             "from nhmc import cli\n"
             "print(json.dumps({c: cli.main([c, '--config', sys.argv[1]]) for c in cli.COMMANDS}))")
     codes = json.loads(run_python(code, path).splitlines()[-1])

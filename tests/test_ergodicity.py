@@ -383,6 +383,18 @@ class TestCesaroScan:
         with pytest.raises(KernelValidationError):
             zeta4_family(0.75, 3.0, 50)
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_fractional_or_bool_m_sup_range_rejected(self, zeta2_small, m):
+        for condition in ConvergenceCondition:
+            with pytest.raises(KernelValidationError, match="m_sup_range must be an integer"):
+                condition_profile(zeta2_small, condition, [5, 10], m_sup_range=m)
+
+    def test_integral_float_m_sup_range_is_that_integer(self, zeta2_small):
+        a = condition_profile(zeta2_small, "cesaro_product_average", [5, 10], m_sup_range=3.0)
+        b = condition_profile(zeta2_small, "cesaro_product_average", [5, 10], m_sup_range=3)
+        assert a.m_sup_range == 3 and isinstance(a.m_sup_range, int)
+        np.testing.assert_array_equal(a.values, b.values)
+
     def test_negative_error_bound_rejected(self):
         with pytest.raises(KernelValidationError):
             ConditionProfile(ConvergenceCondition.CESARO_PRODUCT_AVERAGE, [1], [0.5], 0,
@@ -402,7 +414,48 @@ def test_renormalize_family_builds_no_dense_kernel(monkeypatch):
     assert calls == []
 
 
+_TWIN_CASES = [(kind, policy, size) for kind in ("zeta2", "zeta4")
+               for policy in nhmc.TailPolicy for size in (3, 4, 60)]
+
+
+def _one_row_and_twin(row):
+    """A kernel held as its one row and its dense twin."""
+    row = np.asarray(row, dtype=float)
+    return (TruncatedKernel(np.broadcast_to(row, (row.size, row.size))),
+            TruncatedKernel(np.tile(row, (row.size, 1))))
+
+
 class TestStationary:
+    @pytest.mark.parametrize("kind, policy, size", _TWIN_CASES)
+    def test_one_row_limit_matches_the_twin_power_iteration(self, kind, policy, size):
+        kern = make_limit_kernel(kind, size, policy)
+        one, twin = _one_row_and_twin(kern.rows[0])
+        pi, ref = stationary(kern), stationary(twin)
+        assert np.abs(pi.pi - ref.pi).sum() <= 1e-15
+        np.testing.assert_array_equal(pi.pi, stationary(one).pi)
+        assert pi.residual <= 1e-15 and ref.residual <= 1e-15
+
+    @pytest.mark.parametrize("row", [
+        [0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0],
+        [0.25, 0.25, 0.25, 0.25],
+    ])
+    def test_one_row_irreducibility_and_period_match_the_twin(self, row):
+        """A zero entry makes the kernel reducible: the error names the same
+        first unreached state as the dense search."""
+        one, twin = _one_row_and_twin(row)
+        for fn in (stationary, period):
+            try:
+                expected = fn(twin)
+            except ReducibleKernelError as exc:
+                with pytest.raises(ReducibleKernelError, match=f"^{exc}$"):
+                    fn(one)
+            else:
+                result = fn(one)
+                if fn is period:
+                    assert result == expected == 1
+                else:
+                    np.testing.assert_allclose(result.pi, expected.pi, atol=1e-15)
+
     def test_identical_rows_kernel(self, iid_family):
         pi = stationary(iid_family.limit)
         np.testing.assert_allclose(pi.pi, iid_family.limit.rows[0], atol=1e-13)

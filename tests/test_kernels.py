@@ -51,6 +51,66 @@ class TestTruncatedKernel:
             kern.rows[0, 0] = 0.5
 
 
+_TWIN_CASES = [(kind, policy, size) for kind in ("zeta2", "zeta4")
+               for policy in nhmc.TailPolicy for size in (3, 4, 60)]
+
+
+class TestOneRowKernel:
+    """A limit held as its one row b against its dense twin, the same rows
+    tiled into an N x N array."""
+
+    @staticmethod
+    def pair(kind, policy, size):
+        kern = make_limit_kernel(kind, size, policy)
+        return kern, TruncatedKernel(np.tile(kern.rows[0], (size, 1)))
+
+    @pytest.mark.parametrize("kind, policy, size", _TWIN_CASES)
+    def test_held_as_one_read_only_row(self, kind, policy, size):
+        kern, twin = self.pair(kind, policy, size)
+        assert kern.rows.strides[0] == 0 and twin.rows.strides[0] != 0
+        assert kern.has_identical_rows() and twin.has_identical_rows()
+        np.testing.assert_array_equal(kern.rows, twin.rows)
+        with pytest.raises(ValueError):
+            kern.rows[0, 0] = 0.5
+
+    @pytest.mark.parametrize("kind, policy, size", _TWIN_CASES)
+    def test_apply_and_push_match_the_twin(self, kind, policy, size):
+        kern, twin = self.pair(kind, policy, size)
+        rng = np.random.default_rng(size)
+        h = rng.standard_normal(size)
+        np.testing.assert_allclose(kern.apply_to_function(h), twin.apply_to_function(h),
+                                   rtol=1e-14, atol=1e-15)
+        law = rng.random(size)
+        law /= law.sum()
+        np.testing.assert_allclose(kern.push(law), twin.push(law), rtol=1e-14, atol=0)
+        stack = rng.random((5, size)) * rng.random((5, 1)) * 3  # a mass per law
+        masses = stack.sum(axis=1)
+        for out in (kern.push(stack), kern.push(stack, masses)):
+            assert out.shape == stack.shape
+            np.testing.assert_allclose(out, twin.push(stack), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kind, policy, size", _TWIN_CASES)
+    def test_draw_matches_the_twin(self, kind, policy, size):
+        kern, twin = self.pair(kind, policy, size)
+        cdf = np.cumsum(kern.rows[0])
+        cdf[-1] = 1.0
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+        u = np.concatenate([edges[edges < 1.0], [0.0, 1.0 - 2.0**-53],
+                            np.random.default_rng(size).random(500)])
+        states = np.arange(u.size) % size
+        drawn = kern.draw(states, u)
+        np.testing.assert_array_equal(drawn, twin.draw(states, u))
+        assert drawn.max() <= size - 1
+
+    def test_validated_on_its_row(self):
+        for row, message in (([0.5, 0.6, -0.1], "outside"), ([0.5, 0.4, 0.0], "row mass"),
+                             ([0.5, np.nan, 0.5], "finite")):
+            with pytest.raises(KernelValidationError, match=message):
+                TruncatedKernel(np.broadcast_to(np.array(row), (3, 3)))
+        kern = TruncatedKernel(np.broadcast_to(np.array([-1e-13, 0.5, 0.5 + 1e-13]), (3, 3)))
+        assert kern.rows.strides[0] == 0 and kern.rows.min() == 0.0
+
+
 class TestMakeKernel:
     def test_first_step_has_zero_diagonal(self):
         """At k=1 the perturbation scale is 1, so the diagonal vanishes."""
@@ -274,12 +334,31 @@ class TestKernelProduct:
         with pytest.raises(KernelValidationError):
             kernel_product(iid_family, 3, 3)
 
+    @pytest.mark.parametrize("m, n", [(0, 2.5), (0.5, 2), (True, 3), (0, True)])
+    def test_fractional_or_bool_indices_rejected(self, iid_family, m, n):
+        with pytest.raises(KernelValidationError, match="must be an integer"):
+            kernel_product(iid_family, m, n)
+
+    def test_integral_float_indices_are_those_integers(self, iid_family):
+        np.testing.assert_array_equal(kernel_product(iid_family, 1.0, 3.0).rows,
+                                      kernel_product(iid_family, 1, 3).rows)
+
 
 class TestPropagate:
     def test_zero_steps_returns_start(self, zeta2_small, start200):
         out = propagate(start200, zeta2_small, 0)
         np.testing.assert_array_equal(out.probs, start200.probs)
         assert out.step_index == 0
+
+    @pytest.mark.parametrize("k", [3.5, True, "3"])
+    def test_fractional_or_bool_step_count_rejected(self, zeta2_small, start200, k):
+        with pytest.raises(KernelValidationError, match="step count must be an integer"):
+            propagate(start200, zeta2_small, k)
+
+    def test_integral_float_step_count_is_that_integer(self, zeta2_small, start200):
+        out = propagate(start200, zeta2_small, 3.0)
+        assert out.step_index == 3 and isinstance(out.step_index, int)
+        np.testing.assert_array_equal(out.probs, propagate(start200, zeta2_small, 3).probs)
 
     def test_rank_one_kernel_forgets_the_start(self, iid_family):
         mu0 = nhmc.uniform_initial(200)
@@ -314,6 +393,17 @@ class TestPropagate:
 
 
 class TestExpectedSum:
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_fractional_or_bool_step_count_rejected(self, zeta2_small, start200, ind200, n):
+        obs = nhmc.ObservableSet((ind200,))
+        with pytest.raises(KernelValidationError, match="step count must be an integer"):
+            expected_step_values(start200, zeta2_small, obs, n)
+
+    def test_integral_float_step_count_is_that_integer(self, zeta2_small, start200, ind200):
+        obs = nhmc.ObservableSet((ind200,))
+        np.testing.assert_array_equal(expected_step_values(start200, zeta2_small, obs, 7.0),
+                                      expected_step_values(start200, zeta2_small, obs, 7))
+
     def test_constant_observable(self, iid_family, start200):
         f = nhmc.Observable(np.full(200, 2.5), 2.5)
         assert expected_sum(start200, iid_family, f, 40) == pytest.approx(100.0, abs=1e-10)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ class TestAsymptoticVariance:
         direct = float(row @ f.values**2 - (row @ f.values) ** 2)
         val = asymptotic_variance(stationary(kern), kern, f)
         assert val == pytest.approx(direct, abs=1e-12)
+
+    def test_large_limit_model_is_held_in_linear_memory(self):
+        """At N = 32767 a dense limit would take 8 GiB; the limit held as its
+        one row, pi = b and the rate model of two observables peak under
+        32 MiB together."""
+        size = 32767
+        obs = ObservableSet((indicator_observable(1, size), capped_identity_observable(3, size)))
+        tracemalloc.start()
+        try:
+            lim = make_limit_kernel("zeta2", size)
+            model = build_rate_model(lim, obs, stationary(lim))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        q = 6 / np.pi**2
+        assert model.theta(0) == pytest.approx(q * (1 - q), rel=1e-12)
 
     def test_zeta2_indicator_value(self, q_zeta2):
         lim = make_limit_kernel("zeta2", 1000)

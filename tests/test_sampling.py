@@ -107,7 +107,7 @@ class TestStream:
     @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**6, 16), (10**7, 1)])
     def test_blocks_fit_the_uniforms_budget(self, n, block):
         """A path table of at most 4 bytes a state plus its uniforms tile fit
-        64 MiB, the tile at most 8 MiB; a walk that keeps no path holds 4096 trials at any
+        64 MiB, the tile at most 4 MiB; a walk that keeps no path holds 4096 trials at any
         horizon.  Block sizes are read off the seed slices; no uniforms are
         drawn."""
         seeds = np.arange(5000, dtype=np.int64)
@@ -115,12 +115,12 @@ class TestStream:
         assert len(blocks[0]) == block
         np.testing.assert_array_equal(np.concatenate(blocks), seeds)
         tile_bytes = block * 8 * _tile_width(block, n + 1, 4)
-        assert tile_bytes <= 8 * 2**20
+        assert tile_bytes <= 4 * 2**20
         if block > 1:  # a single trial's path table can exceed the budget on its own
             assert block * (n + 1) * 4 + tile_bytes <= 64 * 2**20
         walk_blocks = list(iter_seed_blocks(seeds, n, paths=False))
         assert [len(b) for b in walk_blocks] == [4096, 904]
-        assert 4096 * 8 * _tile_width(4096, n + 1, 0) <= 8 * 2**20
+        assert 4096 * 8 * _tile_width(4096, n + 1, 0) <= 4 * 2**20
 
 
 class TestHorizon:
@@ -269,12 +269,8 @@ class TestPathTable:
     ])
     def test_smallest_type_that_holds_every_label(self, size, dtype):
         """State N - 1 is stored and label N returned without wrapping, at
-        the edges where N + 1 would leave the type.  The family is zeta2's
-        band without its dense N x N limit kernel (8 GiB at N = 32768),
-        which the walk never reads."""
-        lump = nhmc.TailPolicy.LUMP
-        fam = nhmc.KernelFamily("zeta2", size, lump, limit=None, alpha=0.75,
-                                structure=nhmc.kernels._zeta_structure("zeta2", size, lump))
+        the edges where N + 1 would leave the type."""
+        fam = zeta2_family(0.75, size)
         mu0 = point_mass(size, size)
         paths = sample_paths(trial_seeds(5, 3), mu0, fam, 4)
         assert paths.dtype == dtype
