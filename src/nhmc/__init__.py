@@ -8,7 +8,6 @@ from .kernels import (
     TailPolicy,
     TruncatedKernel,
     InitialDistribution,
-    DistributionVector,
     Observable,
     ObservableSet,
     KernelFamily,
@@ -20,7 +19,6 @@ from .kernels import (
     table_family,
     family_from_config,
     family_to_config,
-    kernel_product,
     propagate,
     expected_sum,
     indicator_observable,
@@ -28,20 +26,17 @@ from .kernels import (
     point_mass,
     uniform_initial,
 )
-from .sampling import sample_trajectory, sample_paths, trial_seeds
+from .sampling import sample_paths, trial_seeds
 from .ergodicity import (
     ReducibleKernelError,
     ConvergenceError,
     ConvergenceCondition,
     ConditionProfile,
     StationaryVector,
-    sup_row_norm,
     dobrushin_delta,
     delta_sequence,
     condition_profile,
     stationary,
-    period,
-    strong_ergodicity_profile,
 )
 from .rates import (
     ThetaPositivityError,
@@ -50,7 +45,6 @@ from .rates import (
     covariance_matrix,
     rate_1d,
     rate_multi,
-    conjugate_gap,
     AtomicSignedMeasure,
     measure_rate_lower_bound,
     RateModel,
@@ -65,7 +59,6 @@ from .simulate import (
     simulate_sums,
     clt_diagnostic,
     mdp_diagnostic,
-    empirical_functionals,
     martingale_check,
 )
 from .config import ExperimentConfig, InvalidConfigError

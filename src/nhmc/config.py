@@ -38,6 +38,9 @@ class InvalidConfigError(ValueError):
 
 
 def _observable_from_spec(spec: dict, size: int) -> Observable:
+    if "tail_value" in spec:
+        raise InvalidConfigError(
+            "an observable lives on the states 1..N: field 'tail_value' is not supported")
     kind = spec.get("kind")
     if kind == "indicator":
         return indicator_observable(_config_int(spec["state"], "observable state"), size)
@@ -49,7 +52,7 @@ def _observable_from_spec(spec: dict, size: int) -> Observable:
             raise InvalidConfigError(
                 f"observable table must have length {size}, got {values.shape}"
             )
-        return Observable(values, float(spec.get("tail_value", 0.0)))
+        return Observable(values)
     raise InvalidConfigError(f"unknown observable kind {kind!r}")
 
 

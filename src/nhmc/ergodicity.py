@@ -39,13 +39,10 @@ __all__ = [
     "ConvergenceCondition",
     "ConditionProfile",
     "StationaryVector",
-    "sup_row_norm",
     "dobrushin_delta",
     "delta_sequence",
     "condition_profile",
     "stationary",
-    "period",
-    "strong_ergodicity_profile",
 ]
 
 
@@ -70,14 +67,6 @@ class ConvergenceCondition(str, Enum):
 # ---------------------------------------------------------------------------
 # norms and coefficients
 # ---------------------------------------------------------------------------
-
-def sup_row_norm(A) -> float:
-    """Max over rows of the L1 row sum; accepts a matrix or a TruncatedKernel."""
-    M = np.asarray(getattr(A, "rows", A), dtype=float)
-    if M.size == 0:
-        return 0.0
-    return float(np.abs(M).sum(axis=1).max())
-
 
 def dobrushin_delta(P) -> float:
     """Contraction coefficient: sup over row pairs of the summed positive parts.
@@ -310,17 +299,20 @@ def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarr
             moved = power * pert_at
             power = -moved
             power[:, 1:] += moved[:, :-1]
-            band_sum += coef[:, t - 1, None, None] * power
+            # one start at a time: no temporary of band_sum's (starts, cut, width + 1) shape
+            for i, c in enumerate(coef[:, t - 1]):
+                band_sum[i] += c * power
             # with mass 0 push drops the 1 b part: s B~ rows
             block = _BandStep(band, s[:, t - 1, None, None]).push(block, 0.0)
             block_sum += block
         if t in grid_pos:
             v = r_sum / t - pi
             v_at = sliding_window_view(np.pad(v, ((0, 0), (0, width))), width + 1, axis=1)[:, :cut]
-            change = np.abs(v_at + band_sum / t) - np.abs(v_at)
-            gap = np.abs(v).sum(axis=1)[:, None] + change.sum(axis=2)
             edge = np.abs(v[:, None] + block_sum / t).sum(axis=2)
-            gaps[:, grid_pos[t]] = np.concatenate([gap, edge], axis=1).max(axis=1)
+            for i in range(len(starts)):  # per start, as band_sum is built
+                change = np.abs(v_at[i] + band_sum[i] / t) - np.abs(v_at[i])
+                gap = np.abs(v[i]).sum() + change.sum(axis=1)
+                gaps[i, grid_pos[t]] = np.concatenate([gap, edge[i]]).max()
     return gaps, error_bound
 
 
@@ -381,7 +373,7 @@ def condition_profile(
 
 
 # ---------------------------------------------------------------------------
-# stationary vector and period
+# stationary vector
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -402,38 +394,35 @@ class StationaryVector:
         object.__setattr__(self, "pi", _readonly(pi))
 
 
-def _levels(adj: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from state 1 over the boolean adjacency ``adj``
-    (-1 where never reached), one numpy pass per level."""
-    level = np.full(adj.shape[0], -1, dtype=np.int64)
-    frontier = np.arange(adj.shape[0]) == 0
-    depth = 0
+def _reached(adj: np.ndarray) -> np.ndarray:
+    """The states that state 1 reaches over the boolean adjacency ``adj``: a
+    breadth-first search, one numpy pass per level."""
+    reached = np.arange(adj.shape[0]) == 0
+    frontier = reached
     while frontier.any():
-        level[frontier] = depth
-        frontier = adj[frontier].any(axis=0) & (level < 0)
-        depth += 1
-    return level
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return reached
 
 
-def _check_irreducible(P: TruncatedKernel) -> np.ndarray:
-    """Raise unless state 1 reaches every state and every state reaches it;
-    return the forward levels.  A kernel held as its one row b is checked in
-    O(N): state 1 reaches j (level 1) iff b_j > 0, and every state reaches
-    state 1 iff b_1 > 0, else none does and state 2 comes first."""
+def _check_irreducible(P: TruncatedKernel) -> None:
+    """Raise unless state 1 reaches every state and every state reaches it.
+    A kernel held as its one row b is checked in O(N): state 1 reaches j iff
+    b_j > 0, and every state reaches state 1 iff b_1 > 0, else none does and
+    state 2 comes first."""
     row = P._row
     if row is None:
         adj = P.rows > 0.0
-        level, back = _levels(adj), _levels(adj.T)
+        forward, back = _reached(adj), _reached(adj.T)
     else:
-        level = np.where(row > 0.0, 1, -1)
-        back = np.full(P.size, 1 if row[0] > 0.0 else -1)
-        level[0] = back[0] = 0
-    for levels, relation in ((level, "is not reachable from"), (back, "cannot reach")):
-        if levels.min() < 0:  # argmin is the first unreached state
+        forward = row > 0.0
+        back = np.full(P.size, row[0] > 0.0)
+        forward[0] = back[0] = True
+    for reached, relation in ((forward, "is not reachable from"), (back, "cannot reach")):
+        if not reached.all():  # argmin is the first unreached state
             raise ReducibleKernelError(
-                f"kernel is reducible: state {levels.argmin() + 1} {relation} state 1"
+                f"kernel is reducible: state {reached.argmin() + 1} {relation} state 1"
             )
-    return level
 
 
 def stationary(P: TruncatedKernel) -> StationaryVector:
@@ -467,41 +456,3 @@ def stationary(P: TruncatedKernel) -> StationaryVector:
     if residual > 1e-10:
         raise ConvergenceError(f"stationary solve residual {residual} exceeds 1e-10")
     return StationaryVector(x, residual)
-
-
-def period(P: TruncatedKernel) -> int:
-    """gcd of cycle lengths: of ``level[u] + 1 - level[v]`` over the edges u -> v.
-    An irreducible kernel held as its one row b has every b_j > 0, so state 1
-    has a loop and the period is 1."""
-    level = _check_irreducible(P)
-    if P._row is not None:
-        return 1
-    u, v = np.nonzero(P.rows > 0.0)
-    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
-
-
-def strong_ergodicity_profile(
-    P: TruncatedKernel, k_grid, pi: np.ndarray | None = None
-) -> np.ndarray:
-    """||P^k - R|| per k in k_grid, where R has every row equal to pi.
-
-    Decay to 0 indicates strong ergodicity; a flat profile flags its failure
-    (pass ``pi`` explicitly for kernels whose stationary vector cannot be
-    computed, e.g. reducible ones under study).
-    """
-    k_grid = _horizon_grid(k_grid, "k_grid")
-    pi = stationary(P).pi if pi is None else np.asarray(pi, dtype=float)
-    if pi.shape != (P.size,):
-        raise KernelValidationError(f"pi must have shape ({P.size},), got {pi.shape}")
-    R = np.tile(pi, (P.size, 1))
-    out = np.empty(len(k_grid))
-    power = np.eye(P.size)
-    pos = 0
-    for k in range(1, int(k_grid[-1]) + 1):
-        power = P.push(power)
-        if k == k_grid[pos]:
-            out[pos] = float(np.abs(power - R).sum(axis=1).max())
-            pos += 1
-            if pos == len(k_grid):
-                break
-    return out

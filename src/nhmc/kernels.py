@@ -57,7 +57,6 @@ __all__ = [
     "KernelValidationError",
     "TruncatedKernel",
     "InitialDistribution",
-    "DistributionVector",
     "Observable",
     "ObservableSet",
     "KernelFamily",
@@ -69,7 +68,6 @@ __all__ = [
     "table_family",
     "family_from_config",
     "family_to_config",
-    "kernel_product",
     "propagate",
     "expected_sum",
     "indicator_observable",
@@ -245,46 +243,20 @@ class InitialDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class DistributionVector:
-    """The distribution of X_k after k exact propagation steps."""
-
-    probs: np.ndarray
-    step_index: int
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.min() < -MASS_TOL:
-            raise KernelValidationError(f"negative mass at step {self.step_index}")
-        err = abs(probs.sum() - 1.0)
-        if err > MASS_TOL:
-            raise KernelValidationError(
-                f"mass deviates from 1 by {err} at step {self.step_index}"
-            )
-        object.__setattr__(self, "probs", _readonly(np.clip(probs, 0.0, 1.0)))
-
-    def expectation(self, f: "Observable") -> float:
-        return float(self.probs @ f.values)
-
-
-@dataclass(frozen=True, eq=False)
 class Observable:
-    """A bounded real function on the retained states, plus its value off
-    1..N (read by ``AtomicSignedMeasure.pair`` for atoms off the grid)."""
+    """A bounded real function on the retained states 1..N."""
 
     values: np.ndarray
-    tail_value: float = 0.0
     bound: float = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise KernelValidationError("observable values must be a vector")
-        if not np.all(np.isfinite(values)) or not math.isfinite(self.tail_value):
+        if values.ndim != 1 or values.size == 0:
+            raise KernelValidationError("observable values must be a nonempty vector")
+        if not np.all(np.isfinite(values)):
             raise KernelValidationError("observable must be finite (bounded)")
         object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(
-            self, "bound", float(max(np.abs(values).max(), abs(self.tail_value)))
-        )
+        object.__setattr__(self, "bound", float(np.abs(values).max()))
 
     @property
     def size(self) -> int:
@@ -292,12 +264,6 @@ class Observable:
 
     def is_integer_valued(self) -> bool:
         return bool(np.abs(self.values - np.round(self.values)).max() <= INTEGER_TOL)
-
-    def shifted(self, c: float) -> "Observable":
-        return Observable(self.values + c, self.tail_value + c)
-
-    def scaled(self, a: float) -> "Observable":
-        return Observable(self.values * a, self.tail_value * a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,9 +298,6 @@ class ObservableSet:
         """Stacked (m, N) matrix of observable values."""
         return np.stack([o.values for o in self.observables])
 
-    def tail_values(self) -> np.ndarray:
-        return np.array([o.tail_value for o in self.observables])
-
     def combine(self, z: Sequence[float]) -> Observable:
         """The linear combination sum_l z[l] * f_l as a single observable."""
         z = np.asarray(z, dtype=float)
@@ -342,24 +305,23 @@ class ObservableSet:
             raise KernelValidationError(
                 f"weight vector must have length {len(self.observables)}"
             )
-        values = z @ self.value_matrix()
-        return Observable(values, float(z @ self.tail_values()))
+        return Observable(z @ self.value_matrix())
 
 
 def indicator_observable(state: int, size: int) -> Observable:
-    """f = 1{X = state}, 1-based state index; tail value 0."""
+    """f = 1{X = state}, 1-based state index."""
     if not 1 <= state <= size:
         raise KernelValidationError(f"state {state} outside 1..{size}")
     values = np.zeros(size)
     values[state - 1] = 1.0
-    return Observable(values, 0.0)
+    return Observable(values)
 
 
 def capped_identity_observable(cap: int, size: int) -> Observable:
-    """f(i) = min(i, cap); the tail (states > N) also maps to cap."""
+    """f(i) = min(i, cap)."""
     if cap < 1:
         raise KernelValidationError("cap must be >= 1")
-    return Observable(np.minimum(np.arange(1, size + 1), cap).astype(float), float(cap))
+    return Observable(np.minimum(np.arange(1, size + 1), cap).astype(float))
 
 
 def point_mass(state: int, size: int) -> InitialDistribution:
@@ -875,17 +837,6 @@ def family_from_config(cfg: dict) -> KernelFamily:
 # exact chain operations
 # ---------------------------------------------------------------------------
 
-def kernel_product(family: KernelFamily, m: int, n: int) -> TruncatedKernel:
-    """The matrix product P_{m+1} P_{m+2} ... P_n on the truncated space."""
-    m, n = _config_int(m, "start index m"), _config_int(n, "end index n")
-    if n <= m or m < 0:
-        raise KernelValidationError(f"need n > m >= 0, got m={m}, n={n}")
-    rows = np.eye(family.size)
-    for k in range(m + 1, n + 1):
-        rows = family.kernel_at(k).push(rows)
-    return TruncatedKernel(rows)
-
-
 def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
     """Yield (step, probs) for k = 1..n: the step operator P_k and the law of X_k."""
     if mu0.size != family.size:
@@ -896,15 +847,23 @@ def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
         yield step, probs
 
 
-def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> DistributionVector:
-    """Exact forward distribution of X_k (k vector-matrix products, never a full product matrix)."""
+def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> np.ndarray:
+    """Exact law of X_k on 1..N, read-only (k vector-matrix products, never
+    a full product matrix).  Mass below ``-MASS_TOL`` or a total off 1 by
+    more than ``MASS_TOL`` raises, naming the step; the law is clipped to
+    [0, 1]."""
     k = _config_int(k, "step count")
     if k < 0:
         raise KernelValidationError(f"step count must be >= 0, got {k}")
     probs = mu0.probs
     for _, probs in _propagation_steps(mu0, family, k):
         pass
-    return DistributionVector(probs, k)
+    if probs.min() < -MASS_TOL:
+        raise KernelValidationError(f"negative mass at step {k}")
+    err = abs(probs.sum() - 1.0)
+    if err > MASS_TOL:
+        raise KernelValidationError(f"mass deviates from 1 by {err} at step {k}")
+    return _readonly(np.clip(probs, 0.0, 1.0))
 
 
 def expected_sum(

@@ -39,7 +39,6 @@ __all__ = [
     "covariance_matrix",
     "rate_1d",
     "rate_multi",
-    "conjugate_gap",
     "AtomicSignedMeasure",
     "measure_rate_lower_bound",
     "RateModel",
@@ -140,13 +139,6 @@ def rate_multi(x, Q: np.ndarray, check_probes: int = 0) -> float:
     return value
 
 
-def conjugate_gap(x, Q: np.ndarray, z) -> float:
-    """rate_multi(x, Q) minus the chord <x,z> - z'Qz/2 (nonnegative by duality)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return rate_multi(x, Q) - (float(x @ z) - 0.5 * float(z @ Q @ z))
-
-
 # ---------------------------------------------------------------------------
 # measures on the state grid
 # ---------------------------------------------------------------------------
@@ -165,14 +157,14 @@ class AtomicSignedMeasure:
         object.__setattr__(self, "atoms", atoms)
 
     def pair(self, f: Observable) -> float:
-        """<f, nu>: integer points in 1..N read off f's values, all else its tail value."""
+        """<f, nu>, each atom read off f's values; an atom that is not an
+        integer in 1..N is a ``KernelValidationError``."""
         total = 0.0
         for point, weight in self.atoms.items():
             idx = int(round(point))
-            if abs(point - idx) < 1e-12 and 1 <= idx <= f.size:
-                total += weight * float(f.values[idx - 1])
-            else:
-                total += weight * f.tail_value
+            if abs(point - idx) >= 1e-12 or not 1 <= idx <= f.size:
+                raise KernelValidationError(f"atom {point} is not a state in 1..{f.size}")
+            total += weight * float(f.values[idx - 1])
         return total
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .kernels import InitialDistribution, KernelFamily, KernelValidationError, _config_int
 
-__all__ = ["sample_trajectory", "sample_paths", "iter_seed_blocks", "trial_seeds"]
+__all__ = ["sample_paths", "iter_seed_blocks", "trial_seeds"]
 
 _BLOCK_BYTES = 64 * 2**20  # a block's path table plus its uniforms tile
 _TILE_BYTES = 4 * 2**20  # a uniforms tile, at the most
@@ -273,12 +273,3 @@ def iter_seed_blocks(seeds: np.ndarray, n: int, paths: bool = True):
     block = max(1, min(_MAX_BLOCK, _BLOCK_BYTES // per_trial))
     for start in range(0, len(seeds), block):
         yield seeds[start : start + block]
-
-
-def sample_trajectory(
-    rng_seed: int, mu0: InitialDistribution, family: KernelFamily, n: int
-) -> np.ndarray:
-    """One path of 1-based state labels, length n+1, deterministic in the
-    seed, in ``sample_paths``' dtype (labels 1..N fit it; other arithmetic
-    on it can wrap)."""
-    return sample_paths([rng_seed], mu0, family, n)[0] + 1

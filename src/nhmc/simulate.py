@@ -29,11 +29,12 @@ from .kernels import (
     ObservableSet,
     _Horizons,
     _band_series,
+    _config_int,
     _config_ints,
     _horizon_grid,
     _propagation_steps,
     _readonly,
-    expected_step_values,
+    expected_step_values,  # not called here: perfbench/tracer.py wraps this import site
     expected_sum,
 )
 from .rates import ThetaPositivityError, rate_1d
@@ -48,7 +49,6 @@ __all__ = [
     "simulate_sums",
     "clt_diagnostic",
     "mdp_diagnostic",
-    "empirical_functionals",
     "martingale_check",
 ]
 
@@ -81,6 +81,14 @@ class SpeedFunction:
 _SUM_TILE = 256
 
 
+def _trial_count(trials) -> int:
+    """``trials`` as an int >= 1: a fraction or a bool is refused, never rounded."""
+    trials = _config_int(trials, "trials")
+    if trials < 1:
+        raise KernelValidationError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def _map_blocks(fn, blocks, workers: int) -> list:
     if workers <= 1:
         return [fn(b) for b in blocks]
@@ -111,8 +119,7 @@ def simulate_sums(
     counted from step 1, so an observable's sums do not depend on the other
     observables it is passed with, nor on how trials are split into blocks.
     """
-    if trials < 1:
-        raise KernelValidationError(f"trials must be >= 1, got {trials}")
+    trials = _trial_count(trials)
     horizons = _config_ints(n, "horizon")
     if not horizons or min(horizons) < 0:
         raise KernelValidationError(f"horizons must be >= 0, got {n}")
@@ -226,6 +233,7 @@ def mdp_diagnostic(
     """
     if method not in ("exact_dp", "monte_carlo"):
         raise KernelValidationError(f"unknown method {method!r}")
+    trials = _trial_count(trials)
     if theta_value <= 0.0:
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"
@@ -267,32 +275,6 @@ def mdp_diagnostic(
                 )
             )
     return estimates
-
-
-# ---------------------------------------------------------------------------
-# empirical-measure functionals
-# ---------------------------------------------------------------------------
-
-def empirical_functionals(
-    family: KernelFamily,
-    mu0: InitialDistribution,
-    observables: ObservableSet,
-    speed: SpeedFunction,
-    n: int,
-    trials: int,
-    base_seed: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """Per-trial vectors (sum_k f_l(X_k) - E sum_k f_l(X_k)) / a(n), shape (trials, m).
-
-    These are the finite-dimensional projections of the centered, speed-scaled
-    occupation measure onto the observable family.
-    """
-    if n < 1:
-        raise KernelValidationError(f"horizon n must be >= 1, got {n}")
-    sums = simulate_sums(mu0, family, observables, n, trials, base_seed, workers)
-    expected = expected_step_values(mu0, family, observables, n).sum(axis=0)
-    return (sums - expected) / speed(n)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +337,7 @@ def martingale_check(
     others, and where that bound does not close, it is one propagation.
     """
     g = observables.combine(z)
+    trials = _trial_count(trials)
     n_grid = _horizon_grid(n_grid, "n_grid")
     n_max = int(n_grid[-1])
     if theta_value is None:

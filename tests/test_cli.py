@@ -141,10 +141,13 @@ class TestValidate:
                      "tail": [0.2, 0.1]}}, "'tail'"),
         ({"initial": {"kind": "table", "probs": [0.9 / 120] * 120, "tail_mass": 0.1}},
          "'tail_mass'"),
-    ], ids=["constant_tail", "initial_tail_mass"])
+        ({"observables": [{"kind": "table", "values": [1.0] * 120, "tail_value": 1.0}]},
+         "'tail_value'"),
+    ], ids=["constant_tail", "initial_tail_mass", "observable_tail_value"])
     def test_mass_off_the_states_exits_2(self, tmp_path, capsys, overrides, field):
-        """Every kernel row and start law lives on 1..N: a field that would
-        put mass beyond N is refused by name, not ignored."""
+        """Every kernel row, start law and observable lives on 1..N: a field
+        that would put mass or a value beyond N is refused by name, not
+        ignored."""
         path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
         assert field in capsys.readouterr().err
@@ -290,7 +293,7 @@ class TestRate:
     def test_constant_observable_exits_3(self, tmp_path):
         cfg = base_config(
             tmp_path / "out",
-            observables=[{"kind": "table", "values": [1.0] * 120, "tail_value": 1.0}],
+            observables=[{"kind": "table", "values": [1.0] * 120}],
         )
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["rate", "--config", str(path)]) == cli.EXIT_HYPOTHESIS

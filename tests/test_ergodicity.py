@@ -1,7 +1,6 @@
 import dataclasses
-import math
+import tracemalloc
 import warnings
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,42 +22,12 @@ from nhmc import (
     ergodicity,
     make_kernel,
     make_limit_kernel,
-    period,
     stationary,
-    strong_ergodicity_profile,
-    sup_row_norm,
     zeta2_family,
     zeta4_family,
 )
 
 from conftest import random_stochastic
-
-
-class TestSupRowNorm:
-    def test_stochastic_kernel_has_norm_one(self):
-        rng = np.random.default_rng(0)
-        kern = TruncatedKernel(random_stochastic(rng, 30))
-        assert sup_row_norm(kern) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_matrix(self):
-        assert sup_row_norm(np.zeros((5, 5))) == 0.0
-
-    def test_deviation_formula_for_zeta2(self):
-        """||P_k - P|| = (12/pi^2) k^(-alpha), attained at the first row."""
-        fam = zeta2_family(0.75, 300)
-        for k in (1, 4, 10, 111):
-            diff = fam.kernel_at(k).rows - fam.limit.rows
-            expected = 12 / np.pi**2 * k**-0.75
-            assert sup_row_norm(diff) == pytest.approx(expected, rel=1e-12)
-            assert np.abs(diff).sum(axis=1).argmax() == 0
-
-    @given(st.integers(2, 8), st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_submultiplicative(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        assert sup_row_norm(a @ b) <= sup_row_norm(a) * sup_row_norm(b) + 1e-9
 
 
 class TestDobrushinDelta:
@@ -288,6 +257,24 @@ class TestCesaroScan:
         assert 0.0 <= band.error_bound <= 1e-15
         assert dense.error_bound == 0.0
 
+    def test_large_n_scan_holds_one_start_of_temporaries(self):
+        """At N = 32767 a chunk's running band sums take 16 starts x N x 27
+        floats (108 MiB; zeta2 carries 26 band steps).  Every other array of
+        that size is made one start at a time, so the peak stays within
+        1.75x the sums (a whole-chunk temporary would add 108 MiB each)."""
+        size = 32767
+        fam = zeta2_family(0.75, size)
+        held = ergodicity._CESARO_CHUNK * size * 27 * 8
+        tracemalloc.start()
+        try:
+            prof = condition_profile(fam, "cesaro_product_average", [100],
+                                     ergodicity._CESARO_CHUNK - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * held
+        assert prof.m_argmax.tolist() == [0] and 0.0 < prof.values[0] < 1.0
+
     def test_dense_scan_equals_the_loop_over_starts(self):
         """k outer and chunked, the dense scan keeps every operation of the plain loop."""
         fam = dataclasses.replace(zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE),
@@ -439,22 +426,17 @@ class TestStationary:
         [0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0],
         [0.25, 0.25, 0.25, 0.25],
     ])
-    def test_one_row_irreducibility_and_period_match_the_twin(self, row):
+    def test_one_row_irreducibility_matches_the_twin(self, row):
         """A zero entry makes the kernel reducible: the error names the same
         first unreached state as the dense search."""
         one, twin = _one_row_and_twin(row)
-        for fn in (stationary, period):
-            try:
-                expected = fn(twin)
-            except ReducibleKernelError as exc:
-                with pytest.raises(ReducibleKernelError, match=f"^{exc}$"):
-                    fn(one)
-            else:
-                result = fn(one)
-                if fn is period:
-                    assert result == expected == 1
-                else:
-                    np.testing.assert_allclose(result.pi, expected.pi, atol=1e-15)
+        try:
+            expected = stationary(twin)
+        except ReducibleKernelError as exc:
+            with pytest.raises(ReducibleKernelError, match=f"^{exc}$"):
+                stationary(one)
+        else:
+            np.testing.assert_allclose(stationary(one).pi, expected.pi, atol=1e-15)
 
     def test_identical_rows_kernel(self, iid_family):
         pi = stationary(iid_family.limit)
@@ -476,6 +458,12 @@ class TestStationary:
         pi = stationary(kern)
         assert np.abs(pi.pi @ kern.rows - pi.pi).sum() <= 1e-10
 
+    def test_three_cycle_is_uniform(self):
+        """A kernel of period 3: the power iteration cycles, the law is uniform."""
+        rows = np.zeros((3, 3))
+        rows[0, 1] = rows[1, 2] = rows[2, 0] = 1.0
+        np.testing.assert_allclose(stationary(TruncatedKernel(rows)).pi, 1 / 3, atol=1e-14)
+
     def test_periodic_swap_from_stationary_start_needs_no_solve(self, monkeypatch):
         """Period 2, but the uniform start is already stationary for the
         two-state swap: power iteration stops after one sweep and no linear
@@ -489,7 +477,6 @@ class TestStationary:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert period(kern) == 2
         np.testing.assert_allclose(stationary(kern).pi, [0.5, 0.5], atol=1e-12)
         assert calls == []
 
@@ -505,7 +492,6 @@ class TestStationary:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         kern = TruncatedKernel(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        assert period(kern) == 2
         pi = stationary(kern)
         assert len(calls) == 1
         np.testing.assert_allclose(pi.pi, [0.5, 0.25, 0.25], atol=1e-14)
@@ -522,35 +508,15 @@ class TestStationary:
     ], ids=["reached_but_not_back", "reaching_but_not_reached"])
     def test_reducible_in_one_direction_rejected(self, rows, message):
         kern = TruncatedKernel(np.array(rows))
-        for fn in (stationary, period):
-            with pytest.raises(ReducibleKernelError, match=message):
-                fn(kern)
-
-
-class TestPeriod:
-    def test_self_loop_forces_aperiodicity(self):
-        rng = np.random.default_rng(2)
-        kern = TruncatedKernel(random_stochastic(rng, 5))
-        assert period(kern) == 1
-
-    def test_two_state_swap(self):
-        kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert period(kern) == 2
-
-    def test_three_cycle(self):
-        rows = np.zeros((3, 3))
-        rows[0, 1] = rows[1, 2] = rows[2, 0] = 1.0
-        assert period(TruncatedKernel(rows)) == 3
-
-    def test_zeta2_limit_is_aperiodic(self):
-        assert period(make_limit_kernel("zeta2", 50)) == 1
+        with pytest.raises(ReducibleKernelError, match=message):
+            stationary(kern)
 
     @given(st.integers(2, 12), st.integers(1, 4), st.floats(0.05, 0.7), st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
-    def test_matches_path_count_oracles(self, n, layers, density, seed):
+    def test_irreducibility_matches_transitive_closure(self, n, layers, density, seed):
         """Random sparse kernels whose edges go from layer c to layer c + 1
-        (mod layers), so periods above 1 occur: irreducibility against a
-        transitive closure, the period against gcd{k <= N^2 : (A^k)[0, 0] > 0}."""
+        (mod layers), so periodic kernels occur: irreducibility against a
+        transitive closure."""
         rng = np.random.default_rng(seed)
         layers = min(layers, n)
         layer = rng.permutation(np.arange(n) % layers)
@@ -565,44 +531,8 @@ class TestPeriod:
         reach = np.eye(n, dtype=np.int64) | A
         for _ in range(n):
             reach = ((reach + reach @ A) > 0).astype(np.int64)
-        if not reach.all():
-            for fn in (stationary, period):
-                with pytest.raises(ReducibleKernelError):
-                    fn(kern)
-            return
-        power, returns = A, []
-        for k in range(1, n * n + 1):
-            if power[0, 0]:
-                returns.append(k)
-            power = ((power @ A) > 0).astype(np.int64)
-        assert period(kern) == reduce(math.gcd, returns)
-
-
-class TestStrongErgodicity:
-    def test_identical_rows_profile_is_zero(self, iid_family):
-        vals = strong_ergodicity_profile(iid_family.limit, [1, 2, 3])
-        np.testing.assert_allclose(vals, 0.0, atol=1e-13)
-
-    def test_identity_does_not_decay(self):
-        kern = TruncatedKernel(np.eye(3))
-        vals = strong_ergodicity_profile(kern, [1, 5, 25], pi=np.full(3, 1 / 3))
-        assert (np.diff(vals) == 0).all() and vals[0] > 0.5
-
-    @pytest.mark.parametrize("k_grid", [[], [3, 3]])
-    def test_empty_or_repeated_grid_is_a_validation_error(self, k_grid):
-        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        with pytest.raises(KernelValidationError):
-            strong_ergodicity_profile(kern, k_grid)
-
-    def test_pi_of_the_wrong_length_is_a_validation_error(self):
-        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        with pytest.raises(KernelValidationError, match="pi must have shape"):
-            strong_ergodicity_profile(kern, [1, 2], pi=np.full(3, 1 / 3))
-
-    def test_two_state_geometric_rate(self):
-        """||P^k - R|| = c * 0.7^k for the 2-state chain with gap eigenvalue 0.7."""
-        kern = TruncatedKernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        ks = np.arange(1, 40)
-        vals = strong_ergodicity_profile(kern, ks)
-        slope = np.polyfit(ks, np.log(vals), 1)[0]
-        assert slope == pytest.approx(np.log(0.7), abs=1e-6)
+        if reach.all():
+            ergodicity._check_irreducible(kern)
+        else:
+            with pytest.raises(ReducibleKernelError):
+                stationary(kern)

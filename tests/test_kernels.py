@@ -15,7 +15,6 @@ from nhmc import (
     family_from_config,
     family_to_config,
     indicator_observable,
-    kernel_product,
     make_kernel,
     make_limit_kernel,
     point_mass,
@@ -298,57 +297,10 @@ class TestGuideTable:
         np.testing.assert_array_equal(drawn, step.draw(states, uu))
 
 
-class TestKernelProduct:
-    def test_single_factor_is_the_kernel(self, iid_family):
-        prod = kernel_product(iid_family, 3, 4)
-        np.testing.assert_array_equal(prod.rows, iid_family.limit.rows)
-
-    def test_product_of_stochastic_kernels_is_stochastic(self):
-        fam = zeta2_family(0.75, 100)
-        prod = kernel_product(fam, 0, 2)
-        np.testing.assert_allclose(prod.rows.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_triple_product_entry_matches_naive_loops(self):
-        """P1 P2 P3 entry (1,1) against a direct index-summed product."""
-        fam = zeta2_family(0.75, 500)
-        prod = kernel_product(fam, 0, 3)
-        p1 = fam.kernel_at(1).rows
-        p2 = fam.kernel_at(2).rows
-        p3 = fam.kernel_at(3).rows
-        direct = 0.0
-        for a in range(500):
-            row_sum = 0.0
-            for b in range(500):
-                row_sum += p2[a, b] * p3[b, 0]
-            direct += p1[0, a] * row_sum
-        assert prod.rows[0, 0] == pytest.approx(direct, abs=1e-13)
-
-    def test_semigroup_property(self):
-        fam = zeta2_family(0.8, 60)
-        whole = kernel_product(fam, 1, 6)
-        left = kernel_product(fam, 1, 3)
-        right = kernel_product(fam, 3, 6)
-        np.testing.assert_allclose(whole.rows, left.rows @ right.rows, atol=1e-12)
-
-    def test_bad_indices(self, iid_family):
-        with pytest.raises(KernelValidationError):
-            kernel_product(iid_family, 3, 3)
-
-    @pytest.mark.parametrize("m, n", [(0, 2.5), (0.5, 2), (True, 3), (0, True)])
-    def test_fractional_or_bool_indices_rejected(self, iid_family, m, n):
-        with pytest.raises(KernelValidationError, match="must be an integer"):
-            kernel_product(iid_family, m, n)
-
-    def test_integral_float_indices_are_those_integers(self, iid_family):
-        np.testing.assert_array_equal(kernel_product(iid_family, 1.0, 3.0).rows,
-                                      kernel_product(iid_family, 1, 3).rows)
-
-
 class TestPropagate:
     def test_zero_steps_returns_start(self, zeta2_small, start200):
         out = propagate(start200, zeta2_small, 0)
-        np.testing.assert_array_equal(out.probs, start200.probs)
-        assert out.step_index == 0
+        np.testing.assert_array_equal(out, start200.probs)
 
     @pytest.mark.parametrize("k", [3.5, True, "3"])
     def test_fractional_or_bool_step_count_rejected(self, zeta2_small, start200, k):
@@ -357,13 +309,12 @@ class TestPropagate:
 
     def test_integral_float_step_count_is_that_integer(self, zeta2_small, start200):
         out = propagate(start200, zeta2_small, 3.0)
-        assert out.step_index == 3 and isinstance(out.step_index, int)
-        np.testing.assert_array_equal(out.probs, propagate(start200, zeta2_small, 3).probs)
+        np.testing.assert_array_equal(out, propagate(start200, zeta2_small, 3))
 
     def test_rank_one_kernel_forgets_the_start(self, iid_family):
         mu0 = nhmc.uniform_initial(200)
         out = propagate(mu0, iid_family, 1)
-        np.testing.assert_allclose(out.probs, iid_family.limit.rows[0], atol=1e-14)
+        np.testing.assert_allclose(out, iid_family.limit.rows[0], atol=1e-14)
 
     def test_structured_path_matches_dense_propagation(self, zeta2_small, start200):
         """The O(N) update must agree with explicit vector-kernel products."""
@@ -371,13 +322,13 @@ class TestPropagate:
         probs = start200.probs.copy()
         for k in range(1, 26):
             probs = probs @ zeta2_small.kernel_at(k).rows
-        np.testing.assert_allclose(out.probs, probs, atol=1e-13)
+        np.testing.assert_allclose(out, probs, atol=1e-13)
 
     def test_monte_carlo_oracle(self):
         """Distribution at k=10 against 10^6 sampled trajectories, 3 SE per state."""
         fam = zeta2_family(0.75, 500)
         mu0 = point_mass(1, 500)
-        exact = propagate(mu0, fam, 10).probs
+        exact = propagate(mu0, fam, 10)
         trials = 10**6
         paths = nhmc.sample_paths(nhmc.trial_seeds(20260810, trials), mu0, fam, 10)
         counts = np.bincount(paths[:, 10], minlength=500)
@@ -389,7 +340,87 @@ class TestPropagate:
 
     def test_mass_preserved_over_long_horizons(self, zeta2_small, start200):
         out = propagate(start200, zeta2_small, 10**4)
-        assert abs(out.probs.sum() - 1.0) <= 1e-10
+        assert abs(out.sum() - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
+    @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
+    def test_law_stays_on_the_simplex(self, kind, policy):
+        """Every law of a built-in family is a probability vector on 1..N."""
+        fam = (zeta2_family(0.75, 100, policy) if kind == "zeta2"
+               else zeta4_family(0.75, 1.0, 100, policy))
+        for k in (1, 2, 7, 60):
+            out = propagate(point_mass(1, 100), fam, k)
+            assert out.min() >= 0.0 and out.max() <= 1.0
+            assert abs(out.sum() - 1.0) <= 1e-12
+
+    def test_three_step_law_matches_naive_loops(self):
+        """P(X_3 = 1 | X_0 = 1) against an index-summed product of P_1 P_2 P_3."""
+        size = 300
+        fam = zeta2_family(0.75, size)
+        p1, p2, p3 = (fam.kernel_at(k).rows for k in (1, 2, 3))
+        direct = 0.0
+        for a in range(size):
+            row_sum = 0.0
+            for b in range(size):
+                row_sum += p2[a, b] * p3[b, 0]
+            direct += p1[0, a] * row_sum
+        assert propagate(point_mass(1, size), fam, 3)[0] == pytest.approx(direct, abs=1e-13)
+
+    def test_returned_law_is_read_only(self, zeta2_small, start200):
+        out = propagate(start200, zeta2_small, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0.5
+
+    def test_negative_step_count_rejected(self, zeta2_small, start200):
+        with pytest.raises(KernelValidationError, match="step count must be >= 0"):
+            propagate(start200, zeta2_small, -1)
+
+    @pytest.mark.parametrize("law, message", [
+        ([0.5, 0.5 + 1e-9, -1e-9], "negative mass at step 3"),
+        ([0.5, 0.5, 1e-9], "mass deviates from 1 by .* at step 3"),
+    ], ids=["negative", "total"])
+    def test_law_off_the_simplex_is_refused_naming_the_step(self, monkeypatch, law, message):
+        def steps(mu0, family, n):
+            yield from ((None, np.array(law)) for _ in range(n))
+
+        monkeypatch.setattr(nhmc.kernels, "_propagation_steps", steps)
+        with pytest.raises(KernelValidationError, match=message):
+            propagate(point_mass(1, 3), zeta2_family(0.75, 3), 3)
+
+
+class TestObservable:
+    def test_empty_values_are_a_validation_error(self):
+        with pytest.raises(KernelValidationError, match="nonempty vector"):
+            nhmc.Observable(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_values_are_a_validation_error(self, bad):
+        with pytest.raises(KernelValidationError, match="finite"):
+            nhmc.Observable(np.array([1.0, bad, 2.0]))
+
+    def test_bound_is_the_largest_absolute_value(self):
+        f = nhmc.Observable(np.array([-3.5, 1.0, 2.0]))
+        assert f.bound == 3.5 and f.size == 3
+        assert not f.values.flags.writeable
+
+    def test_combine_is_the_weighted_sum_on_the_states(self):
+        obs = nhmc.ObservableSet((indicator_observable(2, 4),
+                                  nhmc.capped_identity_observable(3, 4)))
+        g = obs.combine([2.0, -0.5])
+        np.testing.assert_array_equal(g.values, [-0.5, 1.0, -1.5, -1.5])
+        assert g.bound == 1.5
+
+    def test_combine_weight_length_is_checked(self):
+        obs = nhmc.ObservableSet((indicator_observable(1, 4),))
+        with pytest.raises(KernelValidationError, match="length 1"):
+            obs.combine([1.0, 2.0])
+
+    def test_capped_identity_is_min_of_state_and_cap(self):
+        f = nhmc.capped_identity_observable(3, 6)
+        np.testing.assert_array_equal(f.values, [1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
+        assert f.bound == 3.0 and f.is_integer_valued()
+        with pytest.raises(KernelValidationError, match="cap must be >= 1"):
+            nhmc.capped_identity_observable(0, 6)
 
 
 class TestExpectedSum:
@@ -405,7 +436,7 @@ class TestExpectedSum:
                                       expected_step_values(start200, zeta2_small, obs, 7))
 
     def test_constant_observable(self, iid_family, start200):
-        f = nhmc.Observable(np.full(200, 2.5), 2.5)
+        f = nhmc.Observable(np.full(200, 2.5))
         assert expected_sum(start200, iid_family, f, 40) == pytest.approx(100.0, abs=1e-10)
 
     def test_rank_one_kernel_indicator(self, iid_family, start200, ind200, q_zeta2):
@@ -432,7 +463,7 @@ class TestExpectedSum:
 
     def test_matches_stepwise_propagation(self, zeta2_small, start200, ind200):
         total = sum(
-            propagate(start200, zeta2_small, k).expectation(ind200) for k in range(1, 21)
+            propagate(start200, zeta2_small, k) @ ind200.values for k in range(1, 21)
         )
         assert expected_sum(start200, zeta2_small, ind200, 20) == pytest.approx(total, abs=1e-12)
 
@@ -502,8 +533,8 @@ class TestBandSeries:
         probs = rng.random(size)
         mu0 = nhmc.InitialDistribution(probs / probs.sum())
         obs = nhmc.ObservableSet((indicator_observable(1, size),
-                                  nhmc.Observable(rng.normal(size=size), rng.normal()),
-                                  nhmc.Observable(rng.integers(-3, 4, size) * 1.0, 5.0)))
+                                  nhmc.Observable(rng.normal(size=size)),
+                                  nhmc.Observable(rng.integers(-3, 4, size) * 1.0)))
         bound = np.array([o.bound for o in obs])
         series = expected_step_values(mu0, fam, obs, n)
         oracle = propagated_step_values(mu0, fam, obs, n)

@@ -16,7 +16,6 @@ from nhmc import (
     asymptotic_variance,
     build_rate_model,
     capped_identity_observable,
-    conjugate_gap,
     covariance_matrix,
     indicator_observable,
     make_limit_kernel,
@@ -62,7 +61,7 @@ def random_psd(rng, m, rank=None):
 class TestAsymptoticVariance:
     def test_constant_observable_gives_zero(self, iid_family):
         pi = stationary(iid_family.limit)
-        f = Observable(np.full(200, 3.0), 3.0)
+        f = Observable(np.full(200, 3.0))
         assert asymptotic_variance(pi, iid_family.limit, f) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_rows_kernel_gives_row_variance(self):
@@ -108,7 +107,7 @@ class TestAsymptoticVariance:
             f = Observable(rng.uniform(-1, 1, 25))
             c = rng.uniform(-5, 5)
             a = asymptotic_variance(pi, kern, f)
-            b = asymptotic_variance(pi, kern, f.shifted(c))
+            b = asymptotic_variance(pi, kern, Observable(f.values + c))
             assert b == pytest.approx(a, abs=1e-10)
 
     def test_quadratic_scaling(self):
@@ -118,7 +117,7 @@ class TestAsymptoticVariance:
         f = Observable(rng.uniform(-1, 1, 25))
         base = asymptotic_variance(pi, kern, f)
         for a in (-2.0, 0.5, 3.7):
-            scaled = asymptotic_variance(pi, kern, f.scaled(a))
+            scaled = asymptotic_variance(pi, kern, Observable(f.values * a))
             assert scaled == pytest.approx(a**2 * base, rel=1e-10)
             # hence the 1-d rate is invariant under joint rescaling
             assert rate_1d(a * 0.3, scaled) == pytest.approx(rate_1d(0.3, base), rel=1e-10)
@@ -210,14 +209,6 @@ class TestRateMulti:
             val = rate_multi(x, Q, check_probes=20)
             assert val == pytest.approx(ascent_supremum(x, Q), abs=1e-6)
 
-    def test_conjugate_dominates_chords(self):
-        rng = np.random.default_rng(37)
-        Q = random_psd(rng, 3)
-        x = Q @ np.array([0.4, -1.0, 0.25])
-        for _ in range(1000):
-            z = rng.standard_normal(3) * rng.uniform(0.1, 5)
-            assert conjugate_gap(x, Q, z) >= -1e-10
-
     def test_level_sets_bounded_on_range(self):
         """Points of the level set {rate <= l} have norm <= sqrt(2 l lam_max)."""
         rng = np.random.default_rng(41)
@@ -273,10 +264,17 @@ class TestMeasureRate:
         assert bounds[0] <= bounds[1] + 1e-12
         assert bounds[1] <= bounds[2] + 1e-12
 
-    def test_atoms_off_grid_use_tail_value(self, iid_family):
-        f = Observable(np.arange(1.0, 201.0), tail_value=-7.0)
-        nu = AtomicSignedMeasure({1000: 2.0, 3.5: 1.0})
-        assert nu.pair(f) == pytest.approx(-21.0)
+    def test_pair_reads_each_atom_off_the_values(self):
+        """<f, nu> = sum_x nu(x) f(x); an integral float atom is that state."""
+        nu = AtomicSignedMeasure({2: 0.5, 5.0: -1.0, 200: 0.25})
+        assert nu.pair(Observable(np.arange(1.0, 201.0))) == 0.5 * 2 - 5 + 0.25 * 200
+
+    @pytest.mark.parametrize("atom", [0, 3.5, 201])
+    def test_atom_off_the_states_is_a_validation_error(self, atom):
+        """Every observable lives on 1..N: an atom elsewhere has no value to read."""
+        nu = AtomicSignedMeasure({1: 0.5, atom: 1.0})
+        with pytest.raises(KernelValidationError, match=f"atom {atom} is not a state in 1..200"):
+            nu.pair(Observable(np.arange(1.0, 201.0)))
 
     def test_size_mismatch_is_a_validation_error(self, iid_family):
         pi = stationary(iid_family.limit)

@@ -13,7 +13,6 @@ from nhmc import (
     indicator_observable,
     point_mass,
     sample_paths,
-    sample_trajectory,
     table_family,
     trial_seeds,
     uniform_initial,
@@ -136,13 +135,13 @@ class TestHorizon:
 
 class TestDeterminism:
     def test_same_seed_same_path(self, zeta2_small, start200):
-        p1 = sample_trajectory(123, start200, zeta2_small, 200)
-        p2 = sample_trajectory(123, start200, zeta2_small, 200)
+        p1 = sample_paths([123], start200, zeta2_small, 200)[0] + 1
+        p2 = sample_paths([123], start200, zeta2_small, 200)[0] + 1
         np.testing.assert_array_equal(p1, p2)
 
     def test_different_seeds_differ(self, zeta2_small, start200):
-        p1 = sample_trajectory(1, start200, zeta2_small, 200)
-        p2 = sample_trajectory(2, start200, zeta2_small, 200)
+        p1 = sample_paths([1], start200, zeta2_small, 200)[0] + 1
+        p2 = sample_paths([2], start200, zeta2_small, 200)[0] + 1
         assert (p1 != p2).any()
 
     def test_path_prefix_does_not_depend_on_the_horizon(self, zeta2_small, start200):
@@ -177,7 +176,7 @@ class TestDeterminism:
         batch = sample_paths(seeds, start200, zeta2_small, 64)
         for i, seed in enumerate(seeds):
             np.testing.assert_array_equal(
-                batch[i] + 1, sample_trajectory(int(seed), start200, zeta2_small, 64)
+                batch[i] + 1, sample_paths([int(seed)], start200, zeta2_small, 64)[0] + 1
             )
 
 
@@ -186,7 +185,7 @@ class TestSamplerCorrectness:
         kern = TruncatedKernel(np.eye(4))
         fam = constant_family(kern)
         mu0 = point_mass(3, 4)
-        path = sample_trajectory(9, mu0, fam, 100)
+        path = sample_paths([9], mu0, fam, 100)[0] + 1
         assert (path == 3).all()
 
     @pytest.mark.parametrize(
@@ -199,8 +198,8 @@ class TestSamplerCorrectness:
         general = table_family([fam.kernel_at(k) for k in range(1, 81)], fam.limit)
         for seed in (0, 1, 2, 3, 11):
             np.testing.assert_array_equal(
-                sample_trajectory(seed, start200, fam, 80),
-                sample_trajectory(seed, start200, general, 80),
+                sample_paths([seed], start200, fam, 80)[0] + 1,
+                sample_paths([seed], start200, general, 80)[0] + 1,
             )
 
     @pytest.mark.parametrize("width", [5, 11, 121])
@@ -241,7 +240,7 @@ class TestSamplerCorrectness:
     def test_law_of_large_numbers(self, iid_family, q_zeta2):
         """State-1 frequency over 10^6 steps of the identical-rows chain."""
         mu0 = point_mass(1, 200)
-        path = sample_trajectory(20260810, mu0, iid_family, 10**6)
+        path = sample_paths([20260810], mu0, iid_family, 10**6)[0] + 1
         freq = (path[1:] == 1).mean()
         se = np.sqrt(q_zeta2 * (1 - q_zeta2) / 10**6)
         assert abs(freq - q_zeta2) <= 3 * se
@@ -258,8 +257,8 @@ class TestSamplerCorrectness:
         fam_b = zeta2_family(0.75, 400)
         mu_a = point_mass(1, 200)
         mu_b = point_mass(1, 400)
-        pa = sample_trajectory(31, mu_a, fam_a, 2000)
-        pb = sample_trajectory(31, mu_b, fam_b, 2000)
+        pa = sample_paths([31], mu_a, fam_a, 2000)[0] + 1
+        pb = sample_paths([31], mu_b, fam_b, 2000)[0] + 1
         np.testing.assert_array_equal(pa == 1, pb == 1)
 
 
@@ -275,7 +274,7 @@ class TestPathTable:
         paths = sample_paths(trial_seeds(5, 3), mu0, fam, 4)
         assert paths.dtype == dtype
         np.testing.assert_array_equal(paths[:, 0], size - 1)
-        path = sample_trajectory(5, mu0, fam, 4)
+        path = sample_paths([5], mu0, fam, 4)[0] + 1
         assert path.dtype == dtype and path[0] == size
 
     def test_sums_hold_a_two_byte_table_and_one_uniforms_tile(self):

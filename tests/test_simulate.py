@@ -16,12 +16,10 @@ from nhmc import (
     ThetaPositivityError,
     asymptotic_variance,
     clt_diagnostic,
-    empirical_functionals,
-    expected_sum,
     indicator_observable,
     martingale_check,
     mdp_diagnostic,
-    sample_trajectory,
+    sample_paths,
     simulate_sums,
     stationary,
     zeta2_family,
@@ -46,7 +44,7 @@ class TestSpeedFunction:
 class TestSimulateSums:
     def test_single_trial_reproduces_trajectory_sum(self, zeta2_small, start200, ind200):
         sums = simulate_sums(start200, zeta2_small, ind200, 50, 1, base_seed=42)
-        path = sample_trajectory(42, start200, zeta2_small, 50)
+        path = sample_paths([42], start200, zeta2_small, 50)[0] + 1
         assert sums[0] == pytest.approx((path[1:] == 1).sum())
 
     def test_mean_within_monte_carlo_error(self, iid_family, start200, ind200, q_zeta2):
@@ -122,6 +120,22 @@ class TestSimulateSums:
     def test_integral_float_horizon_is_that_integer(self, zeta2_small, start200, ind200):
         np.testing.assert_array_equal(simulate_sums(start200, zeta2_small, ind200, [5.0], 3, 1),
                                       simulate_sums(start200, zeta2_small, ind200, [5], 3, 1))
+
+    @pytest.mark.parametrize("trials", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integer_trial_count_rejected(self, zeta2_small, start200, ind200, trials):
+        """A fraction or a bool is refused, never rounded to a trial count."""
+        with pytest.raises(KernelValidationError, match="trials must be an integer"):
+            simulate_sums(start200, zeta2_small, ind200, 5, trials, 1)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trial_count_below_one_rejected(self, zeta2_small, start200, ind200, trials):
+        with pytest.raises(KernelValidationError, match="trials must be >= 1"):
+            simulate_sums(start200, zeta2_small, ind200, 5, trials, 1)
+
+    def test_integral_float_trial_count_is_that_integer(self, zeta2_small, start200, ind200):
+        sums = simulate_sums(start200, zeta2_small, ind200, 5, 3.0, 1)
+        assert sums.shape == (3,)
+        np.testing.assert_array_equal(sums, simulate_sums(start200, zeta2_small, ind200, 5, 3, 1))
 
     def test_observable_set_returns_matrix(self, zeta2_small, start200):
         obs = ObservableSet(
@@ -292,6 +306,30 @@ class TestMdpDiagnostic:
                              base_seed=3)[0]
         assert est.zero_hits and est.log_prob == -math.inf
 
+    @pytest.mark.parametrize("trials", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integer_trial_count_rejected(self, iid_family, start200, ind200, theta_iid,
+                                              trials):
+        """Hits are divided by the trial count, so a fraction is refused, not
+        sampled as its ceiling and divided as itself."""
+        with pytest.raises(KernelValidationError, match="trials must be an integer"):
+            mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0], [10],
+                           theta_iid, method="monte_carlo", trials=trials)
+
+    def test_trial_count_below_one_rejected(self, iid_family, start200, ind200, theta_iid):
+        with pytest.raises(KernelValidationError, match="trials must be >= 1"):
+            mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0], [10],
+                           theta_iid, method="monte_carlo", trials=0)
+
+    def test_integral_float_trial_count_is_that_integer(self, iid_family, start200, ind200,
+                                                        theta_iid):
+        """Hits are divided by the trial count itself: 3.0 gives the estimate of 3."""
+        est, ref = (
+            mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.0], [10],
+                           theta_iid, method="monte_carlo", trials=t, base_seed=0)[0]
+            for t in (3.0, 3)
+        )
+        assert est == ref
+
     def test_target_is_quadratic_rate(self, iid_family, start200, ind200, theta_iid):
         sp = SpeedFunction(0.6)
         est = mdp_diagnostic(iid_family, start200, ind200, sp, [0.4], [100], theta_iid)[0]
@@ -311,58 +349,6 @@ class TestMdpDiagnostic:
         with pytest.raises(KernelValidationError, match="n_grid"):
             mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), [0.3],
                            n_grid, theta_iid, method=method, trials=10)
-
-
-class TestEmpiricalFunctionals:
-    def test_zero_horizon_rejected_before_sampling(self, zeta2_small, start200, ind200,
-                                                   monkeypatch):
-        def no_sampling(*args):
-            raise AssertionError("sampled")
-
-        monkeypatch.setattr(nhmc.simulate, "simulate_sums", no_sampling)
-        with pytest.raises(KernelValidationError, match="horizon"):
-            empirical_functionals(zeta2_small, start200, ObservableSet((ind200,)),
-                                  SpeedFunction(0.6), 0, 8, 1)
-
-    def test_single_observable_consistent_with_sums(self, zeta2_small, start200, ind200):
-        sp = SpeedFunction(0.6)
-        n, trials = 100, 64
-        vals = empirical_functionals(zeta2_small, start200, ObservableSet((ind200,)),
-                                     sp, n, trials, 5)
-        sums = simulate_sums(start200, zeta2_small, ind200, n, trials, 5)
-        expected = expected_sum(start200, zeta2_small, ind200, n)
-        np.testing.assert_allclose(vals[:, 0], (sums - expected) / sp(n), atol=1e-10)
-
-    def test_negated_observable_negates_coordinate(self, zeta2_small, start200, ind200):
-        sp = SpeedFunction(0.6)
-        neg = Observable(-ind200.values, -ind200.tail_value)
-        vals = empirical_functionals(zeta2_small, start200, ObservableSet((ind200, neg)),
-                                     sp, 50, 32, 9)
-        np.testing.assert_allclose(vals[:, 1], -vals[:, 0], atol=1e-12)
-
-    def test_crude_bound_holds(self, zeta2_small, start200, ind200):
-        sp = SpeedFunction(0.6)
-        n = 80
-        vals = empirical_functionals(zeta2_small, start200, ObservableSet((ind200,)),
-                                     sp, n, 128, 2)
-        assert np.abs(vals).max() <= 2 * n * ind200.bound / sp(n)
-
-    def test_half_space_probability_reduces_to_one_dimensional(
-        self, iid_family, start200, ind200
-    ):
-        """P(y_1 >= x) from the functional vectors equals the 1-d MC tail."""
-        sp = SpeedFunction(0.6)
-        pi = stationary(iid_family.limit)
-        theta = asymptotic_variance(pi, iid_family.limit, ind200)
-        n, trials, x = 400, 20000, 0.3
-        obs = ObservableSet((ind200, indicator_observable(2, 200)))
-        vals = empirical_functionals(iid_family, start200, obs, sp, n, trials, 23)
-        p_vec = (vals[:, 0] >= x - 1e-9).mean()
-        est = mdp_diagnostic(iid_family, start200, ind200, sp, [x], [n], theta,
-                             method="monte_carlo", trials=trials, base_seed=23)[0]
-        assert p_vec == pytest.approx(math.exp(est.log_prob), abs=1e-12)
-        Q = nhmc.covariance_matrix(pi, iid_family.limit, obs)
-        assert est.target == pytest.approx(-x**2 / (2 * Q[0, 0]), rel=1e-10)
 
 
 class TestMartingaleCheck:
@@ -386,6 +372,27 @@ class TestMartingaleCheck:
         with pytest.raises(KernelValidationError):
             martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], n_grid,
                              trials=4)
+
+    @pytest.mark.parametrize("trials", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integer_trial_count_rejected(self, iid_family, start200, ind200, trials):
+        with pytest.raises(KernelValidationError, match="trials must be an integer"):
+            martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10],
+                             trials=trials)
+
+    def test_trial_count_below_one_rejected(self, iid_family, start200, ind200):
+        with pytest.raises(KernelValidationError, match="trials must be >= 1"):
+            martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10],
+                             trials=0)
+
+    def test_integral_float_trial_count_is_that_integer(self, iid_family, start200, ind200):
+        res, ref = (
+            martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10, 20],
+                             trials=t, base_seed=1)
+            for t in (4.0, 4)
+        )
+        assert res.trials == 4 and type(res.trials) is int
+        np.testing.assert_array_equal(res.drift_values, ref.drift_values)
+        np.testing.assert_array_equal(res.variance_values, ref.variance_values)
 
     def test_band_step_matches_dense_step(self):
         """The O(N) band pull and the dense kernel rows give the same variance profile."""
@@ -424,7 +431,7 @@ class TestMartingaleCheck:
                }[kind]()
         assert fam._series_terms is not None
         rng = np.random.default_rng(11)
-        obs = ObservableSet((indicator_observable(1, 80), Observable(rng.normal(size=80), 2.0)))
+        obs = ObservableSet((indicator_observable(1, 80), Observable(rng.normal(size=80))))
         z, grid = [1.0, -0.5], [1, 30, 700]
         mu0 = nhmc.uniform_initial(80)
         g = obs.combine(z)

@@ -261,7 +261,7 @@ class TestExactSumDistribution:
         assert dist.tail_probability(3.2) == pytest.approx(dist.pmf[4:].sum())
 
     def test_constant_observable_is_degenerate(self, iid_family, start200):
-        f = Observable(np.full(200, 2.0), 2.0)
+        f = Observable(np.full(200, 2.0))
         dist = exact_sum_distribution(start200, iid_family, f, 9)
         assert dist.support_offset == 18
         np.testing.assert_allclose(dist.pmf, [1.0])
