@@ -18,7 +18,6 @@ from .kernels import (
     constant_family,
     table_family,
     family_from_config,
-    family_to_config,
     propagate,
     expected_sum,
     indicator_observable,

@@ -7,9 +7,9 @@ with per-file checksums into the output directory (NHMC_OUTPUT_DIR overrides
 the config's ``output_dir``), and exits 0 on success, 2 on an invalid config
 or kernel, 3 when the variance positivity hypothesis fails, 4 when the
 runtime budget is exceeded or the run runs out of memory, 5 when a numerical
-computation fails its own check (a stationary solve that does not converge,
-an inconsistent rate computation, an exact DP whose mean disagrees with
-the exact expectation).
+computation fails its own check (a stationary solve whose residual exceeds
+1e-10, an inconsistent rate computation, an exact DP whose mean disagrees
+with the exact expectation).
 
 Reruns with identical config and seed reproduce the CSV outputs byte for
 byte, regardless of the worker count.
@@ -43,7 +43,9 @@ from .kernels import _ZETA_POWER, KernelValidationError, _BandStep, _Horizons, e
 from .rates import (
     RateComputationError, ThetaPositivityError, asymptotic_variance, build_rate_model, rate_1d,
 )
-from .simulate import clt_diagnostic, martingale_check, mdp_diagnostic, simulate_sums
+from .simulate import (
+    CLT_MIN_SAMPLES, clt_diagnostic, martingale_check, mdp_diagnostic, simulate_sums,
+)
 from .sumdist import DPConsistencyError
 
 EXIT_OK = 0
@@ -266,6 +268,8 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path, workers: int,
 def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
             budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
+    if cfg.trials < CLT_MIN_SAMPLES:  # refused before any trial is sampled
+        raise InvalidConfigError(f"clt needs trials >= {CLT_MIN_SAMPLES}, got {cfg.trials}")
     rows = []
     summary = {"thresholds": {"ks_max": CLT_KS_MAX, "variance_ratio": CLT_VAR_RATIO}, "runs": []}
     # one sampling pass: the sums of every horizon come off the same paths

@@ -19,6 +19,8 @@ from .kernels import (
     KernelValidationError,
     Observable,
     ObservableSet,
+    _check_fields,
+    _config_float,
     _config_int,
     capped_identity_observable,
     family_from_config,
@@ -37,41 +39,46 @@ class InvalidConfigError(ValueError):
     """The experiment configuration is malformed or violates a precondition."""
 
 
+# the fields a config takes, and those each kind of observable and initial law
+# takes besides its kind: a field outside them is refused by name
+_CONFIG_FIELDS = ("schema_version", "family", "initial", "observables", "speed_beta", "n_grid",
+                  "x_grid", "m_sup_range", "trials", "base_seed", "mdp_method", "z_weights",
+                  "output_dir", "runtime_budget_seconds")
+_OBSERVABLE_FIELDS = {"indicator": ("state",), "capped_identity": ("cap",), "table": ("values",)}
+_INITIAL_FIELDS = {"point_mass": ("state",), "uniform": (), "table": ("probs",)}
+
+
+def _spec_kind(spec: dict, fields: dict, what: str, default=None) -> str:
+    """The spec's kind, once it is known and the spec sets no field that kind does not take."""
+    kind = spec.get("kind", default)
+    if kind not in fields:
+        raise InvalidConfigError(f"unknown {what} kind {kind!r}")
+    _check_fields(spec, ("kind", *fields[kind]), f"a {kind} {what}")
+    return kind
+
+
 def _observable_from_spec(spec: dict, size: int) -> Observable:
-    if "tail_value" in spec:
-        raise InvalidConfigError(
-            "an observable lives on the states 1..N: field 'tail_value' is not supported")
-    kind = spec.get("kind")
+    kind = _spec_kind(spec, _OBSERVABLE_FIELDS, "observable")
     if kind == "indicator":
         return indicator_observable(_config_int(spec["state"], "observable state"), size)
     if kind == "capped_identity":
         return capped_identity_observable(_config_int(spec["cap"], "observable cap"), size)
-    if kind == "table":
-        values = np.asarray(spec["values"], dtype=float)
-        if values.shape != (size,):
-            raise InvalidConfigError(
-                f"observable table must have length {size}, got {values.shape}"
-            )
-        return Observable(values)
-    raise InvalidConfigError(f"unknown observable kind {kind!r}")
+    values = np.asarray(spec["values"], dtype=float)
+    if values.shape != (size,):
+        raise InvalidConfigError(f"observable table must have length {size}, got {values.shape}")
+    return Observable(values)
 
 
 def _initial_from_spec(spec: dict, size: int) -> InitialDistribution:
-    kind = spec.get("kind", "point_mass")
+    kind = _spec_kind(spec, _INITIAL_FIELDS, "initial-distribution", "point_mass")
     if kind == "point_mass":
         return point_mass(_config_int(spec.get("state", 1), "initial state"), size)
     if kind == "uniform":
         return uniform_initial(size)
-    if kind == "table":
-        probs = np.asarray(spec["probs"], dtype=float)
-        if probs.shape != (size,):
-            raise InvalidConfigError(f"initial table must have length {size}")
-        if "tail_mass" in spec:
-            raise InvalidConfigError(
-                "an initial table takes 'probs' only, which sum to 1: "
-                "field 'tail_mass' is not supported")
-        return InitialDistribution(probs)
-    raise InvalidConfigError(f"unknown initial-distribution kind {kind!r}")
+    probs = np.asarray(spec["probs"], dtype=float)
+    if probs.shape != (size,):
+        raise InvalidConfigError(f"initial table must have length {size}")
+    return InitialDistribution(probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +114,7 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
             )
+        _check_fields(raw, _CONFIG_FIELDS, "the config")
         try:
             family = family_from_config(raw["family"])
         except KernelValidationError as exc:
@@ -120,14 +128,14 @@ class ExperimentConfig:
             tuple(_observable_from_spec(s, family.size) for s in obs_specs)
         )
         try:
-            speed = SpeedFunction(float(raw.get("speed_beta", 0.6)))
+            speed = SpeedFunction(_config_float(raw.get("speed_beta", 0.6), "speed_beta"))
         except KernelValidationError as exc:
             raise InvalidConfigError(str(exc)) from exc
 
         n_grid = tuple(_config_int(v, "n_grid entries") for v in raw.get("n_grid", []))
         if not n_grid or any(v < 1 for v in n_grid) or list(n_grid) != sorted(set(n_grid)):
             raise InvalidConfigError("n_grid must be a strictly increasing list of ints >= 1")
-        x_grid = tuple(float(v) for v in raw.get("x_grid", [0.0]))
+        x_grid = tuple(_config_float(v, "x_grid entries") for v in raw.get("x_grid", [0.0]))
         if not np.isfinite(x_grid).all():
             raise InvalidConfigError("x_grid entries must be finite")
         m_sup_range = _config_int(raw.get("m_sup_range", 200), "m_sup_range")
@@ -146,14 +154,15 @@ class ExperimentConfig:
         mdp_method = raw.get("mdp_method", "exact_dp")
         if mdp_method not in ("exact_dp", "monte_carlo"):
             raise InvalidConfigError(f"unknown mdp_method {mdp_method!r}")
-        z_weights = tuple(float(v) for v in raw.get("z_weights", [1.0] * len(observables)))
+        z_weights = tuple(_config_float(v, "z_weights entries")
+                          for v in raw.get("z_weights", [1.0] * len(observables)))
         if len(z_weights) != len(observables):
             raise InvalidConfigError("z_weights must have one entry per observable")
         if not np.isfinite(z_weights).all():
             raise InvalidConfigError("z_weights entries must be finite")
         budget = raw.get("runtime_budget_seconds")
         if budget is not None:
-            budget = float(budget)
+            budget = _config_float(budget, "runtime_budget_seconds")
             if not budget > 0:
                 raise InvalidConfigError("runtime_budget_seconds must be positive")
         return cls(

@@ -46,16 +46,12 @@ __all__ = [
 ]
 
 
-STATIONARY_TOL = 1e-12
-STATIONARY_SWEEPS = 5000  # power-iteration sweeps before the linear-solve fallback
-
-
 class ReducibleKernelError(ValueError):
     """The kernel is not irreducible on the retained states."""
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+    """The stationary solve failed its residual check."""
 
 
 class ConvergenceCondition(str, Enum):
@@ -426,32 +422,22 @@ def _check_irreducible(P: TruncatedKernel) -> None:
 
 
 def stationary(P: TruncatedKernel) -> StationaryVector:
-    """Stationary vector of P: power iteration with a dense linear-solve fallback.
+    """Stationary vector of an irreducible P, with its residual ``|pi P - pi|_1``.
 
-    Power iteration runs on the transpose with L1 normalization and stops when
-    successive iterates agree within ``STATIONARY_TOL``; if it has not
-    converged after ``STATIONARY_SWEEPS`` sweeps the fixed point is computed
-    by solving (P^T - I) pi = 0 with a normalization row.  A kernel held as
-    its one row b (every built-in limit) starts at its fixed point b / sum(b),
-    which one O(N) sweep confirms.
+    A kernel held as its one row b (every built-in limit) has pi = b / sum(b),
+    which one O(N) push confirms.  Any other kernel takes one dense solve of
+    pi P = pi with its last balance equation replaced by sum(pi) = 1, which
+    irreducibility makes nonsingular (Kemeny & Snell, *Finite Markov Chains*,
+    ch. 4).
     """
     _check_irreducible(P)
-    n = P.size
-    x = np.full(n, 1.0 / n) if P._row is None else P._row / P._row.sum()
-    for _ in range(STATIONARY_SWEEPS):
-        y = P.push(x)
-        y /= y.sum()
-        if np.abs(y - x).sum() <= STATIONARY_TOL:
-            x = y
-            break
-        x = y
+    if P._row is not None:
+        x = P.push(P._row / P._row.sum())
     else:
-        A = np.vstack([P.rows.T - np.eye(n), np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        x = np.clip(x, 0.0, None)
-        x /= x.sum()
+        A = P.rows.T - np.eye(P.size)
+        A[-1] = 1.0
+        x = np.clip(np.linalg.solve(A, np.r_[np.zeros(P.size - 1), 1.0]), 0.0, None)
+    x /= x.sum()
     residual = float(np.abs(P.push(x) - x).sum())
     if residual > 1e-10:
         raise ConvergenceError(f"stationary solve residual {residual} exceeds 1e-10")

@@ -67,7 +67,6 @@ __all__ = [
     "constant_family",
     "table_family",
     "family_from_config",
-    "family_to_config",
     "propagate",
     "expected_sum",
     "indicator_observable",
@@ -98,6 +97,22 @@ def _config_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise KernelValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _config_float(value, name: str) -> float:
+    """A real config field: an int or a float.  A bool, a string or any other
+    value is refused by name, never converted."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise KernelValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _check_fields(spec: dict, allowed, where: str) -> None:
+    """Refuse by name a config field outside ``allowed``: dropped, a misspelt
+    field would leave its default to run in its place."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise KernelValidationError(f"unknown field {', '.join(map(repr, unknown))} in {where}")
 
 
 def _config_ints(values, name: str) -> list:
@@ -247,7 +262,6 @@ class Observable:
     """A bounded real function on the retained states 1..N."""
 
     values: np.ndarray
-    bound: float = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -256,7 +270,6 @@ class Observable:
         if not np.all(np.isfinite(values)):
             raise KernelValidationError("observable must be finite (bounded)")
         object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "bound", float(np.abs(values).max()))
 
     @property
     def size(self) -> int:
@@ -791,46 +804,32 @@ def table_family(kernels: Iterable[TruncatedKernel], limit: TruncatedKernel) -> 
     return KernelFamily("table", limit.size, TailPolicy.LUMP, limit, table=kernels)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def family_to_config(family: KernelFamily) -> dict:
-    cfg: dict = {"kind": family.kind, "N": family.size, "tail_policy": family.tail_policy.value}
-    if family.kind in _ZETA_POWER:
-        cfg["alpha"] = family.alpha
-        if family.beta is not None:
-            cfg["beta"] = family.beta
-    elif family.kind == "constant":
-        cfg["matrix"] = family.limit.rows.tolist()
-    else:
-        cfg["matrices"] = [k.rows.tolist() for k in family.table]
-        cfg["limit"] = family.limit.rows.tolist()
-    return cfg
+# the fields each family kind takes besides kind, N and tail_policy
+_FAMILY_FIELDS = {"zeta2": ("alpha",), "zeta4": ("alpha", "beta"), "constant": ("matrix",),
+                  "table": ("matrices", "limit")}
 
 
 def family_from_config(cfg: dict) -> KernelFamily:
-    """Build a family from its JSON form, e.g. {"kind":"zeta2","alpha":0.75,"N":1000,"tail_policy":"lump"}."""
+    """Build a family from its JSON form, e.g. {"kind":"zeta2","alpha":0.75,"N":1000,"tail_policy":"lump"}.
+    Every kind takes ``N`` and ``tail_policy``; a field its kind does not take is refused."""
     kind = _KIND_ALIASES.get(cfg.get("kind"), cfg.get("kind"))
+    if kind not in _FAMILY_FIELDS:
+        raise KernelValidationError(f"unknown family kind {cfg.get('kind')!r}")
+    _check_fields(cfg, ("kind", "N", "tail_policy", *_FAMILY_FIELDS[kind]), f"a {kind} family")
     try:
         policy = TailPolicy(cfg.get("tail_policy", "lump"))
     except ValueError as exc:
         raise KernelValidationError(f"unknown tail policy {cfg.get('tail_policy')!r}") from exc
-    if kind == "zeta2":
-        return zeta2_family(cfg.get("alpha"), _config_int(cfg["N"], "family N"), policy)
-    if kind == "zeta4":
-        return zeta4_family(cfg.get("alpha"), cfg.get("beta"), _config_int(cfg["N"], "family N"),
-                            policy)
+    if kind in _ZETA_POWER:
+        alpha = _config_float(cfg.get("alpha"), "family alpha")
+        size = _config_int(cfg["N"], "family N")
+        if kind == "zeta2":
+            return zeta2_family(alpha, size, policy)
+        return zeta4_family(alpha, _config_float(cfg.get("beta"), "family beta"), size, policy)
     if kind == "constant":
-        if "tail" in cfg:
-            raise KernelValidationError(
-                "a constant family takes 'matrix' only, whose rows sum to 1: "
-                "field 'tail' is not supported")
         return constant_family(TruncatedKernel(np.asarray(cfg["matrix"], dtype=float)))
-    if kind == "table":
-        kernels = [TruncatedKernel(np.asarray(m, dtype=float)) for m in cfg["matrices"]]
-        return table_family(kernels, TruncatedKernel(np.asarray(cfg["limit"], dtype=float)))
-    raise KernelValidationError(f"unknown family kind {cfg.get('kind')!r}")
+    kernels = [TruncatedKernel(np.asarray(m, dtype=float)) for m in cfg["matrices"]]
+    return table_family(kernels, TruncatedKernel(np.asarray(cfg["limit"], dtype=float)))
 
 
 # ---------------------------------------------------------------------------

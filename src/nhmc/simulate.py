@@ -77,6 +77,8 @@ class SpeedFunction:
         return n / self(n) ** 2 * log_prob
 
 
+CLT_MIN_SAMPLES = 1000  # the fewest samples the normal diagnostic takes
+
 # steps per partial sum in simulate_sums: fixed, so no sum depends on block sizes
 _SUM_TILE = 256
 
@@ -173,8 +175,9 @@ def clt_diagnostic(
     if n < 1:
         raise KernelValidationError(f"horizon n must be >= 1, got {n}")
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 1000:
-        raise KernelValidationError("need at least 1000 samples for the normal diagnostic")
+    if samples.size < CLT_MIN_SAMPLES:
+        raise KernelValidationError(
+            f"need at least {CLT_MIN_SAMPLES} samples for the normal diagnostic")
     if theta_value <= 0.0:
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"

@@ -12,8 +12,8 @@ signature refinement; it is exact (no approximation).
 On the merged path each step is one small class-level matrix
 ``A_k = base 1^T + s(k) C^T``.  The classes come sorted by f value, so each
 value group is a row block whose product lands in one shifted slice of the
-next table.  Other families (renormalize, tables, ``merge=False``) run on
-the raw states 1..N: each step pushes the partial-sum columns through
+next table.  Other families (renormalize, tables) run on the raw states
+1..N: each step pushes the partial-sum columns through
 ``KernelFamily.steps`` as a stack of laws, each with its own total as its
 mass, and scatters them by state value.  Either way one sweep walks only the window of
 partial sums that still hold mass: at the window's edges it drops the
@@ -104,9 +104,6 @@ class SumDistribution:
         if lo >= self.pmf.size:
             return 0.0
         return float(self.pmf[lo:].sum())
-
-    def to_json_dict(self) -> dict:
-        return {"offset": int(self.support_offset), "pmf": self.pmf.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,6 @@ def exact_sum_distribution(
     family: KernelFamily,
     f: Observable,
     n: int | Sequence[int],
-    merge: bool = True,
     cell_budget: int = DP_CELL_BUDGET,
 ) -> SumDistribution | list[SumDistribution]:
     """Exact pmf of S_n by forward DP over the live window of partial sums.
@@ -232,8 +228,7 @@ def exact_sum_distribution(
     h * range + 1 cells of each earlier horizon h (the last pmf is made
     once the second table is released).  Raises
     DPConsistencyError, naming the horizon, when a DP mean disagrees with
-    the exact expectation.  ``merge=False`` forces the DP onto the raw
-    states (useful as a cross-check).
+    the exact expectation.
     """
     grid = _Horizons(n, "horizons")
     n_max = int(grid)
@@ -242,7 +237,7 @@ def exact_sum_distribution(
     if f.size != family.size or mu0.size != family.size:
         raise KernelValidationError("observable / initial distribution size mismatch")
 
-    lumped = _lumped_chain(family, mu0, f) if merge else None
+    lumped = _lumped_chain(family, mu0, f)
     if lumped is not None:
         fixed, coeff_t, values, start = lumped
     else:

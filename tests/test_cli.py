@@ -60,7 +60,9 @@ class TestValidate:
         """A band family's sampled steps are checked from b, pert and s(k),
         without building a dense kernel; the smallest entry is the dense
         kernel's and each row mass is 1 within rounding."""
-        family = {"kind": kind, "alpha": 0.75, "beta": 1.0, "N": 60, "tail_policy": policy}
+        family = {"kind": kind, "alpha": 0.75, "N": 60, "tail_policy": policy}
+        if kind == "zeta4":
+            family["beta"] = 1.0
         cfg = base_config(tmp_path / "out", family=family)
         fam = ExperimentConfig.from_dict(cfg).family
         dense = {k: fam.kernel_at(k).rows for k in cli.VALIDATE_STEP_SAMPLE}
@@ -170,6 +172,39 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"trails": 5000}, "'trails' in the config"),
+        ({"family": {"kind": "zeta2", "alpha": 0.75, "N": 120, "tail_polcy": "renormalize"}},
+         "'tail_polcy' in a zeta2 family"),
+        ({"initial": {"kind": "uniform", "state": 3}}, "'state' in a uniform initial"),
+        ({"observables": [{"kind": "indicator", "state": 1},
+                          {"kind": "capped_identity", "cap": 3, "stat": 3}]},
+         "'stat' in a capped_identity observable"),
+    ], ids=["top_level", "family", "initial", "observable"])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, overrides, field):
+        """A misspelt field is refused by name, where dropping it would run
+        its default (10 000 trials, lump, state 1, no second observable)."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert f"unknown field {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"family": {"kind": "zeta2", "alpha": True, "N": 120}}, "family alpha"),
+        ({"family": {"kind": "zeta4", "alpha": 0.75, "beta": True, "N": 120}}, "family beta"),
+        ({"speed_beta": "0.6"}, "speed_beta"),
+        ({"x_grid": [True, 0.4]}, "x_grid entries"),
+        ({"z_weights": [True]}, "z_weights entries"),
+        ({"runtime_budget_seconds": "30"}, "runtime_budget_seconds"),
+        ({"runtime_budget_seconds": True}, "runtime_budget_seconds"),
+    ], ids=["alpha_bool", "zeta4_beta_bool", "speed_beta_string", "x_grid_bool",
+            "z_weights_bool", "budget_string", "budget_bool"])
+    def test_non_number_real_field_exits_2(self, tmp_path, capsys, overrides, field):
+        """A real field takes an int or a float; a bool or a string is refused
+        by name, never converted."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert f"{field} must be a number" in capsys.readouterr().err
+
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(
             tmp_path, n_grid=[50.0, 2e2], trials=1e4, m_sup_range=20.0, base_seed=11.0,
@@ -272,13 +307,6 @@ class TestTableFamily:
                                       cfg["n_grid"], min(cfg["m_sup_range"], cli.CESARO_M_CAP))
         assert cesaro == [",".join(map(str, row)) for row in prof.csv_rows()]
 
-    def test_config_round_trip(self, tmp_path):
-        family = nhmc.family_from_config(self.config(tmp_path)["family"])
-        again = nhmc.family_from_config(nhmc.family_to_config(family))
-        assert again.kind == "table" and len(again.table) == len(family.table) == 2
-        for a, b in zip(again.table + (again.limit,), family.table + (family.limit,)):
-            np.testing.assert_array_equal(a.rows, b.rows)
-
 class TestRate:
     def test_theta_matches_row_variance(self, tmp_path, q_zeta2):
         cfg = base_config(tmp_path / "out")
@@ -318,6 +346,15 @@ class TestExperiments:
         summary = json.loads((tmp_path / "out" / "clt_summary.json").read_text())
         run = summary["runs"][0]
         assert {"ks_statistic", "variance_ratio", "ks_pass", "variance_pass"} <= set(run)
+
+    def test_clt_with_too_few_trials_exits_2_before_sampling(self, tmp_path, monkeypatch,
+                                                             capsys):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_sums", lambda *args: calls.append(args))
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", trials=999))
+        assert cli.main(["clt", "--config", str(path)]) == cli.EXIT_INVALID
+        assert calls == []
+        assert "clt needs trials >= 1000, got 999" in capsys.readouterr().err
 
     def test_mdp_smoke(self, tmp_path):
         cfg = base_config(tmp_path / "out", n_grid=[50, 150])

@@ -464,38 +464,42 @@ class TestStationary:
         rows[0, 1] = rows[1, 2] = rows[2, 0] = 1.0
         np.testing.assert_allclose(stationary(TruncatedKernel(rows)).pi, 1 / 3, atol=1e-14)
 
-    def test_periodic_swap_from_stationary_start_needs_no_solve(self, monkeypatch):
-        """Period 2, but the uniform start is already stationary for the
-        two-state swap: power iteration stops after one sweep and no linear
-        solve runs."""
-        calls = []
-        real = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+    def test_periodic_swap_from_stationary_start_needs_no_solve(self):
+        """The two-state swap has period 2; its stationary law is uniform."""
         kern = TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(stationary(kern).pi, [0.5, 0.5], atol=1e-12)
-        assert calls == []
 
-    def test_power_iteration_that_oscillates_takes_the_linear_solve(self, monkeypatch):
-        """Period 2: from the uniform start the iterates alternate between two
-        laws, so the sweeps run out and the least-squares solve gives pi."""
-        calls = []
-        real = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+    def test_power_iteration_that_oscillates_takes_the_linear_solve(self):
+        """Period 2: iterates of a law would alternate between two laws, while
+        the linear solve gives pi at once."""
         kern = TruncatedKernel(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         pi = stationary(kern)
-        assert len(calls) == 1
         np.testing.assert_allclose(pi.pi, [0.5, 0.25, 0.25], atol=1e-14)
         assert pi.residual <= 1e-14
+
+    def test_one_row_kernel_is_its_normalised_row_pushed_once(self, monkeypatch):
+        """A kernel held as its one row b gives b / sum(b) pushed once and
+        renormalised, bit for bit, and no linear solve runs."""
+        monkeypatch.setattr(np.linalg, "solve", None)
+        lim = make_limit_kernel("zeta4", 700)
+        b = lim.rows[0]
+        want = np.multiply.outer((b / b.sum()).sum(), b)
+        want /= want.sum()
+        assert stationary(lim).pi.tobytes() == want.tobytes()
+
+    def test_dense_kernel_takes_one_linear_solve(self, monkeypatch):
+        calls = []
+        real = np.linalg.solve
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        kern = TruncatedKernel(random_stochastic(np.random.default_rng(8), 60))
+        pi = stationary(kern)
+        assert len(calls) == 1
+        assert pi.residual <= 1e-14 and abs(pi.pi.sum() - 1.0) <= 1e-15
 
     def test_reducible_rejected(self):
         kern = TruncatedKernel(np.eye(3))

@@ -13,7 +13,6 @@ from nhmc import (
     constant_family,
     expected_sum,
     family_from_config,
-    family_to_config,
     indicator_observable,
     make_kernel,
     make_limit_kernel,
@@ -398,9 +397,9 @@ class TestObservable:
         with pytest.raises(KernelValidationError, match="finite"):
             nhmc.Observable(np.array([1.0, bad, 2.0]))
 
-    def test_bound_is_the_largest_absolute_value(self):
-        f = nhmc.Observable(np.array([-3.5, 1.0, 2.0]))
-        assert f.bound == 3.5 and f.size == 3
+    def test_values_are_a_read_only_float_vector(self):
+        f = nhmc.Observable([-3, 1, 2])
+        assert f.values.dtype == float and f.size == 3
         assert not f.values.flags.writeable
 
     def test_combine_is_the_weighted_sum_on_the_states(self):
@@ -408,7 +407,6 @@ class TestObservable:
                                   nhmc.capped_identity_observable(3, 4)))
         g = obs.combine([2.0, -0.5])
         np.testing.assert_array_equal(g.values, [-0.5, 1.0, -1.5, -1.5])
-        assert g.bound == 1.5
 
     def test_combine_weight_length_is_checked(self):
         obs = nhmc.ObservableSet((indicator_observable(1, 4),))
@@ -418,7 +416,7 @@ class TestObservable:
     def test_capped_identity_is_min_of_state_and_cap(self):
         f = nhmc.capped_identity_observable(3, 6)
         np.testing.assert_array_equal(f.values, [1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
-        assert f.bound == 3.0 and f.is_integer_valued()
+        assert f.is_integer_valued()
         with pytest.raises(KernelValidationError, match="cap must be >= 1"):
             nhmc.capped_identity_observable(0, 6)
 
@@ -535,7 +533,7 @@ class TestBandSeries:
         obs = nhmc.ObservableSet((indicator_observable(1, size),
                                   nhmc.Observable(rng.normal(size=size)),
                                   nhmc.Observable(rng.integers(-3, 4, size) * 1.0)))
-        bound = np.array([o.bound for o in obs])
+        bound = np.abs(obs.value_matrix()).max(axis=1)
         series = expected_step_values(mu0, fam, obs, n)
         oracle = propagated_step_values(mu0, fam, obs, n)
         assert np.all(np.abs(series - oracle) <= 1e-13 * bound)
@@ -601,28 +599,40 @@ class TestBandSeries:
             expected_step_values(point_mass(1, 20), fam, wrong, 5)
 
 
-class TestSerialization:
-    def test_round_trip_builtin(self):
-        fam = zeta4_family(0.9, 0.5, 40)
-        cfg = family_to_config(fam)
-        back = family_from_config(cfg)
-        assert back.kind == "zeta4" and back.alpha == 0.9 and back.beta == 0.5
-        np.testing.assert_array_equal(back.limit.rows, fam.limit.rows)
-
-    def test_wire_format_fields(self):
-        cfg = family_to_config(zeta2_family(0.75, 1000))
-        assert cfg == {"kind": "zeta2", "alpha": 0.75, "N": 1000, "tail_policy": "lump"}
+class TestFamilyFromConfig:
+    ROWS = [[0.5, 0.5], [0.25, 0.75]]
 
     def test_alias_kinds_accepted(self):
         fam = family_from_config({"kind": "example1", "alpha": 0.75, "N": 20})
         assert fam.kind == "zeta2"
 
-    def test_constant_round_trip(self):
-        rng = np.random.default_rng(5)
-        kern = TruncatedKernel(random_stochastic(rng, 6))
-        fam = constant_family(kern)
-        back = family_from_config(family_to_config(fam))
-        np.testing.assert_allclose(back.limit.rows, kern.rows)
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "zeta4", "alpha": 0.9, "beta": 0.5, "N": 40, "tail_policy": "renormalize"},
+        {"kind": "constant", "matrix": ROWS, "N": 2, "tail_policy": "lump"},
+        {"kind": "table", "matrices": [ROWS], "limit": ROWS, "N": 2, "tail_policy": "lump"},
+    ], ids=["zeta4", "constant", "table"])
+    def test_every_kind_takes_its_fields_and_N_and_tail_policy(self, cfg):
+        fam = family_from_config(cfg)
+        assert fam.kind == cfg["kind"] and fam.size == cfg["N"]
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"kind": "zeta2", "alpha": 0.75, "N": 20, "tail_polcy": "renormalize"}, "'tail_polcy'"),
+        ({"kind": "zeta2", "alpha": 0.75, "beta": 1.0, "N": 20}, "'beta'"),
+        ({"kind": "constant", "matrix": ROWS, "limit": ROWS}, "'limit'"),
+        ({"kind": "table", "matrix": ROWS, "matrices": [], "limit": ROWS}, "'matrix'"),
+    ], ids=["misspelt_tail_policy", "zeta2_beta", "constant_limit", "table_matrix"])
+    def test_field_its_kind_does_not_take_is_refused_by_name(self, cfg, field):
+        with pytest.raises(KernelValidationError, match=f"unknown field {field}"):
+            family_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"kind": "zeta2", "alpha": True, "N": 20}, "family alpha"),
+        ({"kind": "zeta2", "alpha": "0.75", "N": 20}, "family alpha"),
+        ({"kind": "zeta4", "alpha": 0.75, "beta": True, "N": 20}, "family beta"),
+    ], ids=["alpha_bool", "alpha_string", "beta_bool"])
+    def test_real_parameter_refuses_bools_and_strings(self, cfg, name):
+        with pytest.raises(KernelValidationError, match=f"{name} must be a number"):
+            family_from_config(cfg)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(KernelValidationError):

@@ -24,6 +24,12 @@ from nhmc import (
 )
 
 
+def raw_twin(family, merge=False):
+    """The family itself when ``merge``, else its ``structure=None`` twin: the
+    same kernels, whose DP runs on the raw states 1..N through ``kernel_at``."""
+    return family if merge else dataclasses.replace(family, structure=None)
+
+
 def full_sweep_dp(mu0, family, f, n):
     """Plain forward DP over every (state, partial sum) on the dense kernels;
     returns the pmf from n * min f."""
@@ -59,14 +65,14 @@ class TestExactSumDistribution:
     def test_merged_equals_raw_state_dp(self, start200, ind200):
         fam = zeta2_family(0.75, 200)
         merged = exact_sum_distribution(start200, fam, ind200, 25)
-        raw = exact_sum_distribution(start200, fam, ind200, 25, merge=False)
+        raw = exact_sum_distribution(start200, raw_twin(fam), ind200, 25)
         np.testing.assert_allclose(merged.pmf, raw.pmf, atol=1e-14)
 
     def test_merged_equals_raw_for_capped_identity(self, start200):
         fam = zeta2_family(0.75, 200)
         f = capped_identity_observable(3, 200)
         merged = exact_sum_distribution(start200, fam, f, 12)
-        raw = exact_sum_distribution(start200, fam, f, 12, merge=False)
+        raw = exact_sum_distribution(start200, raw_twin(fam), f, 12)
         np.testing.assert_allclose(merged.pmf, raw.pmf, atol=1e-13)
         assert merged.support_offset == 12
 
@@ -162,7 +168,7 @@ class TestExactSumDistribution:
 
     def test_cell_budget_enforced(self, iid_family, start200, ind200):
         with pytest.raises(KernelValidationError):
-            exact_sum_distribution(start200, iid_family, ind200, 10**5, merge=False,
+            exact_sum_distribution(start200, raw_twin(iid_family), ind200, 10**5,
                                    cell_budget=10**6)
 
     @pytest.mark.parametrize("merge, states, n", [(True, 3, 2 * 10**4), (False, 201, 10**3)])
@@ -172,12 +178,11 @@ class TestExactSumDistribution:
         2) cannot hold the DP's tables of states x (n * range + 1) cells
         (1.9 and 3.2 MB for two tables here): it is refused before anything
         of the DP's size is allocated."""
-        f = capped_identity_observable(3, 200)
+        f, fam = capped_identity_observable(3, 200), raw_twin(iid_family, merge)
         tracemalloc.start()
         try:
             with pytest.raises(KernelValidationError, match="budget"):
-                exact_sum_distribution(start200, iid_family, f, n, merge=merge,
-                                       cell_budget=n * 2 * states)
+                exact_sum_distribution(start200, fam, f, n, cell_budget=n * 2 * states)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -219,7 +224,7 @@ class TestExactSumDistribution:
         monkeypatch.setattr(nhmc.KernelFamily, "perturbation_scale", no_steps)
         f = capped_identity_observable(3, 200)
         with pytest.raises(KernelValidationError, match="budget exceeded at n=100000"):
-            exact_sum_distribution(start200, iid_family, f, [10, 20, 10**5], merge=merge,
+            exact_sum_distribution(start200, raw_twin(iid_family, merge), f, [10, 20, 10**5],
                                    cell_budget=10**6)
 
     def test_grid_budget_counts_earlier_snapshots(self):
@@ -266,12 +271,6 @@ class TestExactSumDistribution:
         assert dist.support_offset == 18
         np.testing.assert_allclose(dist.pmf, [1.0])
 
-    def test_json_round_trip(self, iid_family, start200, ind200):
-        dist = exact_sum_distribution(start200, iid_family, ind200, 4)
-        payload = dist.to_json_dict()
-        assert payload["offset"] == 0
-        assert len(payload["pmf"]) == 5
-
 
 def _grid_case(case):
     """(family, start law, observable) of one DP path the grid sweep serves."""
@@ -304,11 +303,11 @@ class TestHorizonGrid:
         """One sweep across the grid gives every horizon's pmf, mean,
         expectation, dropped mass and offset bit for bit."""
         fam, mu0, f = _grid_case(case)
-        grid = sorted(horizons)
-        dists = exact_sum_distribution(mu0, fam, f, grid, merge=merge)
+        fam, grid = raw_twin(fam, merge), sorted(horizons)
+        dists = exact_sum_distribution(mu0, fam, f, grid)
         assert len(dists) == len(grid)
         for h, dist in zip(grid, dists):
-            _assert_bit_identical(dist, exact_sum_distribution(mu0, fam, f, h, merge=merge))
+            _assert_bit_identical(dist, exact_sum_distribution(mu0, fam, f, h))
 
     def test_grid_snapshots_carry_their_dropped_mass(self, iid_family, start200, ind200):
         """Past n = 3000 the binomial tails are dropped; each snapshot carries
