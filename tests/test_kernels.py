@@ -22,8 +22,42 @@ from nhmc import (
     zeta4_family,
 )
 from nhmc.kernels import _propagation_steps, expected_step_values
+from scipy import stats
 
 from conftest import random_stochastic
+
+FALSE_ALARM = 1e-4  # the law check's, split evenly between its two parts
+
+
+def law_check(counts: np.ndarray, law: np.ndarray):
+    """Sampled state counts against the exact law, at a false-alarm rate of at
+    most ``FALSE_ALARM`` for a correct sampler.  Half of it goes to a
+    Bonferroni bound on each live state (exact binomial tails, both sides),
+    half to Pearson's chi-square against its 1 - FALSE_ALARM/2 quantile, over
+    cells of adjacent live states that each expect at least 20 draws.
+    Returns (states outside their bounds, chi-square, its limit, the rule's
+    false-alarm rate: the Bonferroni tails' exact sum plus the chi-square
+    level)."""
+    trials = int(counts.sum())
+    live = np.flatnonzero(law > 0)
+    p, c = law[live], counts[live]
+    tail = FALSE_ALARM / 2 / live.size / 2  # per state and side
+    lo, hi = stats.binom.ppf(tail, trials, p), stats.binom.isf(tail, trials, p)
+    outside = np.concatenate([live[(c < lo) | (c > hi)], np.flatnonzero((law <= 0) & (counts > 0))])
+    expected = trials * p
+    starts, pending = [0], 0.0
+    for i, e in enumerate(expected[:-1], start=1):
+        pending += e
+        if pending >= 20:
+            starts.append(i)
+            pending = 0.0
+    if len(starts) > 1 and expected[starts[-1]:].sum() < 20:
+        starts.pop()  # the short last cell joins the one before
+    got, want = np.add.reduceat(c, starts), np.add.reduceat(expected, starts)
+    chi2 = float(((got - want) ** 2 / want).sum())
+    limit = stats.chi2.isf(FALSE_ALARM / 2, got.size - 1)
+    rate = float((stats.binom.cdf(lo - 1, trials, p) + stats.binom.sf(hi, trials, p)).sum())
+    return outside, chi2, limit, rate + FALSE_ALARM / 2
 
 
 class TestTruncatedKernel:
@@ -324,18 +358,23 @@ class TestPropagate:
         np.testing.assert_allclose(out, probs, atol=1e-13)
 
     def test_monte_carlo_oracle(self):
-        """Distribution at k=10 against 10^6 sampled trajectories, 3 SE per state."""
+        """Distribution at k=10 against 10^6 sampled trajectories: every live
+        state within its Bonferroni binomial bounds and the chi-square within
+        its limit (``law_check``: a correct sampler fails with probability at
+        most 1e-4), and state 1 within 3 SE."""
         fam = zeta2_family(0.75, 500)
         mu0 = point_mass(1, 500)
         exact = propagate(mu0, fam, 10)
         trials = 10**6
         paths = nhmc.sample_paths(nhmc.trial_seeds(20260810, trials), mu0, fam, 10)
         counts = np.bincount(paths[:, 10], minlength=500)
+        outside, chi2, limit, false_alarm = law_check(counts, exact)
+        assert false_alarm <= 1e-4
+        assert outside.size == 0, f"states {outside + 1} outside their bounds"
+        assert chi2 <= limit, f"chi-square {chi2:.1f} above {limit:.1f}"
         freq = counts / trials
-        se = np.sqrt(np.clip(exact * (1 - exact), 1e-30, None) / trials)
-        # Bernoulli counts: compare per state at 3 standard errors
-        assert (np.abs(freq - exact) <= 3 * se + 1e-12).mean() > 0.995
-        assert abs(freq[0] - exact[0]) <= 3 * se[0]
+        se = np.sqrt(exact[0] * (1 - exact[0]) / trials)
+        assert abs(freq[0] - exact[0]) <= 3 * se
 
     def test_mass_preserved_over_long_horizons(self, zeta2_small, start200):
         out = propagate(start200, zeta2_small, 10**4)
