@@ -25,7 +25,7 @@ from .kernels import (
     point_mass,
     uniform_initial,
 )
-from .sampling import sample_paths, trial_seeds
+from .sampling import sample_paths
 from .ergodicity import (
     ReducibleKernelError,
     ConvergenceError,

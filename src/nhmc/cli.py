@@ -43,6 +43,7 @@ from .kernels import _ZETA_POWER, KernelValidationError, _BandStep, _Horizons, e
 from .rates import (
     RateComputationError, ThetaPositivityError, asymptotic_variance, build_rate_model, rate_1d,
 )
+from .sampling import RNG_VERSION
 from .simulate import (
     CLT_MIN_SAMPLES, clt_diagnostic, martingale_check, mdp_diagnostic, simulate_sums,
 )
@@ -134,6 +135,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig,
     manifest = {
         "command": command,
         "library_version": __version__,
+        **RNG_VERSION,
         "config": cfg.raw,
         "wall_clock_seconds": budget.elapsed(),
         "outputs": {p.name: _sha256(p) for p in files},

@@ -22,12 +22,15 @@ from .kernels import (
     _check_fields,
     _config_float,
     _config_int,
+    _config_object,
+    _config_table,
     capped_identity_observable,
     family_from_config,
     indicator_observable,
     point_mass,
     uniform_initial,
 )
+from .sampling import _base_seed
 from .simulate import SpeedFunction
 
 __all__ = ["InvalidConfigError", "ExperimentConfig", "SCHEMA_VERSION"]
@@ -50,7 +53,7 @@ _INITIAL_FIELDS = {"point_mass": ("state",), "uniform": (), "table": ("probs",)}
 
 def _spec_kind(spec: dict, fields: dict, what: str, default=None) -> str:
     """The spec's kind, once it is known and the spec sets no field that kind does not take."""
-    kind = spec.get("kind", default)
+    kind = _config_object(spec, f"an {what}").get("kind", default)
     if kind not in fields:
         raise InvalidConfigError(f"unknown {what} kind {kind!r}")
     _check_fields(spec, ("kind", *fields[kind]), f"a {kind} {what}")
@@ -63,7 +66,7 @@ def _observable_from_spec(spec: dict, size: int) -> Observable:
         return indicator_observable(_config_int(spec["state"], "observable state"), size)
     if kind == "capped_identity":
         return capped_identity_observable(_config_int(spec["cap"], "observable cap"), size)
-    values = np.asarray(spec["values"], dtype=float)
+    values = _config_table(spec["values"], "observable values")
     if values.shape != (size,):
         raise InvalidConfigError(f"observable table must have length {size}, got {values.shape}")
     return Observable(values)
@@ -75,7 +78,7 @@ def _initial_from_spec(spec: dict, size: int) -> InitialDistribution:
         return point_mass(_config_int(spec.get("state", 1), "initial state"), size)
     if kind == "uniform":
         return uniform_initial(size)
-    probs = np.asarray(spec["probs"], dtype=float)
+    probs = _config_table(spec["probs"], "initial probs")
     if probs.shape != (size,):
         raise InvalidConfigError(f"initial table must have length {size}")
     return InitialDistribution(probs)
@@ -109,7 +112,7 @@ class ExperimentConfig:
 
     @classmethod
     def _parse(cls, raw: dict) -> "ExperimentConfig":
-        version = raw.get("schema_version")
+        version = _config_object(raw, "the config").get("schema_version")
         if version != SCHEMA_VERSION:
             raise InvalidConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
@@ -144,13 +147,7 @@ class ExperimentConfig:
         trials = _config_int(raw.get("trials", 10000), "trials")
         if trials < 1:
             raise InvalidConfigError("trials must be >= 1")
-        base_seed = _config_int(raw.get("base_seed", 0), "base_seed")
-        # trial t draws from the stream seeded base_seed + t, an int64
-        if not 0 <= base_seed <= 2**63 - trials:
-            raise InvalidConfigError(
-                f"base_seed must lie in [0, 2**63 - trials] = [0, {2**63 - trials}], "
-                f"got {base_seed}"
-            )
+        base_seed = _base_seed(raw.get("base_seed", 0))
         mdp_method = raw.get("mdp_method", "exact_dp")
         if mdp_method not in ("exact_dp", "monte_carlo"):
             raise InvalidConfigError(f"unknown mdp_method {mdp_method!r}")

@@ -107,6 +107,22 @@ def _config_float(value, name: str) -> float:
     raise KernelValidationError(f"{name} must be a number, got {value!r}")
 
 
+def _config_table(value, name: str) -> np.ndarray:
+    """A table config field, nested lists of numbers, as a float array: a
+    bool, a string or any other entry is refused by name, never converted."""
+    entries = np.asarray(value, dtype=object)
+    for entry in entries.flat:
+        _config_float(entry, f"{name} entries")
+    return entries.astype(float)
+
+
+def _config_object(spec, where: str) -> dict:
+    """A config object (a JSON dict), refused by name when it is anything else."""
+    if not isinstance(spec, dict):
+        raise KernelValidationError(f"{where} must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
 def _check_fields(spec: dict, allowed, where: str) -> None:
     """Refuse by name a config field outside ``allowed``: dropped, a misspelt
     field would leave its default to run in its place."""
@@ -812,6 +828,7 @@ _FAMILY_FIELDS = {"zeta2": ("alpha",), "zeta4": ("alpha", "beta"), "constant": (
 def family_from_config(cfg: dict) -> KernelFamily:
     """Build a family from its JSON form, e.g. {"kind":"zeta2","alpha":0.75,"N":1000,"tail_policy":"lump"}.
     Every kind takes ``N`` and ``tail_policy``; a field its kind does not take is refused."""
+    cfg = _config_object(cfg, "the family")
     kind = _KIND_ALIASES.get(cfg.get("kind"), cfg.get("kind"))
     if kind not in _FAMILY_FIELDS:
         raise KernelValidationError(f"unknown family kind {cfg.get('kind')!r}")
@@ -827,9 +844,9 @@ def family_from_config(cfg: dict) -> KernelFamily:
             return zeta2_family(alpha, size, policy)
         return zeta4_family(alpha, _config_float(cfg.get("beta"), "family beta"), size, policy)
     if kind == "constant":
-        return constant_family(TruncatedKernel(np.asarray(cfg["matrix"], dtype=float)))
-    kernels = [TruncatedKernel(np.asarray(m, dtype=float)) for m in cfg["matrices"]]
-    return table_family(kernels, TruncatedKernel(np.asarray(cfg["limit"], dtype=float)))
+        return constant_family(TruncatedKernel(_config_table(cfg["matrix"], "family matrix")))
+    kernels = [TruncatedKernel(_config_table(m, "family matrices")) for m in cfg["matrices"]]
+    return table_family(kernels, TruncatedKernel(_config_table(cfg["limit"], "family limit")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Monte Carlo experiments and limit-law diagnostics.
 
-Everything here is a pure function of (configuration, base_seed): trials use
-per-trial PRNG streams (seed = base_seed + trial index), blocks are fixed, and
-worker pools only change who computes a block, never its content, so parallel
-and sequential runs produce identical output.
+Everything here is a pure function of (configuration, base_seed): trial t
+draws from its lane of base_seed's lane-group streams (``sampling``), blocks
+are fixed, and worker pools only change who computes a block, never its
+content, so parallel and sequential runs produce identical output.
 
 Centered quantities always use the exact expectation, never a sample mean:
 the band series of ``kernels._band_series`` on lump band families (T terms
@@ -38,7 +38,7 @@ from .kernels import (
     expected_sum,
 )
 from .rates import ThetaPositivityError, rate_1d
-from .sampling import _tile_width, _walk, iter_seed_blocks, sample_paths, trial_seeds
+from .sampling import _base_seed, _walk, iter_seed_blocks, sample_paths
 from .sumdist import exact_sum_distribution
 
 __all__ = [
@@ -128,13 +128,12 @@ def simulate_sums(
     n_max = max(horizons)
     obs = f if isinstance(f, ObservableSet) else ObservableSet((f,))
     vals = obs.value_matrix()
-    seeds = trial_seeds(base_seed, trials)
 
-    def one_block(seed_chunk):
-        paths = sample_paths(seed_chunk, mu0, family, n_max)
-        out = np.empty((len(horizons), len(seed_chunk), len(vals)))
+    def one_block(chunk):
+        paths = sample_paths(chunk, mu0, family, n_max, base_seed)
+        out = np.empty((len(horizons), len(chunk), len(vals)))
         for l, values in enumerate(vals):
-            total = np.zeros(len(seed_chunk))  # sum over the tiles before ``start``
+            total = np.zeros(len(chunk))  # sum over the tiles before ``start``
             for start in range(0, n_max + 1, _SUM_TILE):
                 tile = values[paths[:, start + 1 : start + _SUM_TILE + 1]]  # f(X_k) per step
                 for i, h in enumerate(horizons):
@@ -143,7 +142,7 @@ def simulate_sums(
                 total += tile.sum(axis=1)
         return out
 
-    parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max)), workers)
+    parts = _map_blocks(one_block, list(iter_seed_blocks(np.arange(trials), n_max)), workers)
     out = np.concatenate(parts, axis=1)
     if np.ndim(n) == 0:
         out = out[0]
@@ -341,6 +340,7 @@ def martingale_check(
     """
     g = observables.combine(z)
     trials = _trial_count(trials)
+    base_seed = _base_seed(base_seed)
     n_grid = _horizon_grid(n_grid, "n_grid")
     n_max = int(n_grid[-1])
     if theta_value is None:
@@ -380,20 +380,18 @@ def martingale_check(
     variance_values = var_cum[n_grid - 1] / n_grid
 
     # Monte Carlo pass: pathwise drift and the decomposition residual, one step
-    # of the walk at a time, so memory beyond the block's uniforms tile is
-    # O(N + trials)
+    # of the walk at a time, so memory is O(N + trials)
     pull_g = _puller(family, g)
-    seeds = trial_seeds(base_seed, trials)
     grid_pos = {int(n): i for i, n in enumerate(n_grid)}
 
-    def one_block(seed_chunk):
-        b = len(seed_chunk)
+    def one_block(chunk):
+        b = len(chunk)
         drift = np.zeros(b)
         mart = np.zeros(b)
         lhs = np.zeros(b)
         drift_at = np.zeros((b, len(n_grid)))
         resid = 0.0
-        walk = _walk(family, mu0, n_max, seed_chunk, _tile_width(b, n_max + 1, 0))
+        walk = _walk(family, mu0, n_max, chunk, base_seed)
         prev = next(walk)[2]
         for k, step, state in walk:
             pg_prev = pull_g(step, prev)
@@ -407,7 +405,8 @@ def martingale_check(
             prev = state
         return drift_at, resid
 
-    parts = _map_blocks(one_block, list(iter_seed_blocks(seeds, n_max, paths=False)), workers)
+    blocks = list(iter_seed_blocks(np.arange(trials), n_max, paths=False))
+    parts = _map_blocks(one_block, blocks, workers)
     drift_values = np.concatenate([p[0] for p in parts], axis=0).mean(axis=0)
     residual = max(p[1] for p in parts)
     return MartingaleResult(

@@ -130,12 +130,12 @@ class TestValidate:
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
 
-    @pytest.mark.parametrize("seed", [-5, 2**63 - 1])
-    def test_base_seed_outside_int64_trial_streams_exits_2(self, tmp_path, capsys, seed):
+    @pytest.mark.parametrize("seed", [-5, 2**63])
+    def test_base_seed_outside_int64_exits_2(self, tmp_path, capsys, seed):
         path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", base_seed=seed))
         assert cli.main(["clt", "--config", str(path)]) == cli.EXIT_INVALID
         assert "base_seed must lie in" in capsys.readouterr().err
-        last = 2**63 - 1200  # trials = 1200: the last trial's seed is 2**63 - 1
+        last = 2**63 - 1  # whatever the trial count: trials index lanes, not seeds
         assert ExperimentConfig.from_dict(base_config(tmp_path, base_seed=last)).base_seed == last
 
     @pytest.mark.parametrize("overrides, field", [
@@ -204,6 +204,43 @@ class TestValidate:
         path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
         assert f"{field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"family": {"kind": "constant", "matrix": [[0.5, 0.5], [True, 0]]}}, "family matrix"),
+        ({"family": {"kind": "table", "matrices": [[["0.5", 0.5], [0.5, 0.5]]],
+                     "limit": [[0.5, 0.5], [0.5, 0.5]]}}, "family matrices"),
+        ({"family": {"kind": "table", "matrices": [[[0.5, 0.5], [0.5, 0.5]]],
+                     "limit": [[0.5, 0.5], [0.0, True]]}}, "family limit"),
+        ({"initial": {"kind": "table", "probs": [True] + [0.0] * 119}}, "initial probs"),
+        ({"observables": [{"kind": "table", "values": ["1", True] + [0.5] * 118}]},
+         "observable values"),
+        ({"observables": [{"kind": "table", "values": [0.5, True] + [0.5] * 118}]},
+         "observable values"),
+    ], ids=["matrix_bool", "matrices_string", "limit_bool", "probs_bool", "values_string",
+            "values_bool_among_floats"])
+    def test_non_number_table_entry_exits_2(self, tmp_path, capsys, overrides, field):
+        """A table field takes numbers only: a bool or a numeric string is
+        refused by name, also where numpy would convert it with the rest."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main(["rate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert f"{field} entries must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert "the config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"family": []}, "the family"),
+        ({"initial": [1]}, "an initial-distribution"),
+        ({"observables": [[]]}, "an observable"),
+    ], ids=["family", "initial", "observable"])
+    def test_spec_that_is_not_an_object_exits_2(self, tmp_path, capsys, overrides, where):
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **overrides))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert f"{where} must be a JSON object" in capsys.readouterr().err
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(
@@ -376,9 +413,9 @@ class TestExperiments:
         calls = []
         real = nhmc.simulate.sample_paths
 
-        def counted(seeds, mu0, family, n):
-            calls.append((len(seeds), n))
-            return real(seeds, mu0, family, n)
+        def counted(trials, mu0, family, n, base_seed):
+            calls.append((len(trials), n))
+            return real(trials, mu0, family, n, base_seed)
 
         monkeypatch.setattr(nhmc.simulate, "sample_paths", counted)
         cfg = base_config(tmp_path / "out", trials=5000, mdp_method="monte_carlo",
@@ -432,6 +469,19 @@ class TestArtifacts:
         assert cli.verify_manifest(tmp_path / "out")
         (tmp_path / "out" / "rate_table.csv").write_text("tampered")
         assert not cli.verify_manifest(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["validate", "clt", "martingale"])
+    def test_manifest_names_the_stream(self, tmp_path, command):
+        """Every manifest records the stream's version and numpy's, which
+        implements it: ``sampling.RNG_VERSION``, with the rest unchanged."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out"))
+        assert cli.main([command, "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["rng_version"] == 2 and manifest["numpy_version"] == np.__version__
+        assert nhmc.sampling.RNG_VERSION == {"rng_version": 2, "numpy_version": np.__version__}
+        assert set(manifest) == {"command", "library_version", "config", "wall_clock_seconds",
+                                 "outputs", "rng_version", "numpy_version"}
+        assert cli.verify_manifest(tmp_path / "out")
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"

@@ -366,7 +366,7 @@ class TestPropagate:
         mu0 = point_mass(1, 500)
         exact = propagate(mu0, fam, 10)
         trials = 10**6
-        paths = nhmc.sample_paths(nhmc.trial_seeds(20260810, trials), mu0, fam, 10)
+        paths = nhmc.sample_paths(np.arange(trials), mu0, fam, 10, 20260810)
         counts = np.bincount(paths[:, 10], minlength=500)
         outside, chi2, limit, false_alarm = law_check(counts, exact)
         assert false_alarm <= 1e-4

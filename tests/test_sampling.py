@@ -14,141 +14,166 @@ from nhmc import (
     point_mass,
     sample_paths,
     table_family,
-    trial_seeds,
     uniform_initial,
     zeta2_family,
 )
 from nhmc import sampling
-from nhmc.sampling import _initial_states, _tile_width, _uniform_tiles, iter_seed_blocks
+from nhmc.sampling import _initial_states, _spans, iter_seed_blocks
 
 
-def default_rng_rows(seeds, count):
-    """The reference stream: one ``default_rng`` per seed."""
-    return np.array([np.random.default_rng(int(s)).random(count) for s in seeds])
+def lane_uniforms(base_seed, trials, count):
+    """The reference stream, from numpy alone: row i holds the first
+    ``count`` step uniforms of trial ``trials[i]`` of ``base_seed``, lane
+    ``t % 256`` of the outputs of ``PCG64DXSM(SeedSequence(base_seed,
+    spawn_key=(t // 256,)))``, 256 a step."""
+    rows = {}
+    for g in {int(t) // 256 for t in trials}:
+        gen = np.random.Generator(np.random.PCG64DXSM(
+            np.random.SeedSequence(base_seed, spawn_key=(g,))))
+        rows[g] = gen.random(256 * count).reshape(count, 256).T
+    return np.array([rows[int(t) // 256][int(t) % 256] for t in trials])
+
+
+def span_uniforms(base_seed, trials, count, family=zeta2_family(0.75, 4)):
+    """``_spans``'s step-major spans, stacked to (trials, count)."""
+    trials = np.asarray(trials, dtype=np.int64)
+    return np.concatenate([u.copy() for _, u, _ in _spans(family, trials, count, base_seed)]).T
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1]
+GROUP_EDGES = [0, 1, 255, 256, 257, 511, 1000, 5, 2**40 + 3]
 
 
-def stepwise_paths(seeds, mu0, steps, n):
+def stepwise_paths(base_seed, trials, mu0, steps, n):
     """The plain walk: X_0 drawn from mu0, then ``step.draw(state, u)`` one
-    column at a time over the n ``steps``, on one tile of the stream."""
-    u = next(_uniform_tiles(seeds, n + 1, n + 1))
+    step at a time over the n ``steps``, on the reference stream."""
+    u = lane_uniforms(base_seed, trials, n + 1)
     cols = [_initial_states(mu0, u[:, 0])]
     for k, step in enumerate(steps, start=1):
         cols.append(step.draw(cols[-1], u[:, k]))
     return np.stack(cols, axis=1)
 
 
+def set_block(monkeypatch, trials_per_block, n):
+    """Shrink the path-table budget so blocks to horizon n hold ``trials_per_block``."""
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", trials_per_block * 4 * (n + 1))
+
+
 class TestStream:
-    @pytest.mark.parametrize("count", [1, 4, 21, 101])
-    def test_bulk_seeding_equals_default_rng(self, count):
-        seeds = np.array(EDGE_SEEDS, dtype=np.int64)
-        one_tile = next(_uniform_tiles(seeds, count, count))
-        np.testing.assert_array_equal(one_tile, default_rng_rows(seeds, count))
+    @pytest.mark.parametrize("count", [1, 4, 8, 21, 101])
+    @pytest.mark.parametrize("base_seed", EDGE_SEEDS)
+    def test_spans_are_the_lane_group_outputs(self, base_seed, count):
+        """Trials on either side of group edges, out of order, across spans
+        cut anywhere in the last one."""
+        np.testing.assert_array_equal(span_uniforms(base_seed, GROUP_EDGES, count),
+                                      lane_uniforms(base_seed, GROUP_EDGES, count))
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8), st.integers(1, 40))
-    def test_bulk_seeding_equals_default_rng_on_drawn_seeds(self, seeds, count):
-        seeds = np.array(seeds, dtype=np.int64)
-        one_tile = next(_uniform_tiles(seeds, count, count))
-        np.testing.assert_array_equal(one_tile, default_rng_rows(seeds, count))
+    @given(st.integers(0, 2**63 - 1),
+           st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 1500), min_size=1, max_size=8),
+           st.integers(1, 40))
+    def test_spans_are_the_lane_group_outputs_on_drawn_trials(self, base_seed, trials, count):
+        np.testing.assert_array_equal(span_uniforms(base_seed, trials, count),
+                                      lane_uniforms(base_seed, trials, count))
 
-    @pytest.mark.parametrize("count", [3, 21, 101])
-    def test_tiles_concatenate_to_the_stream(self, count, monkeypatch):
-        """With the budget shrunk to a third of the stream, each trial's PCG64
-        state must carry over every tile boundary."""
-        seeds = np.array(EDGE_SEEDS, dtype=np.int64)
-        width = -(-count // 3)
-        monkeypatch.setattr(sampling, "_MIN_TILE", 1)
-        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 8 * len(seeds) * width)
-        assert _tile_width(len(seeds), count, 0) == width
-        tiles = [t.copy() for t in _uniform_tiles(seeds, count, width)]
-        assert len(tiles) == 3
-        np.testing.assert_array_equal(np.hstack(tiles), default_rng_rows(seeds, count))
+    def test_adjacent_base_seeds_share_no_trial(self):
+        """No trial stream of base seed b is one of b + 1, nor of another
+        trial of b: with per-trial seeds base + t, base 8's trial 0 was base
+        7's trial 1."""
+        for b in (7, 2**32 - 1):
+            streams = [span_uniforms(base, np.arange(1000), 4) for base in (b, b + 1)]
+            rows = [{row.tobytes() for row in u} for u in streams]
+            assert len(rows[0]) == len(rows[1]) == 1000
+            assert not rows[0] & rows[1]
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8), st.integers(3, 60),
-           st.integers(1, 20))
-    def test_tiles_concatenate_to_the_stream_on_drawn_seeds(self, seeds, count, width):
-        seeds = np.array(seeds, dtype=np.int64)
-        width = min(width, count // 3)  # at least three tiles
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "_MIN_TILE", 1)
-            mp.setattr(sampling, "_BLOCK_BYTES", 8 * len(seeds) * width)
-            tiles = [t.copy() for t in
-                     _uniform_tiles(seeds, count, _tile_width(len(seeds), count, 0))]
-        assert len(tiles) >= 3
-        np.testing.assert_array_equal(np.hstack(tiles), default_rng_rows(seeds, count))
+    def test_lanes_of_a_group_are_distinct_and_uncorrelated(self):
+        """The 256 lanes of one group over 10^4 steps: no two equal, and every
+        lane's lag-1 correlation and every adjacent pair's correlation within
+        5 SE (1/sqrt(steps)) of 0."""
+        steps = 10**4
+        u = span_uniforms(3, np.arange(256), steps)
+        assert len({row.tobytes() for row in u}) == 256
+        z = (u - u.mean(axis=1, keepdims=True)) / u.std(axis=1, keepdims=True)
+        lag1 = (z[:, :-1] * z[:, 1:]).mean(axis=1)
+        adjacent = (z[:-1] * z[1:]).mean(axis=1)
+        assert np.abs(lag1).max() <= 5 / np.sqrt(steps)
+        assert np.abs(adjacent).max() <= 5 / np.sqrt(steps)
 
-    @pytest.mark.parametrize("seeds", [[-1], [3, -5], [2**63], [2**64 + 1]],
+    @pytest.mark.parametrize("trials", [[-1], [3, -5], [2**63], [2**64 + 1]],
                              ids=["minus1", "one_negative", "2^63", "2^64+1"])
-    def test_seed_outside_int64_range_rejected(self, seeds, start200, zeta2_small):
-        with pytest.raises(KernelValidationError, match="seeds must lie in"):
-            sample_paths(seeds, start200, zeta2_small, 5)
+    def test_trial_index_outside_int64_range_rejected(self, trials, start200, zeta2_small):
+        with pytest.raises(KernelValidationError, match="trial indices must lie in"):
+            sample_paths(trials, start200, zeta2_small, 5)
 
-    @pytest.mark.parametrize("seeds", [[], [[1, 2], [3, 4]]], ids=["empty", "2d"])
-    def test_seeds_must_be_a_nonempty_vector(self, seeds, start200, zeta2_small, monkeypatch):
-        """No seed, or a seed table, is refused before any block is sampled."""
+    @pytest.mark.parametrize("base_seed", [-1, 2**63, 2.5, True])
+    def test_base_seed_outside_int64_range_rejected(self, base_seed, start200, zeta2_small):
+        with pytest.raises(KernelValidationError, match="base_seed must"):
+            sample_paths([0], start200, zeta2_small, 5, base_seed)
+
+    @pytest.mark.parametrize("trials", [[], [[1, 2], [3, 4]]], ids=["empty", "2d"])
+    def test_trials_must_be_a_nonempty_vector(self, trials, start200, zeta2_small,
+                                              monkeypatch):
+        """No trial, or a trial table, is refused before any block is sampled."""
         def sample_block(*args):
             raise AssertionError("a block was sampled")
 
         monkeypatch.setattr(sampling, "_sample_block", sample_block)
         with pytest.raises(KernelValidationError, match="non-empty 1-d"):
-            sample_paths(seeds, start200, zeta2_small, 5)
+            sample_paths(trials, start200, zeta2_small, 5)
 
     def test_negative_base_seed_rejected_by_the_martingale_pass(self, start200, zeta2_small,
                                                                 ind200):
-        with pytest.raises(KernelValidationError, match="seeds must lie in"):
+        with pytest.raises(KernelValidationError, match="base_seed must lie in"):
             nhmc.martingale_check(zeta2_small, start200, nhmc.ObservableSet((ind200,)),
                                   [1.0], [10], 5, base_seed=-3, theta_value=1.0)
 
-    @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**6, 16), (10**7, 1)])
-    def test_blocks_fit_the_uniforms_budget(self, n, block):
-        """A path table of at most 4 bytes a state plus its uniforms tile fit
-        64 MiB, the tile at most 4 MiB; a walk that keeps no path holds 4096 trials at any
-        horizon.  Block sizes are read off the seed slices; no uniforms are
-        drawn."""
-        seeds = np.arange(5000, dtype=np.int64)
-        blocks = list(iter_seed_blocks(seeds, n))
+    @pytest.mark.parametrize("n, block", [(10**3, 4096), (10**4, 1536), (10**5, 128),
+                                          (10**6, 16), (10**7, 1)])
+    def test_blocks_fit_the_path_budget_at_whole_groups(self, n, block):
+        """A path table of at most 4 bytes a state fits 64 MiB; a block is a
+        whole number of 256-trial groups or a power of two inside one, so no
+        block of consecutive trials straddles a group; a walk that keeps no
+        path holds 4096 trials at any horizon.  Block sizes are read off the
+        trial slices; no uniforms are drawn."""
+        trials = np.arange(5000, dtype=np.int64)
+        blocks = list(iter_seed_blocks(trials, n))
         assert len(blocks[0]) == block
-        np.testing.assert_array_equal(np.concatenate(blocks), seeds)
-        tile_bytes = block * 8 * _tile_width(block, n + 1, 4)
-        assert tile_bytes <= 4 * 2**20
+        np.testing.assert_array_equal(np.concatenate(blocks), trials)
         if block > 1:  # a single trial's path table can exceed the budget on its own
-            assert block * (n + 1) * 4 + tile_bytes <= 64 * 2**20
-        walk_blocks = list(iter_seed_blocks(seeds, n, paths=False))
+            assert block * (n + 1) * 4 <= 64 * 2**20
+        for b in blocks:
+            assert b[0] % 256 == 0 or b[0] // 256 == b[-1] // 256
+        walk_blocks = list(iter_seed_blocks(trials, n, paths=False))
         assert [len(b) for b in walk_blocks] == [4096, 904]
-        assert 4096 * 8 * _tile_width(4096, n + 1, 0) <= 4 * 2**20
 
 
 class TestHorizon:
     @pytest.mark.parametrize("n", [3.5, True], ids=["fraction", "bool"])
     def test_non_integer_horizon_rejected(self, n, start200, zeta2_small):
         with pytest.raises(KernelValidationError, match="horizon must be an integer"):
-            sample_paths(trial_seeds(1, 2), start200, zeta2_small, n)
+            sample_paths(np.arange(2), start200, zeta2_small, n, 1)
 
     def test_integral_float_horizon_is_that_integer(self, start200, zeta2_small):
-        np.testing.assert_array_equal(sample_paths(trial_seeds(1, 2), start200, zeta2_small, 3.0),
-                                      sample_paths(trial_seeds(1, 2), start200, zeta2_small, 3))
+        np.testing.assert_array_equal(sample_paths(np.arange(2), start200, zeta2_small, 3.0, 1),
+                                      sample_paths(np.arange(2), start200, zeta2_small, 3, 1))
 
 
 class TestDeterminism:
     def test_same_seed_same_path(self, zeta2_small, start200):
-        p1 = sample_paths([123], start200, zeta2_small, 200)[0] + 1
-        p2 = sample_paths([123], start200, zeta2_small, 200)[0] + 1
+        p1 = sample_paths([0], start200, zeta2_small, 200, 123)[0] + 1
+        p2 = sample_paths([0], start200, zeta2_small, 200, 123)[0] + 1
         np.testing.assert_array_equal(p1, p2)
 
     def test_different_seeds_differ(self, zeta2_small, start200):
-        p1 = sample_paths([1], start200, zeta2_small, 200)[0] + 1
-        p2 = sample_paths([2], start200, zeta2_small, 200)[0] + 1
+        p1 = sample_paths([0], start200, zeta2_small, 200, 1)[0] + 1
+        p2 = sample_paths([0], start200, zeta2_small, 200, 2)[0] + 1
         assert (p1 != p2).any()
 
     def test_path_prefix_does_not_depend_on_the_horizon(self, zeta2_small, start200):
-        long = sample_paths(trial_seeds(9, 30), start200, zeta2_small, 300)
+        long = sample_paths(np.arange(30), start200, zeta2_small, 300, 9)
         for n in (0, 1, 17, 299):
             np.testing.assert_array_equal(
-                sample_paths(trial_seeds(9, 30), start200, zeta2_small, n), long[:, : n + 1]
+                sample_paths(np.arange(30), start200, zeta2_small, n, 9), long[:, : n + 1]
             )
 
     @pytest.mark.parametrize("family", [
@@ -158,25 +183,43 @@ class TestDeterminism:
                      zeta2_family(0.75, 200).limit),
         constant_family(nhmc.make_limit_kernel("zeta2", 200)),
     ], ids=["band", "renormalize", "table", "constant"])
-    def test_paths_do_not_depend_on_block_and_tile_budgets(self, family, start200,
-                                                          monkeypatch):
-        """Blocks of 3 trials walking tiles of 2 to 3 steps give the paths of
-        one block in one tile."""
-        seeds = trial_seeds(77, 40)
-        whole = sample_paths(seeds, start200, family, 120)
-        monkeypatch.setattr(sampling, "_MIN_TILE", 1)
-        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 3 * (4 * 121 + 8 * 2) + 8)
-        monkeypatch.setattr(sampling, "_TILE_BYTES", 3 * 8 * 2)
-        assert [len(b) for b in iter_seed_blocks(seeds, 120)][:2] == [3, 3]
-        assert _tile_width(3, 121, whole.itemsize) == 2
-        np.testing.assert_array_equal(sample_paths(seeds, start200, family, 120), whole)
+    def test_trial_path_does_not_depend_on_trials_blocks_workers_or_horizon(
+            self, family, start200, monkeypatch):
+        """Trial t's path is the same at 300 and at 1000 trials, picked out
+        alone, in blocks of two trials inside a group or of one group, and as
+        the prefix of a longer horizon; its indicator sums are the same at 300
+        and 1000 trials with 1 or 2 workers over blocks of one group."""
+        n = 120
+        whole = sample_paths(np.arange(1000), start200, family, n, 77)
+        np.testing.assert_array_equal(sample_paths(np.arange(300), start200, family, n, 77),
+                                      whole[:300])
+        picked = [999, 3, 256, 255]
+        np.testing.assert_array_equal(sample_paths(picked, start200, family, n, 77),
+                                      whole[picked])
+        np.testing.assert_array_equal(sample_paths(np.arange(1000), start200, family, 40, 77),
+                                      whole[:, :41])
+        np.testing.assert_array_equal(
+            sample_paths(np.arange(1000), start200, family, 2 * n + 3, 77)[:, : n + 1], whole)
+        with monkeypatch.context() as mp:
+            set_block(mp, 3, n)
+            assert len(next(iter_seed_blocks(np.arange(1000), n))) == 2
+            np.testing.assert_array_equal(
+                sample_paths(np.arange(1000), start200, family, n, 77), whole)
+        set_block(monkeypatch, 256, n)
+        assert len(next(iter_seed_blocks(np.arange(1000), n))) == 256
+        np.testing.assert_array_equal(sample_paths(np.arange(1000), start200, family, n, 77), whole)
+        f = indicator_observable(1, 200)
+        want = (whole[:, 1:] == 0).sum(axis=1)
+        for trials in (300, 1000):
+            for workers in (1, 2):
+                sums = nhmc.simulate_sums(start200, family, f, n, trials, 77, workers)
+                np.testing.assert_array_equal(sums, want[:trials])
 
     def test_batched_equals_individual(self, zeta2_small, start200):
-        seeds = trial_seeds(50, 7)
-        batch = sample_paths(seeds, start200, zeta2_small, 64)
-        for i, seed in enumerate(seeds):
+        batch = sample_paths(np.arange(7), start200, zeta2_small, 64, 50)
+        for t in range(7):
             np.testing.assert_array_equal(
-                batch[i] + 1, sample_paths([int(seed)], start200, zeta2_small, 64)[0] + 1
+                batch[t] + 1, sample_paths([t], start200, zeta2_small, 64, 50)[0] + 1
             )
 
 
@@ -202,7 +245,7 @@ class TestSamplerCorrectness:
                 sample_paths([seed], start200, general, 80)[0] + 1,
             )
 
-    @pytest.mark.parametrize("width", [5, 11, 121])
+    @pytest.mark.parametrize("n", [5, 11, 121])
     @pytest.mark.parametrize("family", [
         zeta2_family(0.75, 4),
         zeta2_family(0.75, 4, nhmc.TailPolicy.RENORMALIZE),
@@ -210,21 +253,19 @@ class TestSamplerCorrectness:
         nhmc.zeta4_family(0.75, 1.0, 4, nhmc.TailPolicy.RENORMALIZE),
         constant_family(nhmc.make_limit_kernel("zeta2", 4)),
     ], ids=["zeta2", "zeta2_renormalize", "zeta4", "zeta4_renormalize", "constant"])
-    def test_span_walk_equals_the_stepwise_draw(self, family, width, monkeypatch):
-        """Spans searched and promotion-tested in bulk, cut at tile ends of
-        ``width`` columns, give the paths of one ``step.draw`` per step, at
-        an N small enough that the walk reaches state N and its last row.
-        Those paths are also the dense kernels' (no uniform lies within an
-        ulp of a row-CDF entry here)."""
-        seeds = trial_seeds(123, 40)
+    def test_span_walk_equals_the_stepwise_draw(self, family, n):
+        """Spans searched and promotion-tested in bulk, the last one cut short
+        at horizons 5, 11 and 121, give the paths of one ``step.draw`` per
+        step on the reference stream, for trials of three groups, at an N
+        small enough that the walk reaches state N and its last row.  Those
+        paths are also the dense kernels' (no uniform lies within an ulp of a
+        row-CDF entry here)."""
+        trials = [*range(200), *range(256, 300), *range(5000, 5050)]
         mu0 = uniform_initial(4)
-        want = stepwise_paths(seeds, mu0, family.steps(120), 120)
-        dense = stepwise_paths(seeds, mu0, (family.kernel_at(k) for k in range(1, 121)), 120)
+        want = stepwise_paths(123, trials, mu0, family.steps(n), n)
+        dense = stepwise_paths(123, trials, mu0, (family.kernel_at(k) for k in range(1, n + 1)), n)
         np.testing.assert_array_equal(want, dense)
-        monkeypatch.setattr(sampling, "_MIN_TILE", 1)
-        monkeypatch.setattr(sampling, "_TILE_BYTES", 40 * 8 * width)
-        assert _tile_width(40, 121, 1) == width
-        np.testing.assert_array_equal(sample_paths(seeds, mu0, family, 120), want)
+        np.testing.assert_array_equal(sample_paths(trials, mu0, family, n, 123), want)
         assert (want == 3).sum() > 20 and (np.diff(want, axis=1) == 1).sum() > 100
 
     def test_uniform_just_below_one_stays_on_the_states(self):
@@ -238,16 +279,17 @@ class TestSamplerCorrectness:
             np.testing.assert_array_equal(step.draw(state, u), 149)
 
     def test_law_of_large_numbers(self, iid_family, q_zeta2):
-        """State-1 frequency over 10^6 steps of the identical-rows chain."""
+        """State-1 frequency over 10^6 steps of the identical-rows chain: the
+        256 lanes of one group, 3906 steps each."""
         mu0 = point_mass(1, 200)
-        path = sample_paths([20260810], mu0, iid_family, 10**6)[0] + 1
-        freq = (path[1:] == 1).mean()
-        se = np.sqrt(q_zeta2 * (1 - q_zeta2) / 10**6)
+        paths = sample_paths(np.arange(256), mu0, iid_family, 3906, 20260810) + 1
+        freq = (paths[:, 1:] == 1).mean()
+        se = np.sqrt(q_zeta2 * (1 - q_zeta2) / paths[:, 1:].size)
         assert abs(freq - q_zeta2) <= 3 * se
 
     def test_initial_distribution_sampled(self, iid_family):
         mu0 = uniform_initial(200)
-        paths = sample_paths(trial_seeds(4, 4000), mu0, iid_family, 0)
+        paths = sample_paths(np.arange(4000), mu0, iid_family, 0, 4)
         counts = np.bincount(paths[:, 0], minlength=200)
         assert counts.min() > 0  # every state reachable under uniform start
 
@@ -271,25 +313,26 @@ class TestPathTable:
         the edges where N + 1 would leave the type."""
         fam = zeta2_family(0.75, size)
         mu0 = point_mass(size, size)
-        paths = sample_paths(trial_seeds(5, 3), mu0, fam, 4)
+        paths = sample_paths(np.arange(3), mu0, fam, 4, 5)
         assert paths.dtype == dtype
         np.testing.assert_array_equal(paths[:, 0], size - 1)
-        path = sample_paths([5], mu0, fam, 4)[0] + 1
+        path = sample_paths([0], mu0, fam, 4, 5)[0] + 1
         assert path.dtype == dtype and path[0] == size
 
-    def test_sums_hold_a_two_byte_table_and_one_uniforms_tile(self):
+    def test_sums_hold_a_two_byte_table_and_a_few_spans(self):
         """At N = 1000 the table takes 2 bytes a state: the peak of
-        ``simulate_sums`` stays within 1.2x of that table plus its tile."""
+        ``simulate_sums`` stays within 1.3x of that table, the uniforms
+        taking a few spans (tens of KiB) and the rest the per-step scales
+        and the summing tile."""
         fam = zeta2_family(0.75, 1000)
         mu0 = point_mass(1, 1000)
         f = indicator_observable(1, 1000)
         trials, n = 200, 2 * 10**4
         table = trials * (n + 1) * 2
-        tile = trials * 8 * _tile_width(trials, n + 1, 2)
         tracemalloc.start()
         try:
             nhmc.simulate_sums(mu0, fam, f, n, trials, base_seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * (table + tile)
+        assert peak <= 1.3 * table

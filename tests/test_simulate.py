@@ -44,7 +44,7 @@ class TestSpeedFunction:
 class TestSimulateSums:
     def test_single_trial_reproduces_trajectory_sum(self, zeta2_small, start200, ind200):
         sums = simulate_sums(start200, zeta2_small, ind200, 50, 1, base_seed=42)
-        path = sample_paths([42], start200, zeta2_small, 50)[0] + 1
+        path = sample_paths([0], start200, zeta2_small, 50, 42)[0] + 1
         assert sums[0] == pytest.approx((path[1:] == 1).sum())
 
     def test_mean_within_monte_carlo_error(self, iid_family, start200, ind200, q_zeta2):
@@ -91,18 +91,15 @@ class TestSimulateSums:
         np.testing.assert_array_equal(first[..., 0], alone)
         np.testing.assert_array_equal(last[..., 2], alone)
 
-    def test_sums_do_not_depend_on_block_and_tile_budgets(self, zeta2_small, start200,
-                                                          monkeypatch):
-        """Blocks of a few trials and tiles of a few steps give the bits of one
-        block in one tile, non-integer observables included."""
+    def test_sums_do_not_depend_on_the_block_budget(self, zeta2_small, start200, monkeypatch):
+        """Blocks of a few trials give the bits of one block, non-integer
+        observables included."""
         obs = ObservableSet((indicator_observable(1, 200),
                              Observable(np.random.default_rng(6).normal(size=200) / 3.0)))
         grid = [3, 255, 256, 257, 600]
         whole = simulate_sums(start200, zeta2_small, obs, grid, 90, 31)
-        monkeypatch.setattr(nhmc.sampling, "_MIN_TILE", 1)
-        monkeypatch.setattr(nhmc.sampling, "_BLOCK_BYTES", 20 * (4 * 601 + 8 * 7))
-        assert len(next(nhmc.sampling.iter_seed_blocks(np.arange(90), 600))) == 20
-        assert nhmc.sampling._tile_width(20, 601, 4) == 7
+        monkeypatch.setattr(nhmc.sampling, "_BLOCK_BYTES", 20 * 4 * 601)
+        assert len(next(nhmc.sampling.iter_seed_blocks(np.arange(90), 600))) == 16
         np.testing.assert_array_equal(simulate_sums(start200, zeta2_small, obs, grid, 90, 31),
                                       whole)
 
@@ -474,9 +471,9 @@ class TestMartingaleCheck:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("policy", list(nhmc.TailPolicy))
-    def test_output_does_not_depend_on_block_and_tile_budgets(self, policy, monkeypatch):
-        """Walk blocks of 16 trials and tiles of 5 steps give the bits of one
-        block in one tile; renormalize exercises the last-row term."""
+    def test_output_does_not_depend_on_the_block_budget(self, policy, monkeypatch):
+        """Walk blocks of 16 trials give the bits of one block; renormalize
+        exercises the last-row term."""
         fam = zeta2_family(0.75, 40, policy)
         obs = ObservableSet((indicator_observable(1, 40), indicator_observable(40, 40),
                              Observable(np.random.default_rng(8).normal(size=40))))
@@ -487,13 +484,11 @@ class TestMartingaleCheck:
                                     trials=70, base_seed=9)
 
         whole = run()
-        monkeypatch.setattr(nhmc.sampling, "_MIN_TILE", 5)
-        monkeypatch.setattr(nhmc.sampling, "_BLOCK_BYTES", 16 * 8 * 5)
+        monkeypatch.setattr(nhmc.sampling, "_MAX_BLOCK", 16)
         assert len(next(nhmc.sampling.iter_seed_blocks(np.arange(70), 300, paths=False))) == 16
-        assert nhmc.sampling._tile_width(16, 301, 0) == 5
-        tiled = run()
+        split = run()
         for field in ("drift_values", "variance_values", "theta_g", "max_pathwise_residual"):
-            np.testing.assert_array_equal(getattr(tiled, field), getattr(whole, field))
+            np.testing.assert_array_equal(getattr(split, field), getattr(whole, field))
 
     def test_pathwise_identity_residual_is_float_noise(self, zeta2_small, start200):
         obs = ObservableSet(
