@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import nhmc
 from nhmc import (
@@ -22,7 +23,6 @@ from nhmc import (
     zeta4_family,
 )
 from nhmc.kernels import _propagation_steps, expected_step_values
-from scipy import stats
 
 from conftest import random_stochastic
 

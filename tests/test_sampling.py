@@ -77,9 +77,9 @@ class TestStream:
                                       lane_uniforms(base_seed, trials, count))
 
     def test_adjacent_base_seeds_share_no_trial(self):
-        """No trial stream of base seed b is one of b + 1, nor of another
-        trial of b: with per-trial seeds base + t, base 8's trial 0 was base
-        7's trial 1."""
+        """No trial stream of base seed b is one of b + 1, nor another
+        trial's of b (streams seeded base + t would make base 8's trial 0
+        base 7's trial 1)."""
         for b in (7, 2**32 - 1):
             streams = [span_uniforms(base, np.arange(1000), 4) for base in (b, b + 1)]
             rows = [{row.tobytes() for row in u} for u in streams]
