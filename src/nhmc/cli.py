@@ -39,7 +39,7 @@ from .ergodicity import (
     condition_profile,
     stationary,
 )
-from .kernels import _ZETA_POWER, KernelValidationError, _BandStep, _Horizons, expected_sum
+from .kernels import KernelValidationError, _BandStep, _Horizons, expected_sum
 from .rates import (
     RateComputationError, ThetaPositivityError, asymptotic_variance, build_rate_model, rate_1d,
 )
@@ -58,12 +58,10 @@ EXIT_NUMERICAL = 5
 THETA_MIN = 1e-12
 VALIDATE_STEP_SAMPLE = (1, 2, 10, 100, 10**3, 10**5)
 # The Cesaro scan is O(N) per step and start for the band families (plus a
-# dense block of the last rows for renormalize ones) and multiplies N x N
-# row stacks through dense kernels for tables and constant kernels without
-# identical rows, so it runs on a capped subgrid.  Lifting
-# the caps changes which rows conditions.csv holds (and the rows
-# perfbench/reference.json keys as cesaro_product_average|n|8), so it is a
-# change of its own.
+# dense block of the last rows for renormalize ones), so it runs on a capped
+# subgrid, as the closed form for the other families does.  Lifting the caps
+# changes which rows conditions.csv holds (and the rows perfbench/reference.json
+# keys as cesaro_product_average|n|8), so it is a change of its own.
 CESARO_N_CAP = 512
 CESARO_M_CAP = 8
 
@@ -162,17 +160,15 @@ def verify_manifest(out_dir: str | Path) -> bool:
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int,
                  budget: _Budget) -> tuple[list[Path], dict]:
-    """Check the kernels at the sampled steps: a band family's from its base
-    row, band and s(k) in O(N) (``_BandStep.check_rows``), a table or
-    constant family's dense rows."""
-    family = cfg.family
+    """Check the kernels at the sampled steps: in O(N) from a band that moves
+    mass (``_BandStep.check_rows``), else from the dense rows."""
+    family, band = cfg.family, cfg.family.structure
     checks = []
     failures = []
     for k in VALIDATE_STEP_SAMPLE:
         try:
-            if family.kind in _ZETA_POWER:
-                min_entry, row_err = _BandStep(family.structure,
-                                               family.perturbation_scale(k)).check_rows()
+            if band is not None and band.pert.any():
+                min_entry, row_err = _BandStep(band, family.perturbation_scale(k)).check_rows()
             else:
                 rows = family.kernel_at(k).rows
                 min_entry, row_err = float(rows.min()), float(np.abs(rows.sum(axis=1) - 1.0).max())

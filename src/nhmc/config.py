@@ -147,6 +147,9 @@ class ExperimentConfig:
         trials = _config_int(raw.get("trials", 10000), "trials")
         if trials < 1:
             raise InvalidConfigError("trials must be >= 1")
+        for name, count in (("n_grid", n_grid[-1]), ("m_sup_range", m_sup_range), ("trials", trials)):
+            if count > 2**53:  # s(k) takes a step index as float64, exact up to 2**53
+                raise InvalidConfigError(f"{name} must be at most 2**53, got {count}")
         base_seed = _base_seed(raw.get("base_seed", 0))
         mdp_method = raw.get("mdp_method", "exact_dp")
         if mdp_method not in ("exact_dp", "monte_carlo"):

@@ -27,7 +27,6 @@ from .kernels import (
     TruncatedKernel,
     _BandStep,
     _RankOneBand,
-    _ZETA_POWER,
     _config_int,
     _horizon_grid,
     _readonly,
@@ -90,31 +89,29 @@ def _band_delta(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
     in-band maximum.  Row N is ``b + s x (b - e_N)`` with
     ``x = last / (1 - s last)``; against row i < N - 1 its positive parts are
     ``s x (1 - b_N)`` at column N plus ``s (pert_i - x b_{i+1})^+`` at column
-    i+1, and against row N - 1, whose band ends in column N, the single part
-    ``s (x (1 - b_N) + pert_{N-1})``.  Lump bands have x = 0.
+    i+1, and against row N - 1 (at N = 2 the only one) the single part
+    ``s (x (1 - b_N) + pert_{N-1})``, a line of slope 0.  Lump bands have x = 0.
     """
     b, pert = band.base_row, band.pert
     in_band = np.sort(pert)[-2:].sum()
     x = band.last / (1.0 - s * band.last)
-    # lines pert_i - x b_{i+1} over i < N - 1: one whose higher end over the
-    # range of x lies below another's lower end is never the largest
-    icpt, slope = pert[:-2], b[1:-1]
+    # lines pert_i - x b_{i+1} over i < N - 1, and pert_{N-1}: one whose higher
+    # end over the range of x lies below another's lower end is never the largest
+    icpt, slope = np.append(pert[:-2], pert[-2]), np.append(b[1:-1], 0.0)
     ends = icpt[:, None] - slope[:, None] * np.array([x.min(), x.max()])
     keep = ends.max(axis=1) >= ends.min(axis=1).max()
     beside = (icpt[keep] - np.multiply.outer(x, slope[keep])).max(axis=1)
-    return s * np.maximum(in_band, x * (1.0 - b[-1]) + np.maximum(beside, pert[-2]))
+    return s * np.maximum(in_band, x * (1.0 - b[-1]) + beside)
 
 
 def _step_sequence(family: KernelFamily, k_max: int, band_form, dense) -> np.ndarray:
     """A per-step coefficient for k = 1..k_max: the closed form
-    ``band_form(structure, s)`` for a built-in with its structure.  Any other
-    family applies ``dense`` once per kernel ``kernel_at`` builds one by one
-    (every step of a built-in, the listed kernels of a table, none for a
-    constant family) and once for the limit, whose value every later step
-    repeats."""
-    if family.kind in _ZETA_POWER and family.structure is not None:
+    ``band_form(structure, s)`` for every family with the band.  Any other
+    family applies ``dense`` once per listed kernel (``KernelFamily.listed_steps``)
+    and once for the limit, whose value every later step repeats."""
+    if family.structure is not None:
         return band_form(family.structure, family.perturbation_scale(np.arange(1, k_max + 1)))
-    listed = k_max if family.kind in _ZETA_POWER else min(k_max, len(family.table))
+    listed = family.listed_steps(k_max)
     out = np.empty(k_max)
     out[:listed] = [dense(family.kernel_at(k)) for k in range(1, listed + 1)]
     if listed < k_max:
@@ -125,10 +122,9 @@ def _step_sequence(family: KernelFamily, k_max: int, band_form, dense) -> np.nda
 def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     """delta(P_k) for k = 1..k_max.
 
-    For the built-in families, under either tail policy, each delta(P_k) is a
-    closed form in s(k) and the band structure (``_band_delta``), O(N + k_max)
-    in all; any other family runs the dense scan once per listed kernel and
-    once for the limit (``_step_sequence``).
+    With the band (built-ins, identical-rows constants) each is a closed form
+    in s(k) (``_band_delta``), O(N + k_max) in all; any other family runs the
+    dense scan once per listed kernel and once for the limit.
     """
     if k_max < 1:
         raise KernelValidationError("k_max must be >= 1")
@@ -188,8 +184,8 @@ def _band_norm(band: _RankOneBand, s: np.ndarray) -> np.ndarray:
 
 
 def _deviation_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
-    """||P_k - P|| for k = 1..k_max: ``_band_norm`` for the built-in families,
-    and 0 past a table's listed kernels, where the step is the limit itself."""
+    """||P_k - P|| for k = 1..k_max: ``_band_norm`` for the families with the
+    band, and 0 past a table's listed kernels, where the step is the limit itself."""
     return _step_sequence(family, k_max, _band_norm,
                           lambda kernel: _kernel_distance(kernel, family.limit))
 
@@ -207,8 +203,8 @@ def _windowed_average_sup(seq: np.ndarray, n_grid: np.ndarray, m_range: int):
     return values, argmax
 
 
-# The Cesaro scan advances at most this many starting times together, so its
-# working set does not grow with m_sup_range.
+# The band Cesaro scan advances at most this many starting times together, so
+# its working set does not grow with m_sup_range.
 _CESARO_CHUNK = 16
 # The band part c_t M_t of a structured product is carried while its norm
 # bound max_m |c_t| ||B~_{m+1}||...||B~_{m+t}|| exceeds this; the terms after
@@ -216,39 +212,45 @@ _CESARO_CHUNK = 16
 _BAND_DROP = 2.0**-60
 
 
-def _cesaro_gaps_dense(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarray,
-                       pi: np.ndarray) -> np.ndarray:
-    """gaps[i, g] = ||(1/n) sum_{t<=n} P^(m, m+t) - R|| for m = starts[i], n = n_grid[g].
+def _limit_sum(D: np.ndarray, u: int) -> np.ndarray:
+    """``sum_{t=1}^u D^t`` by binary powering, high bit first: ``S_2v = S_v + D^v S_v``."""
+    total, power = D.copy() if u else np.zeros_like(D), D
+    for bit in bin(u)[3:]:  # past the leading bit (none for u = 0)
+        total += power @ total
+        power = power @ power
+        if bit == "1":
+            power = power @ D
+            total += power
+    return total
 
-    Row stacks are pushed through the kernels with k outer, so each P_k
-    serves every start it reaches; the steps before the first start serve
-    none and are never built.
-    """
-    n_max = int(n_grid[-1])
-    size = family.size
-    R = np.tile(pi, (size, 1))
-    rows = [np.eye(size) for _ in starts]
-    running = [np.zeros_like(R) for _ in starts]
-    grid_pos = {int(n): g for g, n in enumerate(n_grid)}
-    gaps = np.zeros((len(starts), len(n_grid)))
-    for k in range(int(starts[0]) + 1, int(starts[-1]) + n_max + 1):
-        step = family.kernel_at(k)
-        for i, m in enumerate(starts):
-            t = k - int(m)
-            if not 1 <= t <= n_max:
-                continue
-            rows[i] = step.push(rows[i])
-            running[i] += rows[i]
-            if t in grid_pos:
-                gap = np.abs(running[i] / t - R).sum(axis=1)
-                gaps[i, grid_pos[t]] = float(gap.max())
+
+def _cesaro_gaps_closed(family: KernelFamily, m_sup_range: int, n_grid: np.ndarray,
+                        pi: np.ndarray) -> np.ndarray:
+    """gaps[m, g] = ||(1/n) sum_{t<=n} P^(m, m+t) - R|| for m <= min(m_sup_range, L)
+    and n = n_grid[g].  Past the L listed kernels (``family.listed_steps``)
+    every step is the limit P, so u limit steps sum to ``u R + sum_{t<=u} D^t``
+    with D = P - R (``_limit_sum``), and every start m >= L has start L's gaps.
+    The h = min(n, L - m) listed steps after m enter by Horner on the centred
+    sum, ``E <- P_k (I + E) - R`` for k = m + h down to m + 1 (``P_k R = R``);
+    each listed kernel is read once, and a few N x N arrays are held besides."""
+    listed = family.listed_steps(m_sup_range + int(n_grid[-1]))
+    kernels = [family.kernel_at(k) for k in range(1, listed + 1)]
+    D = family.limit.rows - pi  # P - R: pi is every row of R
+    gaps = np.empty((min(m_sup_range, listed) + 1, len(n_grid)))
+    for g, n in enumerate(n_grid):
+        for m in range(len(gaps)):  # no two starts share a tail u = n - h but u = 0
+            h = min(n, listed - m)
+            E = _limit_sum(D, n - h)
+            for step in reversed(kernels[m : m + h]):
+                E = step.apply_to_function(E + np.eye(family.size)) - pi
+            gaps[m, g] = np.abs(E).sum(axis=1).max() / n
     return gaps
 
 
 def _cesaro_gaps_band(family: KernelFamily, starts: np.ndarray, n_grid: np.ndarray,
                       pi: np.ndarray) -> tuple[np.ndarray, float]:
-    """The dense scan's gaps for kernels ``1 b + s(k) B~_k``, in O(N) per step
-    and start but for the last rows of a renormalize band.
+    """The gaps ``_cesaro_gaps_closed`` defines, at m = starts[i], for kernels
+    ``1 b + s(k) B~_k``, in O(N) per step and start but for a renormalize band's last rows.
 
     Row N of ``B~_k`` is ``x_k (b - e_N)`` with ``x_k = last / (1 - s(k) last)``
     (see ``_band_delta``; 0 under lump) and every other row is B's, so the rows
@@ -321,17 +323,16 @@ def condition_profile(
     """Evaluate one convergence-condition statistic along ``n_grid``.
 
     ``n_grid`` is sorted; an empty grid, a repeated entry or one below 1 is a
-    ``KernelValidationError`` before any scan.  The Cesaro profile advances
-    every start m <= ``m_sup_range`` step by step: for every family with the
-    rank-one-plus-band structure (built-ins under either tail policy and
-    identical-rows constant families) in O(N) per step and start, plus
-    O(width * N) for the last rows of a renormalize band (with the bound on
-    its dropped band terms in ``error_bound``), and otherwise as dense row
-    stacks pushed through the kernels, so it is meant for desk-scale grids.
-    The other two reduce to cumulative sums of per-step scalars: closed forms
-    in s(k) for the built-in families under either tail policy, and for tables
-    and constant families one dense evaluation per listed kernel plus one for
-    the limit, so both handle grids up to millions of steps.
+    ``KernelValidationError`` before any scan.  For every family with the
+    rank-one-plus-band structure (built-ins, identical-rows constants) the
+    Cesaro profile advances every start m <= ``m_sup_range`` step by step in
+    O(N) per step and start, plus O(width * N) for the last rows of a
+    renormalize band (the bound on its dropped terms in ``error_bound``), so
+    it is meant for desk-scale grids; any other family takes a closed form in
+    its listed kernels and its limit (``_cesaro_gaps_closed``).  The other two
+    reduce to cumulative sums of per-step scalars: closed forms in s(k) with
+    the band, and otherwise one dense evaluation per listed kernel plus one
+    for the limit, so both handle grids up to millions of steps.
     """
     condition = ConvergenceCondition(condition)
     n_grid = _horizon_grid(n_grid, "n_grid")
@@ -350,18 +351,16 @@ def condition_profile(
         values, argmax = _windowed_average_sup(seq, n_grid, m_sup_range)
         return ConditionProfile(condition, n_grid, values, m_sup_range, argmax)
 
-    # Cesaro average of products, scanned over starting times in chunks
+    # Cesaro average of products: closed form, or the band scanned in chunks of starts
     pi = stationary(family.limit).pi
-    gaps, error_bound = [], 0.0
-    for lo in range(0, m_sup_range + 1, _CESARO_CHUNK):
-        starts = np.arange(lo, min(lo + _CESARO_CHUNK, m_sup_range + 1))
-        if family.structure is not None:
-            chunk, bound = _cesaro_gaps_band(family, starts, n_grid, pi)
-            error_bound = max(error_bound, bound)
-        else:
-            chunk = _cesaro_gaps_dense(family, starts, n_grid, pi)
-        gaps.append(chunk)
-    gaps = np.concatenate(gaps)
+    if family.structure is None:
+        gaps, error_bound = _cesaro_gaps_closed(family, m_sup_range, n_grid, pi), 0.0
+    else:
+        starts = np.arange(m_sup_range + 1)
+        chunks = [_cesaro_gaps_band(family, starts[lo : lo + _CESARO_CHUNK], n_grid, pi)
+                  for lo in range(0, m_sup_range + 1, _CESARO_CHUNK)]
+        gaps = np.concatenate([gap for gap, _ in chunks])
+        error_bound = max(bound for _, bound in chunks)
     # argmax keeps the first start that attains the sup, as a strict-> scan would
     return ConditionProfile(
         condition, n_grid, gaps.max(axis=0), m_sup_range, gaps.argmax(axis=0), error_bound

@@ -733,6 +733,11 @@ class KernelFamily:
             return make_kernel(self.kind, k, self.size, self.alpha, self.beta, self.tail_policy)
         return self.table[k - 1] if k <= len(self.table) else self.limit
 
+    def listed_steps(self, k_max: int) -> int:
+        """How many of the steps 1..k_max are listed, every later step being the
+        limit: a table's kernels (none for a constant family), all for a built-in."""
+        return k_max if self.kind in _ZETA_POWER else min(k_max, len(self.table))
+
     def steps(self, n: int):
         """The step operators P_1..P_n: O(N) band steps for the families with
         the rank-one-plus-band structure, the kernels themselves otherwise."""

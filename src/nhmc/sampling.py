@@ -124,8 +124,8 @@ def _path_dtype(size: int) -> np.dtype:
 
 def _sample_block(family, mu0, n: int, trials: np.ndarray, base_seed: int) -> np.ndarray:
     paths = np.empty((len(trials), n + 1), dtype=_path_dtype(family.size))
-    if family.kind == "constant" and family.structure is not None:
-        # i.i.d. draws from one row: the base-CDF search is the draw
+    if family.structure is not None and not family.structure.pert.any():
+        # a band that moves no mass: i.i.d. draws from one row, the base-CDF search is the draw
         for start, u, base in _spans(family, trials, n + 1, base_seed):
             paths[:, start : start + len(u)] = base.T
             if start == 0:

@@ -328,9 +328,10 @@ def martingale_check(
     trials: int,
     base_seed: int = 0,
     workers: int = 1,
-    theta_value: float | None = None,
+    *,
+    theta_value: float,
 ) -> MartingaleResult:
-    """Exact variance profile plus Monte Carlo drift profile for g = sum z_l f_l.
+    """Exact variance and Monte Carlo drift profiles of g = sum z_l f_l, beside ``theta_value``.
 
     On lump band families the exact pass is one ``_band_series`` of three
     functionals (g, and the two that give E[D_k^2] from the law of X_{k-1}),
@@ -343,11 +344,6 @@ def martingale_check(
     base_seed = _base_seed(base_seed)
     n_grid = _horizon_grid(n_grid, "n_grid")
     n_max = int(n_grid[-1])
-    if theta_value is None:
-        from .ergodicity import stationary
-        from .rates import asymptotic_variance
-
-        theta_value = asymptotic_variance(stationary(family.limit), family.limit, g)
 
     # exact pass: E g(X_k) and E[D_k^2] = E[(P_k g^2 - (P_k g)^2)(X_{k-1})]
     g2_values = g.values**2

@@ -26,6 +26,13 @@ def ind200():
     return nhmc.indicator_observable(1, 200)
 
 
+def martingale_theta(family, observables, z):
+    """θ of g = Σ z_l f_l at the family's limit: the value every caller passes
+    to ``martingale_check`` (the CLI computes it the same way)."""
+    return nhmc.asymptotic_variance(nhmc.stationary(family.limit), family.limit,
+                                    observables.combine(z))
+
+
 def random_stochastic(rng, n):
     """A dense random stochastic matrix with no zero entries."""
     rows = rng.random((n, n)) + 0.05

@@ -298,8 +298,9 @@ def test_gate_08_martingale_decomposition():
     fam = zeta2_family(0.75, 1000)
     mu0 = point_mass(1, 1000)
     obs = ObservableSet((indicator_observable(1, 1000),))
+    theta = asymptotic_variance(stationary(fam.limit), fam.limit, obs.combine([1.0]))
     res = martingale_check(fam, mu0, obs, [1.0], [100, 1000, 10**4], trials=256,
-                           base_seed=8)
+                           base_seed=8, theta_value=theta)
     var_gap = abs(res.variance_values[-1] - res.theta_g)
     drift_dec = bool((np.diff(res.drift_values) < 0).all())
     ok = (res.max_pathwise_residual <= 1e-10 and var_gap <= 0.01

@@ -130,6 +130,25 @@ class TestValidate:
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("field, value, command", [
+        ("trials", 2**62, "clt"), ("trials", 2**62, "martingale"),
+        ("trials", 2**63, "clt"), ("trials", 2**63, "martingale"),
+        ("n_grid", [2**62], "conditions"), ("n_grid", [2**62], "martingale"),
+        *(("n_grid", [2**63], c) for c in ("conditions", "clt", "mdp", "martingale")),
+        ("m_sup_range", 2**62, "conditions"),
+    ])
+    def test_count_above_2_53_exits_2(self, tmp_path, capsys, field, value, command):
+        """A step index reaches s(k) as float64, exact up to 2**53, so a
+        larger count is refused by name while parsing, before anything is
+        allocated; 2**53 itself parses."""
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", **{field: value}))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and "must be at most 2**53" in err
+        edge = [2**53] if field == "n_grid" else 2**53
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path, **{field: edge}))
+        assert getattr(cfg, field) == (tuple(edge) if field == "n_grid" else edge)
+
     @pytest.mark.parametrize("seed", [-5, 2**63])
     def test_base_seed_outside_int64_exits_2(self, tmp_path, capsys, seed):
         path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", base_seed=seed))
@@ -276,13 +295,30 @@ class TestConditions:
         values = [float(r.split(",")[-1]) for r in rows[1:]]
         assert max(values) <= 1e-12
 
+    def test_two_state_identical_rows_constant_runs_on_its_band(self, tmp_path, monkeypatch):
+        """At N = 2 no row lies below N - 1; the band's closed forms still
+        give every condition, with no dense scan, and every value is 0 up to
+        the Cesaro scan's rounding."""
+        def dense(*args):
+            raise AssertionError("a dense scan ran on an identical-rows constant family")
+
+        for name in ("dobrushin_delta", "_kernel_distance", "_cesaro_gaps_closed"):
+            monkeypatch.setattr(nhmc.ergodicity, name, dense)
+        cfg = base_config(tmp_path / "out", family={"kind": "constant",
+                                                    "matrix": [[0.3, 0.7], [0.3, 0.7]]},
+                          n_grid=[1, 2, 64])
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["conditions", "--config", str(path)]) == 0
+        rows = (tmp_path / "out" / "conditions.csv").read_text().splitlines()[1:]
+        assert len(rows) == 9 and all(float(r.split(",")[-1]) <= 1e-12 for r in rows)
+
     def test_renormalize_cesaro_scan_stays_off_the_dense_path(self, tmp_path, monkeypatch):
         """At N=1000 under the caps (n <= 512, m <= 8) the renormalize scan
         runs on the band with a dense last-row block, never on row stacks."""
         def dense_scan(*args):
             raise AssertionError("renormalize scan took the dense row-stack path")
 
-        monkeypatch.setattr(nhmc.ergodicity, "_cesaro_gaps_dense", dense_scan)
+        monkeypatch.setattr(nhmc.ergodicity, "_cesaro_gaps_closed", dense_scan)
         cfg = base_config(
             tmp_path / "out",
             family={"kind": "zeta2", "alpha": 0.75, "N": 1000, "tail_policy": "renormalize"},
@@ -325,13 +361,13 @@ class TestTableFamily:
         """Pass flags are not asserted: θ is computed with the identical-row
         expression, which does not hold for this limit (ROADMAP open item 2)."""
         dense_scans = []
-        real = nhmc.ergodicity._cesaro_gaps_dense
+        real = nhmc.ergodicity._cesaro_gaps_closed
 
         def spy(*args):
             dense_scans.append(args)
             return real(*args)
 
-        monkeypatch.setattr(nhmc.ergodicity, "_cesaro_gaps_dense", spy)
+        monkeypatch.setattr(nhmc.ergodicity, "_cesaro_gaps_closed", spy)
         cfg = self.config(tmp_path / "out")
         path = write_config(tmp_path, "cfg.json", cfg)
         for command in cli.COMMANDS:

@@ -27,7 +27,7 @@ from nhmc import (
     zeta4_family,
 )
 
-from conftest import random_stochastic
+from conftest import martingale_theta, random_stochastic
 
 
 class TestDobrushinDelta:
@@ -83,8 +83,8 @@ class TestDobrushinDelta:
     def test_closed_forms_where_the_last_row_dominates(self):
         """Bands whose replaced last row sits farther from the others than any
         band row: the last-row terms of both closed forms decide the values.
-        In the last band the largest column-(i+1) term moves from i = 0 to
-        i = 1 as s(k) falls."""
+        In the fifth band the largest column-(i+1) term moves from i = 0 to
+        i = 1 as s(k) falls; the last has N = 2."""
         rng = np.random.default_rng(11)
         bands = []
         for size in (3, 4, 7):
@@ -96,12 +96,13 @@ class TestDobrushinDelta:
             bands.append((base, pert))
         bands.append((np.array([0.25, 0.2, 0.02, 0.03, 0.5]),
                       np.array([0.2, 0.065, 0.001, 0.001, 0.0])))
+        bands.append((np.array([0.4, 0.6]), np.array([0.03, 0.0])))  # no row below N - 1
         for base, pert in bands:
             size = base.size
             band = nhmc.kernels._make_structure(base, pert, float(base[-1]))
             limit = TruncatedKernel(np.tile(base, (size, 1)))
-            fam = dataclasses.replace(zeta2_family(0.75, size, nhmc.TailPolicy.RENORMALIZE),
-                                      structure=band, limit=limit)
+            fam = dataclasses.replace(zeta2_family(0.75, 3, nhmc.TailPolicy.RENORMALIZE),
+                                      size=size, structure=band, limit=limit)
             deltas = delta_sequence(fam, 20)
             deviations = ergodicity._deviation_sequence(fam, 20)
             for k, step in enumerate(fam.steps(20), start=1):
@@ -275,15 +276,53 @@ class TestCesaroScan:
         assert peak < 1.75 * held
         assert prof.m_argmax.tolist() == [0] and 0.0 < prof.values[0] < 1.0
 
-    def test_dense_scan_equals_the_loop_over_starts(self):
-        """k outer and chunked, the dense scan keeps every operation of the plain loop."""
-        fam = dataclasses.replace(zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE),
-                                  structure=None)
-        grid, m_sup = [1, 5, 30], ergodicity._CESARO_CHUNK + 3
+    @staticmethod
+    def assert_closed_form_matches_the_loop(fam, grid, m_sup):
+        """Within 1e-10 relative, exactly 0 where the loop gives 0, the same argmax."""
         prof = condition_profile(fam, "cesaro_product_average", grid, m_sup)
         values, argmax = _cesaro_by_start(fam, grid, m_sup)
-        np.testing.assert_array_equal(prof.values, values)
+        np.testing.assert_allclose(prof.values, values, rtol=1e-10, atol=0)
         np.testing.assert_array_equal(prof.m_argmax, argmax)
+        assert prof.error_bound == 0.0
+        return values
+
+    @given(size=st.integers(2, 60), listed=st.integers(0, 5), m_sup=st.integers(0, 12),
+           grid=st.lists(st.integers(1, 200), max_size=3), past=st.integers(6, 200),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_closed_form_matches_the_loop_over_starts(self, size, listed, m_sup, grid, past,
+                                                      seed):
+        """Random tables, and constant families (no listed kernel), against
+        dense row stacks pushed start by start; the grid always holds a
+        horizon ``past`` every listed step."""
+        rng = np.random.default_rng(seed)
+        limit = TruncatedKernel(random_stochastic(rng, size))
+        table = [TruncatedKernel(random_stochastic(rng, size)) for _ in range(listed)]
+        fam = nhmc.table_family(table, limit) if listed else constant_family(limit)
+        assert fam.structure is None
+        self.assert_closed_form_matches_the_loop(fam, sorted(set(grid) | {past}), m_sup)
+
+    def test_closed_form_on_a_periodic_chain(self):
+        """The swap [[0, 1], [1, 0]] never converges: the loop's gap is exactly
+        0 at every even n and 1/n at odd n, and so is the closed form's."""
+        fam = constant_family(TruncatedKernel(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        values = self.assert_closed_form_matches_the_loop(fam, [1, 2, 7, 64, 199, 200], 3)
+        np.testing.assert_array_equal(values == 0.0, [False, True, False, True, False, True])
+
+    def test_closed_form_on_two_nearly_uncoupled_blocks(self):
+        """Two 3-state blocks coupled by eps = 1e-9: D = P - 1 pi has an
+        eigenvalue within about 1e-9 of 1, so the fundamental-matrix form
+        ``D (I - D^n) (I - D)^-1`` is about 1.7e-8 relative off the loop, past
+        the 1e-10 held here; binary powers stay within 5e-15."""
+        eps, rng = 1e-9, np.random.default_rng(5)
+        rows = np.zeros((6, 6))
+        rows[:3, :3], rows[3:, 3:] = random_stochastic(rng, 3), random_stochastic(rng, 3)
+        rows *= 1.0 - eps
+        rows[:3, 3] += eps
+        rows[3:, 0] += eps
+        fam = constant_family(TruncatedKernel(rows))
+        values = self.assert_closed_form_matches_the_loop(fam, [1, 10, 100, 200], 2)
+        assert values[-1] > 0.5  # the blocks have not mixed by n = 200
 
     @pytest.mark.parametrize("kind", ["zeta2", "zeta4"])
     def test_renormalize_matches_dense_twin(self, kind, monkeypatch):
@@ -323,20 +362,22 @@ class TestCesaroScan:
                                    atol=band.error_bound + 1e-12)
         np.testing.assert_array_equal(band.m_argmax, dense.m_argmax)
 
-    def test_dense_scan_builds_each_kernel_once_per_chunk_from_its_first_start(
-            self, monkeypatch):
-        """A chunk of starts m0..m1 reads the kernels m0+1..m1+n_max and no
-        earlier ones: 128 calls for 70 distinct steps at m_sup_range = 40."""
-        fam = dataclasses.replace(zeta2_family(0.75, 12, nhmc.TailPolicy.RENORMALIZE),
-                                  structure=None)
-        grid, m_sup = [1, 5, 30], 40
+    def test_closed_form_reads_kernel_at_only_at_listed_steps(self, monkeypatch):
+        """A table's kernels are read once each and no step past them (a
+        constant family reads none); a built-in without its structure lists
+        every step, and each of the m_sup_range + n_max steps is read once."""
+        rng = np.random.default_rng(4)
+        limit = TruncatedKernel(random_stochastic(rng, 8))
+        table = [TruncatedKernel(random_stochastic(rng, 8)) for _ in range(3)]
+        twin = dataclasses.replace(zeta2_family(0.75, 8, nhmc.TailPolicy.RENORMALIZE),
+                                   structure=None)
+        grid, m_sup = [1, 5, 30], 10
         calls = _count_kernel_at(monkeypatch)
-        condition_profile(fam, "cesaro_product_average", grid, m_sup)
-        chunk = ergodicity._CESARO_CHUNK
-        expected = [k for lo in range(0, m_sup + 1, chunk)
-                    for k in range(lo + 1, min(lo + chunk - 1, m_sup) + grid[-1] + 1)]
-        assert calls == expected
-        assert len(calls) == 128 and len(set(calls)) == 70
+        for fam, listed in ((nhmc.table_family(table, limit), 3), (constant_family(limit), 0),
+                            (twin, m_sup + grid[-1])):
+            calls.clear()
+            condition_profile(fam, "cesaro_product_average", grid, m_sup)
+            assert calls == list(range(1, listed + 1))
 
     @pytest.mark.parametrize("condition", list(ConvergenceCondition))
     @pytest.mark.parametrize("grid", [[0, 5], [-3, 5], [5, 5]])
@@ -347,7 +388,7 @@ class TestCesaroScan:
             raise AssertionError("scanned a bad grid")
 
         for name in ("stationary", "delta_sequence", "_deviation_sequence",
-                     "_cesaro_gaps_band", "_cesaro_gaps_dense"):
+                     "_cesaro_gaps_band", "_cesaro_gaps_closed"):
             monkeypatch.setattr(ergodicity, name, scan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -397,7 +438,9 @@ def test_renormalize_family_builds_no_dense_kernel(monkeypatch):
     for condition in ConvergenceCondition:
         condition_profile(fam, condition, [5, 50], 3)
     nhmc.sample_paths([1, 2, 3], mu0, fam, 50)
-    nhmc.martingale_check(fam, mu0, obs, [1.0], [10, 50], trials=20, base_seed=4)
+    theta = martingale_theta(fam, obs, [1.0])
+    nhmc.martingale_check(fam, mu0, obs, [1.0], [10, 50], trials=20, base_seed=4,
+                          theta_value=theta)
     assert calls == []
 
 

@@ -224,6 +224,22 @@ class TestDeterminism:
 
 
 class TestSamplerCorrectness:
+    def test_only_a_band_that_moves_no_mass_draws_without_a_walk(self, start200, monkeypatch):
+        """An identical-rows constant family's band moves no mass: its draws
+        are the base-CDF search alone, the walk's paths without the walk.  A
+        band that moves mass walks."""
+        iid = constant_family(nhmc.make_limit_kernel("zeta2", 200))
+        walk = nhmc.sampling._walk(iid, start200, 40, np.arange(300), 6)
+        walked = np.array([state for _, _, state in walk]).T
+
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(nhmc.sampling, "_walk", no_walk)
+        np.testing.assert_array_equal(sample_paths(np.arange(300), start200, iid, 40, 6), walked)
+        with pytest.raises(AssertionError, match="walked"):
+            sample_paths(np.arange(3), start200, zeta2_family(0.75, 200), 40, 6)
+
     def test_identity_kernel_freezes_the_path(self):
         kern = TruncatedKernel(np.eye(4))
         fam = constant_family(kern)

@@ -26,6 +26,8 @@ from nhmc import (
 )
 from nhmc.simulate import _normal_cdf
 
+from conftest import martingale_theta
+
 
 class TestSpeedFunction:
     def test_value(self):
@@ -351,40 +353,51 @@ class TestMdpDiagnostic:
 class TestMartingaleCheck:
     def test_rank_one_kernel_has_zero_drift(self, iid_family, start200, ind200):
         """(P g)(i) is constant for identical rows, so the drift vanishes exactly."""
-        res = martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0],
-                               [50, 100], trials=16, base_seed=1)
+        obs = ObservableSet((ind200,))
+        res = martingale_check(iid_family, start200, obs, [1.0], [50, 100], trials=16,
+                               base_seed=1, theta_value=martingale_theta(iid_family, obs, [1.0]))
         np.testing.assert_allclose(res.drift_values, 0.0, atol=1e-12)
 
     def test_rank_one_kernel_variance_is_theta(self, iid_family, start200, ind200,
                                                q_zeta2):
-        res = martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0],
-                               [10, 40], trials=8, base_seed=1)
+        obs = ObservableSet((ind200,))
+        res = martingale_check(iid_family, start200, obs, [1.0], [10, 40], trials=8,
+                               base_seed=1, theta_value=martingale_theta(iid_family, obs, [1.0]))
         direct = q_zeta2 * (1 - q_zeta2)
         np.testing.assert_allclose(res.variance_values, direct, atol=1e-12)
         assert res.theta_g == pytest.approx(direct, abs=1e-12)
+
+    def test_theta_is_the_callers(self, iid_family, start200, ind200):
+        """θ is an argument: the library computes no stationary law of its own here."""
+        obs = ObservableSet((ind200,))
+        with pytest.raises(TypeError, match="theta_value"):
+            martingale_check(iid_family, start200, obs, [1.0], [10], trials=4)
+        res = martingale_check(iid_family, start200, obs, [1.0], [10], trials=4, theta_value=0.3)
+        assert res.theta_g == 0.3
 
     @pytest.mark.parametrize("n_grid", [[], [0], [10, 10]])
     def test_empty_zero_or_repeated_grid_is_a_validation_error(self, iid_family, start200,
                                                                ind200, n_grid):
         with pytest.raises(KernelValidationError):
             martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], n_grid,
-                             trials=4)
+                             trials=4, theta_value=1.0)
 
     @pytest.mark.parametrize("trials", [2.5, True], ids=["fraction", "bool"])
     def test_non_integer_trial_count_rejected(self, iid_family, start200, ind200, trials):
         with pytest.raises(KernelValidationError, match="trials must be an integer"):
             martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10],
-                             trials=trials)
+                             trials=trials, theta_value=1.0)
 
     def test_trial_count_below_one_rejected(self, iid_family, start200, ind200):
         with pytest.raises(KernelValidationError, match="trials must be >= 1"):
             martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10],
-                             trials=0)
+                             trials=0, theta_value=1.0)
 
     def test_integral_float_trial_count_is_that_integer(self, iid_family, start200, ind200):
+        obs = ObservableSet((ind200,))
         res, ref = (
-            martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10, 20],
-                             trials=t, base_seed=1)
+            martingale_check(iid_family, start200, obs, [1.0], [10, 20], trials=t, base_seed=1,
+                             theta_value=martingale_theta(iid_family, obs, [1.0]))
             for t in (4.0, 4)
         )
         assert res.trials == 4 and type(res.trials) is int
@@ -398,7 +411,8 @@ class TestMartingaleCheck:
         obs = ObservableSet((indicator_observable(1, 60), indicator_observable(2, 60)))
         mu0 = nhmc.point_mass(1, 60)
         band, dense = (
-            martingale_check(f, mu0, obs, [1.0, -0.5], [10, 40], trials=16, base_seed=3)
+            martingale_check(f, mu0, obs, [1.0, -0.5], [10, 40], trials=16, base_seed=3,
+                             theta_value=martingale_theta(f, obs, [1.0, -0.5]))
             for f in (fam, twin)
         )
         np.testing.assert_allclose(band.variance_values, dense.variance_values,
@@ -412,7 +426,8 @@ class TestMartingaleCheck:
         obs = ObservableSet((indicator_observable(1, 60), indicator_observable(60, 60)))
         mu0 = nhmc.uniform_initial(60)
         band, dense = (
-            martingale_check(f, mu0, obs, [1.0, -0.5], [10, 80], trials=16, base_seed=3)
+            martingale_check(f, mu0, obs, [1.0, -0.5], [10, 80], trials=16, base_seed=3,
+                             theta_value=martingale_theta(f, obs, [1.0, -0.5]))
             for f in (fam, twin)
         )
         np.testing.assert_allclose(band.variance_values, dense.variance_values,
@@ -440,7 +455,8 @@ class TestMartingaleCheck:
             var_cum.append(total)
             law = probs
         want = np.array(var_cum)[np.array(grid) - 1] / grid
-        res = martingale_check(fam, mu0, obs, z, grid, trials=4, base_seed=1)
+        res = martingale_check(fam, mu0, obs, z, grid, trials=4, base_seed=1,
+                               theta_value=martingale_theta(fam, obs, z))
         np.testing.assert_allclose(res.variance_values, want, rtol=1e-13, atol=0)
 
     def test_exact_pass_runs_once_per_grid(self, iid_family, start200, ind200, monkeypatch):
@@ -452,8 +468,9 @@ class TestMartingaleCheck:
             return real(mu0, family, values, n)
 
         monkeypatch.setattr(nhmc.simulate, "_band_series", series)
-        martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [20, 60, 90],
-                         trials=8, base_seed=1)
+        obs = ObservableSet((ind200,))
+        martingale_check(iid_family, start200, obs, [1.0], [20, 60, 90], trials=8, base_seed=1,
+                         theta_value=martingale_theta(iid_family, obs, [1.0]))
         assert calls == [90]
 
     def test_monte_carlo_pass_memory_is_bounded(self):
@@ -481,7 +498,8 @@ class TestMartingaleCheck:
 
         def run():
             return martingale_check(fam, mu0, obs, [1.0, -0.5, 0.25], [7, 64, 300],
-                                    trials=70, base_seed=9)
+                                    trials=70, base_seed=9,
+                                    theta_value=martingale_theta(fam, obs, [1.0, -0.5, 0.25]))
 
         whole = run()
         monkeypatch.setattr(nhmc.sampling, "_MAX_BLOCK", 16)
@@ -495,17 +513,21 @@ class TestMartingaleCheck:
             (indicator_observable(1, 200), indicator_observable(3, 200))
         )
         res = martingale_check(zeta2_small, start200, obs, [1.0, -0.5], [200, 1000],
-                               trials=64, base_seed=6)
+                               trials=64, base_seed=6,
+                               theta_value=martingale_theta(zeta2_small, obs, [1.0, -0.5]))
         assert res.max_pathwise_residual <= 1e-10
 
     def test_variance_profile_approaches_theta(self, zeta2_small, start200, ind200):
-        res = martingale_check(zeta2_small, start200, ObservableSet((ind200,)), [1.0],
-                               [100, 1000, 4000], trials=8, base_seed=2)
+        obs = ObservableSet((ind200,))
+        res = martingale_check(zeta2_small, start200, obs, [1.0], [100, 1000, 4000], trials=8,
+                               base_seed=2, theta_value=martingale_theta(zeta2_small, obs, [1.0]))
         gaps = np.abs(res.variance_values - res.theta_g)
         assert gaps[-1] < gaps[0]
         assert gaps[-1] <= 0.01
 
     def test_drift_shrinks_with_horizon(self, zeta2_small, start200, ind200):
-        res = martingale_check(zeta2_small, start200, ObservableSet((ind200,)), [1.0],
-                               [100, 1000, 10000], trials=128, base_seed=4)
+        obs = ObservableSet((ind200,))
+        res = martingale_check(zeta2_small, start200, obs, [1.0], [100, 1000, 10000],
+                               trials=128, base_seed=4,
+                               theta_value=martingale_theta(zeta2_small, obs, [1.0]))
         assert res.drift_values[-1] < res.drift_values[0]
