@@ -345,7 +345,7 @@ def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int,
             "target": series[0].target if series else None,
             "gap_decreasing": all(b < a for a, b in zip(gaps, gaps[1:])) if len(gaps) > 1 else None,
         }
-        if series and series[-1].target != 0:
+        if series and 0 < abs(series[-1].target) < math.inf:  # a finite, non-zero target
             entry["final_rel_gap"] = gaps[-1] / abs(series[-1].target)
             entry["final_within_tolerance"] = entry["final_rel_gap"] <= MDP_FINAL_REL_GAP
         summary["per_x"].append(entry)

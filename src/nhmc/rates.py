@@ -95,12 +95,17 @@ def covariance_matrix(pi, P: TruncatedKernel, observables: ObservableSet) -> np.
 
 
 def rate_1d(x: float, theta_value: float) -> float:
-    """x^2 / (2 theta); rejects theta <= 0 (the variance positivity hypothesis)."""
+    """x^2 / (2 theta), +inf once x^2 overflows; rejects theta <= 0 (the
+    variance positivity hypothesis)."""
     if theta_value <= 0.0:
         raise ThetaPositivityError(
             f"asymptotic variance must be strictly positive, got {theta_value}"
         )
-    return float(x) ** 2 / (2.0 * theta_value)
+    try:
+        square = float(x) ** 2
+    except OverflowError:  # |x| above about 1.34e154
+        square = math.inf
+    return square / (2.0 * theta_value)
 
 
 def rate_multi(x, Q: np.ndarray) -> float:

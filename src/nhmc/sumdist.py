@@ -25,6 +25,14 @@ merged built-ins), and the result's mean is cross-checked against the
 exact expectation ``expected_sum`` (the band series on lump band families,
 propagation on the others).
 
+A step is a few numpy calls: the sweep clears only the window's margins
+that the group products leave, and sums each edge column as Python floats in
+row order (numpy's own sum below 8 rows, as on every merged built-in; on the
+raw states ``dropped_mass`` can differ from numpy's sum in its last bits).
+The merged path builds ``A_k`` up to 32 steps at a time and hands each to
+``matmul`` as a contiguous array of its own: ``matmul``'s bits can depend on
+its operand's layout.
+
 A horizon grid is served by one sweep to its largest horizon: each time the
 sweep reaches a horizon h it copies the live window into a pmf of
 h * range + 1 cells (a snapshot, with the mass dropped so far), and every
@@ -33,9 +41,11 @@ each horizon.  Each snapshot is bit-identical to a one-horizon DP to h.
 
 The DP holds two float64 tables of classes x (n * range + 1) cells for the
 largest horizon n, and the raw-state step two more tables' worth of work
-arrays, plus the snapshots of the earlier horizons (the last one is taken
-once the second table is released); the cell budget counts those cells and
-is checked before anything of their size is allocated or any step runs.
+arrays, the n step scales (a chunk of ``A_k`` holds no more cells than they
+do, or one ``A_k``), and the snapshots of the earlier horizons (the last one
+is taken once the second table is released); the cell budget counts those
+cells and is checked before anything of their size is allocated or any step
+runs.
 """
 
 from __future__ import annotations
@@ -97,7 +107,10 @@ class SumDistribution:
         object.__setattr__(self, "pmf", _readonly(np.clip(pmf, 0.0, None)))
 
     def tail_probability(self, threshold: float) -> float:
-        """P(S_n >= threshold), with a 1e-9 guard against float thresholds."""
+        """P(S_n >= threshold), with a 1e-9 guard against float thresholds;
+        1.0 at -inf and 0.0 at +inf."""
+        if np.isinf(threshold):
+            return float(threshold < 0)
         lo = int(np.ceil(threshold - 1e-9)) - self.support_offset
         if lo <= 0:
             return 1.0
@@ -153,9 +166,13 @@ def _window_sweep(start, width, groups, steps, write, stops):
     """The DP's steps from the start column over the live window ``[lo, hi)``
     of partial sums: ``write(step, sub, nxt, lo, groups)`` sends the live
     columns ``sub`` into ``nxt``, the rows of each ``(value, rows)`` group
-    shifted by that value.  After each step count in ``stops`` (ascending) it
-    yields that count, the table, its window and the mass dropped so far at
-    the window's edges; the tables are released when the sweep ends."""
+    shifted by that value, so group g fills ``[lo + g, hi + g)`` of its rows
+    and the sweep clears only the margins ``[lo, lo + g)`` and
+    ``[hi + g, hi + range)``.  An edge column whose total, summed as Python
+    floats in row order, is below the smallest normal float is dropped.
+    After each step count in ``stops`` (ascending) it yields that count, the
+    table, its window and the mass dropped so far at the window's edges; the
+    tables are released when the sweep ends."""
     cur = np.zeros((start.size, width))
     cur[:, 0] = start
     nxt = np.zeros_like(cur)
@@ -165,13 +182,17 @@ def _window_sweep(start, width, groups, steps, write, stops):
     stops = iter(stops)
     stop = next(stops)
     for k, step in enumerate(steps, 1):
-        nxt[:, lo:hi + vrange] = 0.0
+        for g, rows in groups:  # the product fills [lo + g, hi + g) of its rows
+            if g:
+                nxt[rows, lo:lo + g] = 0.0
+            if g < vrange:
+                nxt[rows, hi + g:hi + vrange] = 0.0
         write(step, cur[:, lo:hi], nxt, lo, groups)
         hi += vrange
-        while hi - lo > 1 and (edge := nxt[:, lo].sum()) < tiny:
+        while hi - lo > 1 and (edge := sum(nxt[:, lo].tolist())) < tiny:
             dropped += edge
             lo += 1
-        while hi - lo > 1 and (edge := nxt[:, hi - 1].sum()) < tiny:
+        while hi - lo > 1 and (edge := sum(nxt[:, hi - 1].tolist())) < tiny:
             dropped += edge
             hi -= 1
         cur, nxt = nxt, cur
@@ -264,8 +285,11 @@ def exact_sum_distribution(
         cuts = np.r_[0, np.flatnonzero(np.diff(rel)) + 1, m]
         groups = [(int(rel[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
         scales = family.perturbation_scale(np.arange(1, n_max + 1))
-        step = np.empty_like(fixed)  # every A_k is built in this one buffer
-        steps = (np.add(fixed, np.multiply(coeff_t, s, out=step), out=step) for s in scales)
+        # A_k by the chunk, in no more cells than the scales; each A_k is
+        # copied out, since matmul's bits can depend on its operand's layout
+        chunk = max(1, min(32, n_max // m**2))
+        steps = (a.copy() for i in range(0, n_max, chunk)
+                 for a in fixed + scales[i:i + chunk, None, None] * coeff_t)
         write = _write_classes
     else:
         groups = [(int(g), rel == g) for g in np.unique(rel)]

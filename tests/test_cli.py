@@ -437,6 +437,32 @@ class TestExperiments:
         assert lines[0] == "n,x,method,log_prob,scaled,target,std_error,zero_hits"
         assert len(lines) == 1 + 2 * 2
 
+    @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
+    def test_huge_x_entries_leave_the_other_rows_as_they_were(self, tmp_path, method):
+        """x = 1e300 and 1.7e308 (whose x^2 and x a(n) overflow) exit 0 with a
+        rate of inf and tails of -inf; the rows of 0.0 and 0.4 are byte-identical
+        to a run without them, and no summary holds a NaN."""
+        rows = {}
+        for sub, xs in (("plain", [0.0, 0.4]), ("huge", [0.0, 0.4, 1e300, 1.7e308]),
+                        ("negative", [0.0, 0.4, -1e300, -1.7e308])):
+            cfg = base_config(tmp_path / sub, family={"kind": "zeta2", "alpha": 0.75, "N": 30,
+                                                      "tail_policy": "lump"},
+                              x_grid=xs, trials=1000, mdp_method=method)
+            path = write_config(tmp_path, f"{sub}.json", cfg)
+            assert cli.main(["rate", "--config", str(path)]) == 0
+            assert cli.main(["mdp", "--config", str(path)]) == 0
+            assert "NaN" not in (tmp_path / sub / "mdp_summary.json").read_text()
+            rows[sub] = {name: (tmp_path / sub / name).read_text().splitlines()
+                         for name in ("rate_table.csv", "mdp.csv")}
+        plain, huge = rows["plain"], rows["huge"]
+        assert huge["rate_table.csv"] == plain["rate_table.csv"] + ["0,1e+300,inf",
+                                                                    "0,1.7e+308,inf"]
+        assert rows["negative"]["rate_table.csv"][3:] == ["0,-1e+300,inf", "0,-1.7e+308,inf"]
+        mdp = [row.split(",") for row in huge["mdp.csv"]]
+        assert [",".join(row) for row in mdp if row[1] not in ("1e+300", "1.7e+308")] \
+            == plain["mdp.csv"]
+        assert [row[3:6] for row in mdp if row[1] in ("1e+300", "1.7e+308")] == [["-inf"] * 3] * 4
+
     def test_exact_mdp_writes_missing_std_error_as_none(self, tmp_path):
         path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", n_grid=[50]))
         assert cli.main(["mdp", "--config", str(path)]) == 0

@@ -152,6 +152,14 @@ class TestRate1d:
         assert rate_1d(0.5, 0.23836) == pytest.approx(0.25 / (2 * 0.23836), rel=1e-12)
         assert rate_1d(0.5, 0.23836) == pytest.approx(0.52442, abs=5e-6)
 
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1.7e308, -1.7e308])
+    def test_overflowing_square_is_infinite(self, x):
+        """x^2 above the largest float is a rate of +inf, not an OverflowError."""
+        assert rate_1d(x, 0.2) == math.inf
+
+    def test_largest_finite_square_is_unchanged(self):
+        assert rate_1d(1e154, 0.5) == 1e154**2
+
     def test_nonpositive_theta_rejected(self):
         with pytest.raises(ThetaPositivityError):
             rate_1d(1.0, 0.0)

@@ -76,6 +76,33 @@ class TestStream:
         np.testing.assert_array_equal(span_uniforms(base_seed, trials, count),
                                       lane_uniforms(base_seed, trials, count))
 
+    def test_stream_matches_the_recorded_outputs(self):
+        """Known answers recorded on numpy 2.4.6: step 0..2 uniforms of trials
+        on either side of group edges at base seeds 0 and 11, and the first
+        states of three zeta2 paths.  The other stream tests rebuild the
+        lanes from numpy, so a numpy release that moved ``PCG64DXSM``,
+        ``SeedSequence`` or ``Generator.random`` would pass them.  A failure
+        here means the stream moved: bump ``RNG_VERSION["rng_version"]`` and
+        list the artifacts that moved."""
+        trials = [0, 1, 255, 256, 511]
+        recorded = {
+            0: [["0x1.3b33d51891ff4p-3", "0x1.57bed94524c35p-1", "0x1.f5514389d22d5p-1"],
+                ["0x1.b7631cfb66374p-1", "0x1.0322680055f70p-4", "0x1.a69bcf9b3aa16p-2"],
+                ["0x1.d22f9dd2b8e14p-3", "0x1.b5365c43dd188p-1", "0x1.afe3b30a56bcdp-1"],
+                ["0x1.d9532bd679800p-11", "0x1.ae01835954fe2p-2", "0x1.34d05238bebc9p-1"],
+                ["0x1.c66edf35b9830p-4", "0x1.2664e2eab27ccp-1", "0x1.18675e762f310p-3"]],
+            11: [["0x1.14ceb7be866acp-1", "0x1.a467cdd351081p-1", "0x1.12c4d19bbce5cp-1"],
+                 ["0x1.9bf58f1c8ef33p-1", "0x1.19a0f2cab184ap-1", "0x1.1c8df11832d5fp-1"],
+                 ["0x1.2ee9f1884630dp-1", "0x1.3b6bc6456f510p-5", "0x1.9cd89aa134055p-1"],
+                 ["0x1.67df27d88b863p-1", "0x1.6518b2c2f7884p-2", "0x1.2875e97262f80p-1"],
+                 ["0x1.765edc596c0c8p-3", "0x1.a1073937aa577p-1", "0x1.6299523e5b818p-3"]],
+        }
+        for base_seed, rows in recorded.items():
+            expected = [[float.fromhex(x) for x in row] for row in rows]
+            assert span_uniforms(base_seed, trials, 3).tolist() == expected
+        paths = sample_paths([0, 1, 256], point_mass(1, 30), zeta2_family(0.75, 30), 3, 11)
+        assert paths.tolist() == [[0, 2, 0, 29], [0, 1, 0, 1], [0, 1, 0, 1]]
+
     def test_adjacent_base_seeds_share_no_trial(self):
         """No trial stream of base seed b is one of b + 1, nor another
         trial's of b (streams seeded base + t would make base 8's trial 0

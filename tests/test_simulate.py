@@ -241,6 +241,19 @@ class TestMdpDiagnostic:
             mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6),
                            [0.0, float("nan")], [50], theta_iid, method=method)
 
+    @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
+    def test_huge_thresholds_have_certain_tails(self, iid_family, start200, ind200,
+                                                theta_iid, method):
+        """x = +-1e300 (and x a(n) overflowing at 1.7e308) give tails of 0 and 1
+        and a rate of +inf, where x^2 and the DP threshold used to overflow."""
+        xs = [1e300, -1e300, 1.7e308, -1.7e308]
+        ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), xs, [50],
+                              theta_iid, method=method, trials=200)
+        assert [e.x for e in ests] == xs
+        assert [e.log_prob for e in ests] == [-math.inf, 0.0, -math.inf, 0.0]
+        assert [e.scaled for e in ests] == [-math.inf, 0.0, -math.inf, 0.0]
+        assert all(e.target == -math.inf for e in ests)
+
     @pytest.mark.parametrize("n_grid", [[200], [200, 800], [50, 200, 800, 1600]],
                              ids=["one", "two", "four"])
     def test_exact_dp_sweeps_and_propagates_once_per_grid(self, iid_family, start200, ind200,

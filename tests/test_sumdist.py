@@ -46,6 +46,55 @@ def full_sweep_dp(mu0, family, f, n):
     return table.sum(axis=0)
 
 
+def plain_sweep(mu0, family, f, grid):
+    """The DP sweep written plainly from ``_lumped_chain``'s inputs: each step
+    clears the whole window, sums each edge column with numpy, and builds the
+    merged ``A_k`` with two ufuncs in one reused buffer.  Returns (offset,
+    pmf, dropped mass) per horizon of the ascending ``grid``."""
+    lumped = nhmc.sumdist._lumped_chain(family, mu0, f)
+    if lumped is not None:
+        fixed, coeff_t, values, start = lumped
+    else:
+        values, start = np.round(f.values).astype(np.int64), mu0.probs
+    rel, n, tiny = values - values.min(), grid[-1], np.finfo(float).tiny
+    vrange = int(rel.max())
+    if lumped is not None:
+        cuts = np.r_[0, np.flatnonzero(np.diff(rel)) + 1, rel.size]
+        groups = [(int(rel[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+        step = np.empty_like(fixed)
+        ops = (np.add(fixed, np.multiply(coeff_t, s, out=step), out=step)
+               for s in family.perturbation_scale(np.arange(1, n + 1)))
+    else:
+        groups = [(int(g), rel == g) for g in np.unique(rel)]
+        ops = family.steps(n)
+    cur = np.zeros((rel.size, n * vrange + 1))
+    cur[:, 0] = start
+    nxt = np.zeros_like(cur)
+    lo, hi, dropped, out = 0, 1, 0.0, []
+    for k, op in enumerate(ops, 1):
+        nxt[:, lo:hi + vrange] = 0.0
+        sub = cur[:, lo:hi]
+        mass = None if lumped is not None else nhmc.sumdist._raw_step(sub, op)
+        for g, rows in groups:
+            if lumped is not None:
+                np.matmul(op[rows], sub, out=nxt[rows, lo + g:hi + g])
+            else:
+                nxt[rows, lo + g:hi + g] = mass[rows]
+        hi += vrange
+        while hi - lo > 1 and (edge := nxt[:, lo].sum()) < tiny:
+            dropped += edge
+            lo += 1
+        while hi - lo > 1 and (edge := nxt[:, hi - 1].sum()) < tiny:
+            dropped += edge
+            hi -= 1
+        cur, nxt = nxt, cur
+        if k in grid:
+            pmf = np.zeros(k * vrange + 1)
+            pmf[lo:hi] = cur[:, lo:hi].sum(axis=0)
+            out.append((k * int(values.min()), np.clip(pmf, 0.0, None), dropped))
+    return out
+
+
 class TestExactSumDistribution:
     def test_single_step_indicator(self, iid_family, start200, ind200, q_zeta2):
         dist = exact_sum_distribution(start200, iid_family, ind200, 1)
@@ -96,6 +145,33 @@ class TestExactSumDistribution:
         reference = full_sweep_dp(mu0, fam, f, n)
         assert dist.pmf.size == reference.size
         assert np.abs(dist.pmf - reference).max() <= dist.dropped_mass + 1e-13
+
+    @pytest.mark.parametrize("kind, observable, merged", [
+        ("zeta2", "indicator", True), ("zeta2", "capped_identity", True),
+        ("zeta4", "indicator", True), ("zeta4", "capped_identity", True),
+        ("zeta2", "capped_identity", False)])
+    def test_sweep_is_bit_identical_to_the_plain_sweep(self, kind, observable, merged):
+        """Clearing only the margins, summing edges as Python floats and building
+        A_k by the chunk move no bit of any pmf or offset, across the window's
+        trims; the dropped mass is bit-identical on the merged classes (fewer
+        than 8 rows, where Python's row-order sum is numpy's) and within 1e-12
+        relative on the raw states (renormalize)."""
+        size, grid, policy = ((200, [256, 2000], nhmc.TailPolicy.LUMP) if merged
+                              else (60, [64, 600], nhmc.TailPolicy.RENORMALIZE))
+        fam = (zeta2_family(0.75, size, policy) if kind == "zeta2"
+               else zeta4_family(0.75, 1.0, size, policy))
+        f = (indicator_observable(1, size) if observable == "indicator"
+             else capped_identity_observable(3, size))
+        mu0 = point_mass(1, size)
+        assert (nhmc.sumdist._lumped_chain(fam, mu0, f) is not None) == merged
+        dists = exact_sum_distribution(mu0, fam, f, grid)
+        for dist, (offset, pmf, dropped) in zip(dists, plain_sweep(mu0, fam, f, grid)):
+            assert dist.support_offset == offset
+            assert dist.pmf.tobytes() == pmf.tobytes()
+            if merged:
+                assert dist.dropped_mass == dropped
+            else:
+                assert dist.dropped_mass == pytest.approx(dropped, rel=1e-12, abs=0)
 
     def test_window_drops_subnormal_columns(self, iid_family, start200, ind200, q_zeta2):
         """At n = 3000 both tails of the binomial law fall below the smallest
@@ -264,6 +340,13 @@ class TestExactSumDistribution:
         assert dist.tail_probability(11) == 0.0
         assert dist.tail_probability(4.0) == pytest.approx(dist.pmf[4:].sum())
         assert dist.tail_probability(3.2) == pytest.approx(dist.pmf[4:].sum())
+
+    def test_tail_probability_at_infinite_thresholds(self, iid_family, start200, ind200):
+        """A threshold that overflowed to +-inf has the tail of its sign, not an
+        OverflowError; +-1e300 give the same tails."""
+        dist = exact_sum_distribution(start200, iid_family, ind200, 10)
+        assert dist.tail_probability(np.inf) == dist.tail_probability(1e300) == 0.0
+        assert dist.tail_probability(-np.inf) == dist.tail_probability(-1e300) == 1.0
 
     def test_constant_observable_is_degenerate(self, iid_family, start200):
         f = Observable(np.full(200, 2.0))
