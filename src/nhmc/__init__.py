@@ -17,7 +17,6 @@ from .kernels import (
     zeta4_family,
     constant_family,
     table_family,
-    family_from_config,
     propagate,
     expected_sum,
     indicator_observable,
@@ -60,4 +59,4 @@ from .simulate import (
     mdp_diagnostic,
     martingale_check,
 )
-from .config import ExperimentConfig, InvalidConfigError
+from .config import ExperimentConfig, InvalidConfigError, family_from_config

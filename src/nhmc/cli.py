@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, InvalidConfigError
+from .config import DEFAULT_INITIAL, ExperimentConfig, InvalidConfigError
 from .ergodicity import (
     ConvergenceCondition,
     ConvergenceError,
@@ -182,7 +182,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int,
         "kernel_checks": checks,
         "failures": failures,
         "truncation_tail_mass": family.truncation_tail_mass(),
-        "initial_distribution": cfg.raw.get("initial", {"kind": "point_mass", "state": 1}),
+        "initial_distribution": cfg.raw.get("initial", DEFAULT_INITIAL),
     }
     path = out_dir / "validate_report.json"
     _write_json(path, report)

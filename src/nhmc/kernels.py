@@ -66,7 +66,6 @@ __all__ = [
     "zeta4_family",
     "constant_family",
     "table_family",
-    "family_from_config",
     "propagate",
     "expected_sum",
     "indicator_observable",
@@ -97,38 +96,6 @@ def _config_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise KernelValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _config_float(value, name: str) -> float:
-    """A real config field: an int or a float.  A bool, a string or any other
-    value is refused by name, never converted."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
-    raise KernelValidationError(f"{name} must be a number, got {value!r}")
-
-
-def _config_table(value, name: str) -> np.ndarray:
-    """A table config field, nested lists of numbers, as a float array: a
-    bool, a string or any other entry is refused by name, never converted."""
-    entries = np.asarray(value, dtype=object)
-    for entry in entries.flat:
-        _config_float(entry, f"{name} entries")
-    return entries.astype(float)
-
-
-def _config_object(spec, where: str) -> dict:
-    """A config object (a JSON dict), refused by name when it is anything else."""
-    if not isinstance(spec, dict):
-        raise KernelValidationError(f"{where} must be a JSON object, got {type(spec).__name__}")
-    return spec
-
-
-def _check_fields(spec: dict, allowed, where: str) -> None:
-    """Refuse by name a config field outside ``allowed``: dropped, a misspelt
-    field would leave its default to run in its place."""
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        raise KernelValidationError(f"unknown field {', '.join(map(repr, unknown))} in {where}")
 
 
 def _config_ints(values, name: str) -> list:
@@ -371,8 +338,6 @@ def uniform_initial(size: int) -> InitialDistribution:
 
 _ZETA_POWER = {"zeta2": 2, "zeta4": 4}
 _ZETA_NORM = {"zeta2": 6.0 / math.pi**2, "zeta4": 90.0 / math.pi**4}
-# shorthand kinds accepted on the wire for the two built-in example families
-_KIND_ALIASES = {"example1": "zeta2", "example2": "zeta4"}
 
 
 def _zeta_weights(kind: str, size: int) -> np.ndarray:
@@ -657,7 +622,6 @@ def _zeta_scale(kind: str, alpha: float, beta: float | None, k) -> np.ndarray | 
 def make_limit_kernel(kind: str, size: int, tail_policy: TailPolicy = TailPolicy.LUMP) -> TruncatedKernel:
     """The identical-rows limit kernel of a built-in family, truncated to N
     states and held as its one base row (O(N) memory; see TruncatedKernel)."""
-    kind = _KIND_ALIASES.get(kind, kind)
     if kind not in _ZETA_POWER:
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
     if size < 3:
@@ -680,7 +644,6 @@ def make_kernel(
     column i to column i+1.  Under ``lump`` the last row's move cancels
     against the lumped tail, so it equals the limit row exactly.
     """
-    kind = _KIND_ALIASES.get(kind, kind)
     if kind not in _ZETA_POWER:
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
     _check_zeta_params(kind, alpha, beta, size)
@@ -809,59 +772,41 @@ def zeta4_family(
 
 
 def constant_family(kernel: TruncatedKernel) -> KernelFamily:
-    """The same kernel at every step; the limit is the kernel itself.  A
-    kernel held as its one row skips the O(N^2) identical-rows check."""
-    struct = None
-    if kernel.has_identical_rows():
-        row = kernel.rows[0]
-        struct = _make_structure(row / row.sum(), np.zeros(kernel.size))
-    return KernelFamily("constant", kernel.size, TailPolicy.LUMP, kernel, structure=struct)
+    """The same kernel at every step: the table that lists no kernel."""
+    return table_family((), kernel)
 
 
 def table_family(kernels: Iterable[TruncatedKernel], limit: TruncatedKernel) -> KernelFamily:
+    """The listed kernels at steps 1..len(kernels), the limit at every later
+    step.  Listing none gives the constant family, which takes the band of a
+    limit with identical rows (held as its one row, it skips the O(N^2) check)."""
     kernels = tuple(kernels)
     if any(k.size != limit.size for k in kernels):
         raise KernelValidationError("table kernels must share the limit's state count")
-    return KernelFamily("table", limit.size, TailPolicy.LUMP, limit, table=kernels)
-
-
-# the fields each family kind takes besides kind, N and tail_policy
-_FAMILY_FIELDS = {"zeta2": ("alpha",), "zeta4": ("alpha", "beta"), "constant": ("matrix",),
-                  "table": ("matrices", "limit")}
-
-
-def family_from_config(cfg: dict) -> KernelFamily:
-    """Build a family from its JSON form, e.g. {"kind":"zeta2","alpha":0.75,"N":1000,"tail_policy":"lump"}.
-    Every kind takes ``N`` and ``tail_policy``; a field its kind does not take is refused."""
-    cfg = _config_object(cfg, "the family")
-    kind = _KIND_ALIASES.get(cfg.get("kind"), cfg.get("kind"))
-    if kind not in _FAMILY_FIELDS:
-        raise KernelValidationError(f"unknown family kind {cfg.get('kind')!r}")
-    _check_fields(cfg, ("kind", "N", "tail_policy", *_FAMILY_FIELDS[kind]), f"a {kind} family")
-    try:
-        policy = TailPolicy(cfg.get("tail_policy", "lump"))
-    except ValueError as exc:
-        raise KernelValidationError(f"unknown tail policy {cfg.get('tail_policy')!r}") from exc
-    if kind in _ZETA_POWER:
-        alpha = _config_float(cfg.get("alpha"), "family alpha")
-        size = _config_int(cfg["N"], "family N")
-        if kind == "zeta2":
-            return zeta2_family(alpha, size, policy)
-        return zeta4_family(alpha, _config_float(cfg.get("beta"), "family beta"), size, policy)
-    if kind == "constant":
-        return constant_family(TruncatedKernel(_config_table(cfg["matrix"], "family matrix")))
-    kernels = [TruncatedKernel(_config_table(m, "family matrices")) for m in cfg["matrices"]]
-    return table_family(kernels, TruncatedKernel(_config_table(cfg["limit"], "family limit")))
+    struct = None
+    if not kernels and limit.has_identical_rows():
+        row = limit.rows[0]
+        struct = _make_structure(row / row.sum(), np.zeros(limit.size))
+    return KernelFamily("table" if kernels else "constant", limit.size, TailPolicy.LUMP, limit,
+                        table=kernels, structure=struct)
 
 
 # ---------------------------------------------------------------------------
 # exact chain operations
 # ---------------------------------------------------------------------------
 
-def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
-    """Yield (step, probs) for k = 1..n: the step operator P_k and the law of X_k."""
+def _check_sizes(family: KernelFamily, mu0: InitialDistribution,
+                 obs: Observable | ObservableSet | None = None) -> None:
+    """Refuse observables or a start law on another state count than the family's."""
+    if obs is not None and obs.size != family.size:
+        raise KernelValidationError("observable size does not match family")
     if mu0.size != family.size:
         raise KernelValidationError("initial distribution size does not match family")
+
+
+def _propagation_steps(mu0: InitialDistribution, family: KernelFamily, n: int):
+    """Yield (step, probs) for k = 1..n: the step operator P_k and the law of X_k."""
+    _check_sizes(family, mu0)
     probs = mu0.probs
     for step in family.steps(n):
         probs = step.push(probs)
@@ -930,10 +875,7 @@ def expected_step_values(
     n = _config_int(n, "step count")
     if n < 0:
         raise KernelValidationError(f"step count must be >= 0, got {n}")
-    if obs.size != family.size:
-        raise KernelValidationError("observable size does not match family")
-    if mu0.size != family.size:
-        raise KernelValidationError("initial distribution size does not match family")
+    _check_sizes(family, mu0, obs)
     if family._series_terms is not None:
         return _band_series(mu0, family, obs.value_matrix(), n)[1:]
     rows = [[float(probs @ o.values) for o in obs]  # each on its own

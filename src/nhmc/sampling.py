@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import InitialDistribution, KernelFamily, KernelValidationError, _config_int
+from .kernels import (InitialDistribution, KernelFamily, KernelValidationError, _check_sizes,
+                      _config_int)
 
 __all__ = ["sample_paths", "iter_seed_blocks", "RNG_VERSION"]
 
@@ -157,8 +158,7 @@ def sample_paths(
     n = _config_int(n, "horizon")
     if n < 0:
         raise KernelValidationError(f"horizon must be >= 0, got {n}")
-    if mu0.size != family.size:
-        raise KernelValidationError("initial distribution size does not match family")
+    _check_sizes(family, mu0)
     base_seed = _base_seed(base_seed)
     try:
         trials = np.atleast_1d(np.asarray(trials, dtype=np.int64))

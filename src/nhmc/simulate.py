@@ -29,6 +29,7 @@ from .kernels import (
     ObservableSet,
     _Horizons,
     _band_series,
+    _check_sizes,
     _config_int,
     _config_ints,
     _horizon_grid,
@@ -127,6 +128,7 @@ def simulate_sums(
         raise KernelValidationError(f"horizons must be >= 0, got {n}")
     n_max = max(horizons)
     obs = f if isinstance(f, ObservableSet) else ObservableSet((f,))
+    _check_sizes(family, mu0, obs)
     vals = obs.value_matrix()
 
     def one_block(chunk):
@@ -229,7 +231,9 @@ def mdp_diagnostic(
     workers: int = 1,
 ) -> list[MdpEstimate]:
     """Tail estimates over n_grid x x_grid with the scaled exponent and its
-    quadratic-rate target; ``method`` is ``exact_dp`` or ``monte_carlo``.
+    target, the upper tail's limit ``-inf_{y >= x} y^2 / (2 theta)``: the
+    quadratic rate for x > 0, 0 for x <= 0.  ``method`` is ``exact_dp`` or
+    ``monte_carlo``.
 
     Monte Carlo tails with zero hits are reported as -inf with a flag.
     """
@@ -271,7 +275,7 @@ def mdp_diagnostic(
                     log_prob=log_prob,
                     scaled=speed.scale_log(n, log_prob) if p > 0 else -math.inf,
                     method=method,
-                    target=-rate_1d(x, theta_value),
+                    target=-rate_1d(max(x, 0.0), theta_value),
                     std_error=se_p,
                     zero_hits=(p == 0.0 and method == "monte_carlo"),
                 )
@@ -339,6 +343,7 @@ def martingale_check(
     functional's max |F| dropped (see ``KernelFamily._series_terms``); on the
     others, and where that bound does not close, it is one propagation.
     """
+    _check_sizes(family, mu0, observables)
     g = observables.combine(z)
     trials = _trial_count(trials)
     base_seed = _base_seed(base_seed)

@@ -61,6 +61,7 @@ from .kernels import (
     KernelValidationError,
     Observable,
     _Horizons,
+    _check_sizes,
     _readonly,
     expected_sum,
 )
@@ -255,8 +256,7 @@ def exact_sum_distribution(
     n_max = int(grid)
     if not f.is_integer_valued():
         raise KernelValidationError("exact DP requires an integer-valued observable")
-    if f.size != family.size or mu0.size != family.size:
-        raise KernelValidationError("observable / initial distribution size mismatch")
+    _check_sizes(family, mu0, f)
 
     lumped = _lumped_chain(family, mu0, f)
     if lumped is not None:

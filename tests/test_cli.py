@@ -42,6 +42,12 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def refuse_non_finite(name):
+    """``parse_constant`` of a strict JSON parse: NaN, Infinity and -Infinity
+    are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestValidate:
     def test_pass_and_tail_mass_report(self, tmp_path):
         cfg = base_config(tmp_path / "out", family={"kind": "zeta2", "alpha": 0.75,
@@ -261,6 +267,52 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
         assert f"{where} must be a JSON object" in capsys.readouterr().err
 
+    ROWS = [[0.5, 0.5], [0.25, 0.75]]
+    OTHER = [[0.1, 0.9], [0.6, 0.4]]
+    # each kind's spec, and for each field the kind takes another valid value
+    FAMILY_SPECS = {
+        "zeta2": ({"kind": "zeta2", "alpha": 0.75, "N": 30, "tail_policy": "lump"},
+                  {"alpha": 0.9, "N": 40, "tail_policy": "renormalize"}),
+        "zeta4": ({"kind": "zeta4", "alpha": 0.75, "beta": 1.0, "N": 30, "tail_policy": "lump"},
+                  {"alpha": 0.9, "beta": 0.5, "N": 40, "tail_policy": "renormalize"}),
+        "constant": ({"kind": "constant", "matrix": ROWS, "N": 2, "tail_policy": "lump"},
+                     {"matrix": OTHER, "N": 5, "tail_policy": "renormalize"}),
+        "table": ({"kind": "table", "matrices": [ROWS], "limit": ROWS, "N": 2,
+                   "tail_policy": "lump"},
+                  {"matrices": [OTHER], "limit": OTHER, "N": 5, "tail_policy": "renormalize"}),
+    }
+
+    @pytest.mark.parametrize("kind", FAMILY_SPECS)
+    def test_every_family_field_is_read(self, tmp_path, capsys, kind):
+        """A family reads every field its kind takes: changing one to another
+        valid value changes the family built, or the config exits 2 naming
+        it.  A constant or table family's kernels are given whole, so a
+        different ``N`` or a ``tail_policy`` other than lump exits 2."""
+        def built(family):
+            return (family.kind, family.size, family.tail_policy, family.alpha, family.beta,
+                    family.limit.rows.tobytes(), [k.rows.tobytes() for k in family.table])
+
+        spec, changes = self.FAMILY_SPECS[kind]
+        assert set(changes) == set(nhmc.config._FAMILY_FIELDS[kind])
+        base = built(nhmc.family_from_config(spec))
+        for field, value in changes.items():
+            changed = {**spec, field: value}
+            path = write_config(tmp_path, "cfg.json", base_config(tmp_path / field,
+                                                                  family=changed))
+            status = cli.main(["validate", "--config", str(path)])
+            if status == cli.EXIT_INVALID:
+                assert f"family {field}" in capsys.readouterr().err, field
+            else:
+                assert status == 0 and built(nhmc.family_from_config(changed)) != base, field
+
+    def test_constant_family_refuses_fields_it_would_drop(self, tmp_path, capsys):
+        """A 2-state constant family that sets N = 5 and renormalize exits 2
+        naming N, where both fields used to be dropped."""
+        family = {"kind": "constant", "matrix": self.ROWS, "N": 5, "tail_policy": "renormalize"}
+        path = write_config(tmp_path, "cfg.json", base_config(tmp_path / "out", family=family))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        assert "family N is 5; its kernels have 2 states" in capsys.readouterr().err
+
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(
             tmp_path, n_grid=[50.0, 2e2], trials=1e4, m_sup_range=20.0, base_seed=11.0,
@@ -441,7 +493,8 @@ class TestExperiments:
     def test_huge_x_entries_leave_the_other_rows_as_they_were(self, tmp_path, method):
         """x = 1e300 and 1.7e308 (whose x^2 and x a(n) overflow) exit 0 with a
         rate of inf and tails of -inf; the rows of 0.0 and 0.4 are byte-identical
-        to a run without them, and no summary holds a NaN."""
+        to a run without them, and every summary is strict JSON, with no NaN
+        or Infinity.  Below zero the target is 0, the upper tail's limit."""
         rows = {}
         for sub, xs in (("plain", [0.0, 0.4]), ("huge", [0.0, 0.4, 1e300, 1.7e308]),
                         ("negative", [0.0, 0.4, -1e300, -1.7e308])):
@@ -452,9 +505,16 @@ class TestExperiments:
             assert cli.main(["rate", "--config", str(path)]) == 0
             assert cli.main(["mdp", "--config", str(path)]) == 0
             assert "NaN" not in (tmp_path / sub / "mdp_summary.json").read_text()
+            for summary in (tmp_path / sub).glob("*.json"):
+                json.loads(summary.read_text(), parse_constant=refuse_non_finite)
             rows[sub] = {name: (tmp_path / sub / name).read_text().splitlines()
                          for name in ("rate_table.csv", "mdp.csv")}
         plain, huge = rows["plain"], rows["huge"]
+        negative = [row.split(",") for row in rows["negative"]["mdp.csv"]]
+        assert [",".join(row) for row in negative if row[1] not in ("-1e+300", "-1.7e+308")] \
+            == plain["mdp.csv"]
+        assert [float(row[5]) for row in negative if row[1] in ("-1e+300", "-1.7e+308")] \
+            == [0.0] * 4
         assert huge["rate_table.csv"] == plain["rate_table.csv"] + ["0,1e+300,inf",
                                                                     "0,1.7e+308,inf"]
         assert rows["negative"]["rate_table.csv"][3:] == ["0,-1e+300,inf", "0,-1.7e+308,inf"]

@@ -19,6 +19,7 @@ from nhmc import (
     indicator_observable,
     martingale_check,
     mdp_diagnostic,
+    rate_1d,
     sample_paths,
     simulate_sums,
     stationary,
@@ -143,6 +144,25 @@ class TestSimulateSums:
         sums = simulate_sums(start200, zeta2_small, obs, 30, 10, 1)
         assert sums.shape == (10, 2)
 
+    @pytest.mark.parametrize("obs_size, start_size, match", [
+        (40, 30, "observable size"), (20, 30, "observable size"),
+        (30, 20, "initial distribution size"),
+    ], ids=["observable_40", "observable_20", "start_20"])
+    def test_sizes_off_the_family_rejected_before_sampling(self, monkeypatch, obs_size,
+                                                           start_size, match):
+        """An observable or a start law on another state count than the
+        family's is refused before any path is sampled: a longer observable
+        was read at the family's states alone, a shorter one raised IndexError."""
+        def no_sampling(*args):
+            raise AssertionError("paths were sampled")
+
+        monkeypatch.setattr(nhmc.simulate, "sample_paths", no_sampling)
+        fam = zeta2_family(0.75, 30)
+        for f in (indicator_observable(1, obs_size),
+                  ObservableSet((indicator_observable(1, obs_size),))):
+            with pytest.raises(KernelValidationError, match=match):
+                simulate_sums(nhmc.point_mass(1, start_size), fam, f, [10, 20], 8, 1)
+
 
 class TestCltDiagnostic:
     def test_null_calibration(self):
@@ -244,15 +264,16 @@ class TestMdpDiagnostic:
     @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
     def test_huge_thresholds_have_certain_tails(self, iid_family, start200, ind200,
                                                 theta_iid, method):
-        """x = +-1e300 (and x a(n) overflowing at 1.7e308) give tails of 0 and 1
-        and a rate of +inf, where x^2 and the DP threshold used to overflow."""
+        """x = +-1e300 (and x a(n) overflowing at 1.7e308) give tails of 0 and 1,
+        where x^2 and the DP threshold used to overflow; the target is -inf
+        above and 0 below, the upper tail's limit -inf_{y >= x} y^2/(2 theta)."""
         xs = [1e300, -1e300, 1.7e308, -1.7e308]
         ests = mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), xs, [50],
                               theta_iid, method=method, trials=200)
         assert [e.x for e in ests] == xs
         assert [e.log_prob for e in ests] == [-math.inf, 0.0, -math.inf, 0.0]
         assert [e.scaled for e in ests] == [-math.inf, 0.0, -math.inf, 0.0]
-        assert all(e.target == -math.inf for e in ests)
+        assert [e.target for e in ests] == [-math.inf, 0.0, -math.inf, 0.0]
 
     @pytest.mark.parametrize("n_grid", [[200], [200, 800], [50, 200, 800, 1600]],
                              ids=["one", "two", "four"])
@@ -347,6 +368,23 @@ class TestMdpDiagnostic:
         est = mdp_diagnostic(iid_family, start200, ind200, sp, [0.4], [100], theta_iid)[0]
         assert est.target == pytest.approx(-0.4**2 / (2 * theta_iid), rel=1e-12)
 
+    def test_target_below_zero_is_zero(self):
+        """The upper tail's limit is -inf_{y >= x} y^2/(2 theta), 0 for x <= 0:
+        at x = -0.4 the tail tends to 1 and |scaled| falls toward 0, where the
+        quadratic rate gave -0.336.  The x = 0.4 rows are those of a run
+        without x = -0.4."""
+        fam, start, f = zeta2_family(0.75, 30), nhmc.point_mass(1, 30), indicator_observable(1, 30)
+        theta = asymptotic_variance(stationary(fam.limit), fam.limit, f)
+        sp, n_grid = SpeedFunction(0.6), [500, 2000, 10**4]
+        both = mdp_diagnostic(fam, start, f, sp, [-0.4, 0.4], n_grid, theta)
+        below = [e for e in both if e.x == -0.4]
+        assert [e.target for e in below] == [0.0] * 3
+        scaled = [abs(e.scaled) for e in below]
+        assert scaled[0] > scaled[1] > scaled[2] and scaled[2] < 0.005
+        above = mdp_diagnostic(fam, start, f, sp, [0.4], n_grid, theta)
+        assert [e for e in both if e.x == 0.4] == above
+        assert above[0].target == -rate_1d(0.4, theta) < -0.3
+
     @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
     @pytest.mark.parametrize("n_grid", [[10, 10], [], [0, 10]], ids=["repeat", "empty", "zero"])
     def test_bad_grid_rejected_before_any_work(self, iid_family, start200, ind200,
@@ -405,6 +443,25 @@ class TestMartingaleCheck:
         with pytest.raises(KernelValidationError, match="trials must be >= 1"):
             martingale_check(iid_family, start200, ObservableSet((ind200,)), [1.0], [10],
                              trials=0, theta_value=1.0)
+
+    @pytest.mark.parametrize("obs_size, start_size, match", [
+        (20, 30, "observable size"), (40, 30, "observable size"),
+        (30, 20, "initial distribution size"),
+    ], ids=["observables_20", "observables_40", "start_20"])
+    def test_sizes_off_the_family_rejected_before_any_pass(self, monkeypatch, obs_size,
+                                                           start_size, match):
+        """Observables or a start law on another state count than the
+        family's are refused before the exact pass and the walk, where a
+        shorter one raised numpy's broadcast error."""
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        for name in ("_band_series", "_propagation_steps", "_walk"):
+            monkeypatch.setattr(nhmc.simulate, name, no_pass)
+        obs = ObservableSet((indicator_observable(1, obs_size),))
+        with pytest.raises(KernelValidationError, match=match):
+            martingale_check(zeta2_family(0.75, 30), nhmc.point_mass(1, start_size), obs, [1.0],
+                             [10, 20], trials=8, theta_value=0.2)
 
     def test_integral_float_trial_count_is_that_integer(self, iid_family, start200, ind200):
         obs = ObservableSet((ind200,))
