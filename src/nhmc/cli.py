@@ -270,14 +270,14 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
         raise InvalidConfigError(f"clt needs trials >= {CLT_MIN_SAMPLES}, got {cfg.trials}")
     rows = []
     summary = {"thresholds": {"ks_max": CLT_KS_MAX, "variance_ratio": CLT_VAR_RATIO}, "runs": []}
-    # one sampling pass: the sums of every horizon come off the same paths
-    sums_grid = simulate_sums(cfg.initial, cfg.family, cfg.observables, list(cfg.n_grid),
+    # one sampling pass and one pass of the exact means serve every horizon,
+    # row i of each at horizon i of the grid
+    grid = _Horizons(cfg.n_grid, "n_grid")
+    sums_grid = simulate_sums(cfg.initial, cfg.family, cfg.observables, grid,
                               cfg.trials, cfg.base_seed, workers)
     budget.check("clt sampling")
-    # one pass of the exact means: every horizon's are its running totals
-    expected_grid = expected_sum(cfg.initial, cfg.family, cfg.observables,
-                                 _Horizons(cfg.n_grid, "n_grid"))
-    for n, sums, expected in zip(cfg.n_grid, sums_grid, expected_grid):
+    expected_grid = expected_sum(cfg.initial, cfg.family, cfg.observables, grid)
+    for n, sums, expected in zip(grid, sums_grid, expected_grid):
         for l in range(len(cfg.observables)):
             diag = clt_diagnostic(sums[:, l], expected[l], model.theta(l), n)
             rows.append((l, n, diag.ks_statistic, diag.variance_ratio, diag.num_samples))
@@ -297,7 +297,7 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
     samples_path = out_dir / "clt_samples.csv"
     _write_csv(samples_path, ("observable", "n", "trial", "sum"), (
         row
-        for n, sums in zip(cfg.n_grid, sums_grid)
+        for n, sums in zip(grid, sums_grid)
         for l in range(len(cfg.observables))
         for row in zip(repeat(l), repeat(n), range(cfg.trials), sums[:, l].tolist())
     ))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .kernels import (
     InitialDistribution, KernelFamily, KernelValidationError, Observable, ObservableSet, TailPolicy,
-    TruncatedKernel, _config_int, capped_identity_observable, constant_family, indicator_observable,
-    point_mass, table_family, uniform_initial, zeta2_family, zeta4_family,
+    TruncatedKernel, _config_int, _count, capped_identity_observable, constant_family,
+    indicator_observable, point_mass, table_family, uniform_initial, zeta2_family, zeta4_family,
 )
 from .sampling import _base_seed
 from .simulate import SpeedFunction
@@ -192,12 +192,8 @@ class ExperimentConfig:
         x_grid = tuple(_config_float(v, "x_grid entries") for v in raw.get("x_grid", [0.0]))
         if not np.isfinite(x_grid).all():
             raise InvalidConfigError("x_grid entries must be finite")
-        m_sup_range = _config_int(raw.get("m_sup_range", 200), "m_sup_range")
-        if m_sup_range < 0:
-            raise InvalidConfigError("m_sup_range must be >= 0")
-        trials = _config_int(raw.get("trials", 10000), "trials")
-        if trials < 1:
-            raise InvalidConfigError("trials must be >= 1")
+        m_sup_range = _count(raw.get("m_sup_range", 200), "m_sup_range", 0)
+        trials = _count(raw.get("trials", 10000), "trials", 1)
         for name, count in (("n_grid", n_grid[-1]), ("m_sup_range", m_sup_range), ("trials", trials)):
             if count > 2**53:  # s(k) takes a step index as float64, exact up to 2**53
                 raise InvalidConfigError(f"{name} must be at most 2**53, got {count}")

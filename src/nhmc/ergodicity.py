@@ -27,7 +27,7 @@ from .kernels import (
     TruncatedKernel,
     _BandStep,
     _RankOneBand,
-    _config_int,
+    _count,
     _horizon_grid,
     _readonly,
 )
@@ -126,9 +126,7 @@ def delta_sequence(family: KernelFamily, k_max: int) -> np.ndarray:
     in s(k) (``_band_delta``), O(N + k_max) in all; any other family runs the
     dense scan once per listed kernel and once for the limit.
     """
-    if k_max < 1:
-        raise KernelValidationError("k_max must be >= 1")
-    return _step_sequence(family, k_max, _band_delta, dobrushin_delta)
+    return _step_sequence(family, _count(k_max, "k_max", 1), _band_delta, dobrushin_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +155,7 @@ class ConditionProfile:
             raise KernelValidationError("n_grid must be strictly increasing and nonempty")
         if np.any(grid < 1):
             raise KernelValidationError("n_grid entries must be >= 1")
-        if values.shape != grid.shape or np.any(values < 0):
+        if values.shape != grid.shape or not (values >= 0).all():
             raise KernelValidationError("values must be nonnegative, one per n")
         if not self.error_bound >= 0.0:
             raise KernelValidationError("error_bound must be nonnegative")
@@ -336,9 +334,7 @@ def condition_profile(
     """
     condition = ConvergenceCondition(condition)
     n_grid = _horizon_grid(n_grid, "n_grid")
-    m_sup_range = _config_int(m_sup_range, "m_sup_range")
-    if m_sup_range < 0:
-        raise KernelValidationError("m_sup_range must be >= 0")
+    m_sup_range = _count(m_sup_range, "m_sup_range", 0)
     n_max = int(n_grid[-1])
 
     if condition == ConvergenceCondition.SCALED_DOBRUSHIN_SUM:
@@ -380,11 +376,11 @@ class StationaryVector:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if pi.min() < 0:
-            raise KernelValidationError("stationary vector has negative entries")
-        if abs(pi.sum() - 1.0) > 1e-12:
+        if not pi.min() >= 0:
+            raise KernelValidationError("stationary vector has negative or NaN entries")
+        if not abs(pi.sum() - 1.0) <= 1e-12:
             raise KernelValidationError("stationary vector does not sum to 1")
-        if self.residual > 1e-10:
+        if not self.residual <= 1e-10:
             raise KernelValidationError(f"stationary residual too large: {self.residual}")
         object.__setattr__(self, "pi", _readonly(pi))
 
@@ -438,6 +434,6 @@ def stationary(P: TruncatedKernel) -> StationaryVector:
         x = np.clip(np.linalg.solve(A, np.r_[np.zeros(P.size - 1), 1.0]), 0.0, None)
     x /= x.sum()
     residual = float(np.abs(P.push(x) - x).sum())
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise ConvergenceError(f"stationary solve residual {residual} exceeds 1e-10")
     return StationaryVector(x, residual)

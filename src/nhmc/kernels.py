@@ -98,18 +98,24 @@ def _config_int(value, name: str) -> int:
     raise KernelValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def _config_ints(values, name: str) -> list:
-    """``_config_int`` of each entry of a sequence, or of one value."""
-    return [_config_int(v, name) for v in (values if np.ndim(values) else [values])]
+def _count(value, name: str, low: int, high: int | None = None) -> int:
+    """A count (a step, horizon, state, cap, trial count or seed) as an int in
+    ``low..high``, or ``>= low`` when ``high`` is None: ``_config_int`` refuses a
+    fraction or a bool, and a value outside the range is refused by name."""
+    value = _config_int(value, name)
+    if high is None and value < low:
+        raise KernelValidationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise KernelValidationError(f"{name} must lie in {low}..{high}, got {value}")
+    return value
 
 
 def _horizon_grid(values, name: str) -> np.ndarray:
-    """Sorted int64 horizons; refuses an empty grid, repeats, non-integers and entries below 1."""
-    grid = np.asarray(sorted(_config_ints(values, f"{name} entry")), dtype=np.int64)
+    """Sorted int64 horizons, each a ``_count`` >= 1; refuses an empty grid and repeats."""
+    entries = values if np.ndim(values) else [values]
+    grid = np.asarray(sorted(_count(v, f"{name} entry", 1) for v in entries), dtype=np.int64)
     if grid.size == 0 or np.any(np.diff(grid) == 0):
         raise KernelValidationError(f"{name} must be nonempty, without repeats")
-    if grid[0] < 1:
-        raise KernelValidationError(f"{name} entries must be >= 1")
     return grid
 
 
@@ -306,8 +312,7 @@ class ObservableSet:
 
 def indicator_observable(state: int, size: int) -> Observable:
     """f = 1{X = state}, 1-based state index."""
-    if not 1 <= state <= size:
-        raise KernelValidationError(f"state {state} outside 1..{size}")
+    state = _count(state, "state", 1, size)
     values = np.zeros(size)
     values[state - 1] = 1.0
     return Observable(values)
@@ -315,14 +320,12 @@ def indicator_observable(state: int, size: int) -> Observable:
 
 def capped_identity_observable(cap: int, size: int) -> Observable:
     """f(i) = min(i, cap)."""
-    if cap < 1:
-        raise KernelValidationError("cap must be >= 1")
+    cap = _count(cap, "cap", 1)
     return Observable(np.minimum(np.arange(1, size + 1), cap).astype(float))
 
 
 def point_mass(state: int, size: int) -> InitialDistribution:
-    if not 1 <= state <= size:
-        raise KernelValidationError(f"state {state} outside 1..{size}")
+    state = _count(state, "state", 1, size)
     probs = np.zeros(size)
     probs[state - 1] = 1.0
     return InitialDistribution(probs)
@@ -647,8 +650,7 @@ def make_kernel(
     if kind not in _ZETA_POWER:
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
     _check_zeta_params(kind, alpha, beta, size)
-    if k < 1:
-        raise KernelValidationError(f"time index k must be >= 1, got {k}")
+    k = _count(k, "time index k", 1)
     s = _zeta_scale(kind, alpha, beta, k)
     if tail_policy == TailPolicy.LUMP:
         struct = _zeta_structure(kind, size, tail_policy)
@@ -690,8 +692,7 @@ class KernelFamily:
 
     def kernel_at(self, k: int) -> TruncatedKernel:
         """The transition matrix governing the step from X_{k-1} to X_k."""
-        if k < 1:
-            raise KernelValidationError(f"time index k must be >= 1, got {k}")
+        k = _count(k, "time index k", 1)
         if self.kind in _ZETA_POWER:
             return make_kernel(self.kind, k, self.size, self.alpha, self.beta, self.tail_policy)
         return self.table[k - 1] if k <= len(self.table) else self.limit
@@ -704,6 +705,7 @@ class KernelFamily:
     def steps(self, n: int):
         """The step operators P_1..P_n: O(N) band steps for the families with
         the rank-one-plus-band structure, the kernels themselves otherwise."""
+        n = _count(n, "step count", 0)
         if self.structure is not None:
             scales = self.perturbation_scale(np.arange(1, n + 1))
             return (_BandStep(self.structure, s) for s in scales)
@@ -818,9 +820,7 @@ def propagate(mu0: InitialDistribution, family: KernelFamily, k: int) -> np.ndar
     a full product matrix).  Mass below ``-MASS_TOL`` or a total off 1 by
     more than ``MASS_TOL`` raises, naming the step; the law is clipped to
     [0, 1]."""
-    k = _config_int(k, "step count")
-    if k < 0:
-        raise KernelValidationError(f"step count must be >= 0, got {k}")
+    k = _count(k, "step count", 0)
     probs = mu0.probs
     for _, probs in _propagation_steps(mu0, family, k):
         pass
@@ -872,9 +872,7 @@ def expected_step_values(
     ``SERIES_TOL`` = 2^-60 times max |f_l| dropped from each value.  The other
     families propagate the law step by step, each value ``probs @ f_l``.
     """
-    n = _config_int(n, "step count")
-    if n < 0:
-        raise KernelValidationError(f"step count must be >= 0, got {n}")
+    n = _count(n, "step count", 0)
     _check_sizes(family, mu0, obs)
     if family._series_terms is not None:
         return _band_series(mu0, family, obs.value_matrix(), n)[1:]

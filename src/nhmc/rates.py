@@ -94,17 +94,27 @@ def covariance_matrix(pi, P: TruncatedKernel, observables: ObservableSet) -> np.
     return Q
 
 
-def rate_1d(x: float, theta_value: float) -> float:
-    """x^2 / (2 theta), +inf once x^2 overflows; rejects theta <= 0 (the
-    variance positivity hypothesis)."""
-    if theta_value <= 0.0:
+def _theta(theta_value) -> float:
+    """An asymptotic variance argument as a float: the variance positivity
+    hypothesis takes a finite theta > 0, so anything else (NaN, a bool) is a
+    ``ThetaPositivityError``."""
+    if isinstance(theta_value, bool) or not 0.0 < theta_value < math.inf:
         raise ThetaPositivityError(
-            f"asymptotic variance must be strictly positive, got {theta_value}"
+            f"asymptotic variance must be strictly positive and finite, got {theta_value}"
         )
+    return float(theta_value)
+
+
+def rate_1d(x: float, theta_value: float) -> float:
+    """x^2 / (2 theta), +inf at x = ±inf and once x^2 overflows; theta is
+    read by ``_theta``, and x = NaN is a ``KernelValidationError``."""
+    theta_value = _theta(theta_value)
     try:
         square = float(x) ** 2
     except OverflowError:  # |x| above about 1.34e154
         square = math.inf
+    if math.isnan(square):
+        raise KernelValidationError("x must be a number, got nan")
     return square / (2.0 * theta_value)
 
 
@@ -120,6 +130,8 @@ def rate_multi(x, Q: np.ndarray) -> float:
     if x.ndim != 1 or Q.shape != (x.size, x.size):
         raise KernelValidationError(f"x of shape {x.shape} needs a square Q of its size, "
                                     f"got {Q.shape}")
+    if np.isnan(x).any():
+        raise KernelValidationError("x entries must be numbers, got nan")
     lam, vec = np.linalg.eigh(0.5 * (Q + Q.T))
     lam_max = float(lam.max(initial=0.0))
     keep = lam > DEFAULT_PSD_TOL * max(lam_max, 0.0) if lam_max > 0 else np.zeros_like(lam, bool)
@@ -189,11 +201,11 @@ class RateModel:
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
         theta = np.asarray(self.theta_diag, dtype=float)
-        if np.abs(Q - Q.T).max() > 1e-12:
-            raise RateComputationError("Q must be symmetric within 1e-12")
+        if not np.abs(Q - Q.T).max() <= 1e-12:
+            raise RateComputationError("Q must be finite and symmetric within 1e-12")
         if np.linalg.eigvalsh(Q).min() < -DEFAULT_PSD_TOL:
             raise RateComputationError("Q must be PSD within tolerance")
-        if np.abs(np.diag(Q) - theta).max() > 1e-12:
+        if not np.abs(np.diag(Q) - theta).max() <= 1e-12:
             raise RateComputationError("Q diagonal must match the per-observable variances")
         object.__setattr__(self, "Q", _readonly(Q))
         object.__setattr__(self, "theta_diag", _readonly(theta))

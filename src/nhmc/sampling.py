@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import (InitialDistribution, KernelFamily, KernelValidationError, _check_sizes,
-                      _config_int)
+                      _count)
 
 __all__ = ["sample_paths", "iter_seed_blocks", "RNG_VERSION"]
 
@@ -56,10 +56,7 @@ _SEARCH_SPAN = 8  # steps per bulk draw and base-CDF search
 
 def _base_seed(base_seed) -> int:
     """``base_seed`` as an int in [0, 2**63): a fraction or a bool is refused."""
-    base_seed = _config_int(base_seed, "base_seed")
-    if not 0 <= base_seed < 2**63:
-        raise KernelValidationError(f"base_seed must lie in [0, 2**63), got {base_seed}")
-    return base_seed
+    return _count(base_seed, "base_seed", 0, 2**63 - 1)
 
 
 def _initial_states(mu0: InitialDistribution, u0: np.ndarray) -> np.ndarray:
@@ -155,9 +152,7 @@ def sample_paths(
     always fits, but other arithmetic on the table wraps in its dtype: widen
     it first (``paths.astype(np.int64)``).
     """
-    n = _config_int(n, "horizon")
-    if n < 0:
-        raise KernelValidationError(f"horizon must be >= 0, got {n}")
+    n = _count(n, "horizon", 0)
     _check_sizes(family, mu0)
     base_seed = _base_seed(base_seed)
     try:

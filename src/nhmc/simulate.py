@@ -30,15 +30,14 @@ from .kernels import (
     _Horizons,
     _band_series,
     _check_sizes,
-    _config_int,
-    _config_ints,
+    _count,
     _horizon_grid,
     _propagation_steps,
     _readonly,
     expected_step_values,  # not called here: perfbench/tracer.py wraps this import site
     expected_sum,
 )
-from .rates import ThetaPositivityError, rate_1d
+from .rates import _theta, rate_1d
 from .sampling import _base_seed, _walk, iter_seed_blocks, sample_paths
 from .sumdist import exact_sum_distribution
 
@@ -84,14 +83,6 @@ CLT_MIN_SAMPLES = 1000  # the fewest samples the normal diagnostic takes
 _SUM_TILE = 256
 
 
-def _trial_count(trials) -> int:
-    """``trials`` as an int >= 1: a fraction or a bool is refused, never rounded."""
-    trials = _config_int(trials, "trials")
-    if trials < 1:
-        raise KernelValidationError(f"trials must be >= 1, got {trials}")
-    return trials
-
-
 def _map_blocks(fn, blocks, workers: int) -> list:
     if workers <= 1:
         return [fn(b) for b in blocks]
@@ -115,18 +106,18 @@ def simulate_sums(
     """Independent samples of S_n (shape (trials,)) or of the per-observable
     sum vector (shape (trials, m)) when given an ObservableSet.
 
-    With a sequence of horizons ``n`` the result gains a leading axis, one
-    entry per horizon in the given order, all read off one set of paths to
-    the largest horizon: trial t's S_n is the same at any grid it is part of.
-    Each observable is summed on its own, tile by tile of ``_SUM_TILE`` steps
-    counted from step 1, so an observable's sums do not depend on the other
-    observables it is passed with, nor on how trials are split into blocks.
+    With a horizon grid ``n`` (read as ``expected_sum`` reads it: horizons
+    >= 1, no repeats) the result gains a leading axis, one entry per horizon
+    in ascending order, so row i pairs with row i of ``expected_sum`` on the
+    same grid; all are read off one set of paths to the largest horizon:
+    trial t's S_n is the same at any grid it is part of.  Each observable is
+    summed on its own, tile by tile of ``_SUM_TILE`` steps counted from step
+    1, so an observable's sums do not depend on the other observables it is
+    passed with, nor on how trials are split into blocks.
     """
-    trials = _trial_count(trials)
-    horizons = _config_ints(n, "horizon")
-    if not horizons or min(horizons) < 0:
-        raise KernelValidationError(f"horizons must be >= 0, got {n}")
-    n_max = max(horizons)
+    trials = _count(trials, "trials", 1)
+    horizons = _Horizons(n, "horizons")
+    n_max = int(horizons)
     obs = f if isinstance(f, ObservableSet) else ObservableSet((f,))
     _check_sizes(family, mu0, obs)
     vals = obs.value_matrix()
@@ -173,16 +164,12 @@ def clt_diagnostic(
 ) -> CltDiagnostic:
     """Kolmogorov-Smirnov distance of the standardized sums to N(0, 1), plus
     the ratio of the sample variance of (S_n - E S_n)/sqrt(n) to theta."""
-    if n < 1:
-        raise KernelValidationError(f"horizon n must be >= 1, got {n}")
+    n = _count(n, "horizon n", 1)
     samples = np.asarray(samples, dtype=float)
     if samples.size < CLT_MIN_SAMPLES:
         raise KernelValidationError(
             f"need at least {CLT_MIN_SAMPLES} samples for the normal diagnostic")
-    if theta_value <= 0.0:
-        raise ThetaPositivityError(
-            f"asymptotic variance must be strictly positive, got {theta_value}"
-        )
+    theta_value = _theta(theta_value)
     centered = samples - expected_value
     if centered.std() == 0.0:
         raise KernelValidationError("degenerate samples: zero variance")
@@ -213,7 +200,7 @@ class MdpEstimate:
     zero_hits: bool = False
 
     def __post_init__(self):
-        if self.log_prob > 0.0 or self.scaled > 0.0:
+        if not (self.log_prob <= 0.0 and self.scaled <= 0.0):
             raise KernelValidationError("tail log-probabilities must be <= 0")
 
 
@@ -239,11 +226,8 @@ def mdp_diagnostic(
     """
     if method not in ("exact_dp", "monte_carlo"):
         raise KernelValidationError(f"unknown method {method!r}")
-    trials = _trial_count(trials)
-    if theta_value <= 0.0:
-        raise ThetaPositivityError(
-            f"asymptotic variance must be strictly positive, got {theta_value}"
-        )
+    trials = _count(trials, "trials", 1)
+    theta_value = _theta(theta_value)
     if not np.isfinite(np.asarray(x_grid, dtype=float)).all():
         raise KernelValidationError("x_grid entries must be finite")
     n_grid = _Horizons(n_grid, "n_grid")
@@ -343,9 +327,10 @@ def martingale_check(
     functional's max |F| dropped (see ``KernelFamily._series_terms``); on the
     others, and where that bound does not close, it is one propagation.
     """
+    theta_value = _theta(theta_value)
     _check_sizes(family, mu0, observables)
     g = observables.combine(z)
-    trials = _trial_count(trials)
+    trials = _count(trials, "trials", 1)
     base_seed = _base_seed(base_seed)
     n_grid = _horizon_grid(n_grid, "n_grid")
     n_max = int(n_grid[-1])
@@ -410,6 +395,4 @@ def martingale_check(
     parts = _map_blocks(one_block, blocks, workers)
     drift_values = np.concatenate([p[0] for p in parts], axis=0).mean(axis=0)
     residual = max(p[1] for p in parts)
-    return MartingaleResult(
-        n_grid, drift_values, variance_values, float(theta_value), residual, trials
-    )
+    return MartingaleResult(n_grid, drift_values, variance_values, theta_value, residual, trials)

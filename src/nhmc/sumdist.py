@@ -100,10 +100,10 @@ class SumDistribution:
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.min() < -1e-12:
-            raise KernelValidationError(f"pmf has negative mass {pmf.min()}")
+        if not pmf.min() >= -1e-12:
+            raise KernelValidationError(f"pmf has negative or NaN mass {pmf.min()}")
         total = pmf.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise KernelValidationError(f"pmf sums to {total}, not 1 within 1e-9")
         object.__setattr__(self, "pmf", _readonly(np.clip(pmf, 0.0, None)))
 
@@ -235,8 +235,8 @@ def exact_sum_distribution(
 ) -> SumDistribution | list[SumDistribution]:
     """Exact pmf of S_n by forward DP over the live window of partial sums.
 
-    With a horizon grid ``n`` (checked by ``_horizon_grid``: ascending, no
-    repeats) the result is a list of SumDistribution, one per horizon in
+    With a horizon grid ``n`` (read by ``_horizon_grid``: horizons >= 1,
+    no repeats) the result is a list of SumDistribution, one per horizon in
     ascending order, from one sweep to the largest horizon: each is a
     snapshot of the sweep as it reaches its horizon, with the mass dropped up
     to that step, and every mean is checked against one pass of

@@ -67,7 +67,7 @@ class TestSimulateSums:
         separate pass per horizon, also for a non-integer observable."""
         table = Observable(np.random.default_rng(3).normal(size=200) / 7.0)
         obs = ObservableSet((indicator_observable(1, 200), table))
-        grid = [0, 7, 50, 120]
+        grid = [1, 7, 50, 120]
         sums = simulate_sums(start200, zeta2_small, obs, grid, 4500, 13, workers=workers)
         assert sums.shape == (len(grid), 4500, 2)  # two blocks: 4096 + 404 trials
         for i, n in enumerate(grid):
@@ -106,6 +106,17 @@ class TestSimulateSums:
         np.testing.assert_array_equal(simulate_sums(start200, zeta2_small, obs, grid, 90, 31),
                                       whole)
 
+    def test_rows_pair_with_expected_sum_on_an_unsorted_grid(self, zeta2_small, start200,
+                                                             ind200):
+        """Both read the grid [9, 5] as (5, 9): row i of the sums and of the
+        means are the same horizon, so a caller can zip them."""
+        sums = simulate_sums(start200, zeta2_small, ind200, [9, 5], 40, 3)
+        expected = nhmc.expected_sum(start200, zeta2_small, ind200, [9, 5])
+        for i, n in enumerate((5, 9)):
+            np.testing.assert_array_equal(sums[i],
+                                          simulate_sums(start200, zeta2_small, ind200, n, 40, 3))
+            assert expected[i] == nhmc.expected_sum(start200, zeta2_small, ind200, n)
+
     def test_negative_horizon_in_grid_rejected(self, zeta2_small, start200, ind200):
         with pytest.raises(KernelValidationError, match="horizons"):
             simulate_sums(start200, zeta2_small, ind200, [5, -1, 9], 10, 1)
@@ -114,7 +125,7 @@ class TestSimulateSums:
                              ids=["grid_fraction", "fraction", "bool", "grid_bool"])
     def test_non_integer_horizon_rejected(self, zeta2_small, start200, ind200, n):
         """A fraction or a bool is refused, never truncated to a horizon."""
-        with pytest.raises(KernelValidationError, match="horizon must be an integer"):
+        with pytest.raises(KernelValidationError, match="horizons entry must be an integer"):
             simulate_sums(start200, zeta2_small, ind200, n, 3, 1)
 
     def test_integral_float_horizon_is_that_integer(self, zeta2_small, start200, ind200):
