@@ -1,6 +1,6 @@
 """Config-driven experiment runner.
 
-    nhmc validate|conditions|rate|clt|mdp|martingale --config FILE [--workers K]
+    nhmc validate|conditions|rate|clt|mdp|martingale --config FILE [--workers 1]
 
 Each command reads one JSON config, writes CSV/JSON artifacts plus a manifest
 with per-file checksums into the output directory (NHMC_OUTPUT_DIR overrides
@@ -12,7 +12,8 @@ computation fails its own check (a stationary solve whose residual exceeds
 with the exact expectation).
 
 Reruns with identical config and seed reproduce the CSV outputs byte for
-byte, regardless of the worker count.
+byte.  Monte Carlo blocks run one after another on one thread, so
+``--workers`` takes only 1: it is still parsed for the scripts that pass it.
 """
 
 from __future__ import annotations
@@ -158,8 +159,7 @@ def verify_manifest(out_dir: str | Path) -> bool:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int,
-                 budget: _Budget) -> tuple[list[Path], dict]:
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path, budget: _Budget) -> tuple[list[Path], dict]:
     """Check the kernels at the sampled steps: in O(N) from a band that moves
     mass (``_BandStep.check_rows``), else from the dense rows."""
     family, band = cfg.family, cfg.family.structure
@@ -191,8 +191,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int,
     return [path], report
 
 
-def cmd_conditions(cfg: ExperimentConfig, out_dir: Path, workers: int,
-                   budget: _Budget) -> tuple[list[Path], dict]:
+def cmd_conditions(cfg: ExperimentConfig, out_dir: Path, budget: _Budget) -> tuple[list[Path], dict]:
     profiles = []
     summary: dict = {"m_sup_range": cfg.m_sup_range}
     for condition in (
@@ -245,8 +244,7 @@ def _rate_model(cfg: ExperimentConfig):
     return model
 
 
-def cmd_rate(cfg: ExperimentConfig, out_dir: Path, workers: int,
-             budget: _Budget) -> tuple[list[Path], dict]:
+def cmd_rate(cfg: ExperimentConfig, out_dir: Path, budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     budget.check("rate model")
     payload = model.to_json_dict()
@@ -263,8 +261,7 @@ def cmd_rate(cfg: ExperimentConfig, out_dir: Path, workers: int,
     return [json_path, table_path], payload
 
 
-def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
-            budget: _Budget) -> tuple[list[Path], dict]:
+def cmd_clt(cfg: ExperimentConfig, out_dir: Path, budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     if cfg.trials < CLT_MIN_SAMPLES:  # refused before any trial is sampled
         raise InvalidConfigError(f"clt needs trials >= {CLT_MIN_SAMPLES}, got {cfg.trials}")
@@ -274,7 +271,7 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
     # row i of each at horizon i of the grid
     grid = _Horizons(cfg.n_grid, "n_grid")
     sums_grid = simulate_sums(cfg.initial, cfg.family, cfg.observables, grid,
-                              cfg.trials, cfg.base_seed, workers)
+                              cfg.trials, cfg.base_seed)
     budget.check("clt sampling")
     expected_grid = expected_sum(cfg.initial, cfg.family, cfg.observables, grid)
     for n, sums, expected in zip(grid, sums_grid, expected_grid):
@@ -306,8 +303,7 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: Path, workers: int,
     return files, summary
 
 
-def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int,
-            budget: _Budget) -> tuple[list[Path], dict]:
+def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     f = cfg.observables[0]
     estimates = mdp_diagnostic(
@@ -321,7 +317,6 @@ def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int,
         method=cfg.mdp_method,
         trials=cfg.trials,
         base_seed=cfg.base_seed,
-        workers=workers,
     )
     budget.check("mdp estimates")
     rows = [
@@ -354,8 +349,7 @@ def cmd_mdp(cfg: ExperimentConfig, out_dir: Path, workers: int,
     return files, summary
 
 
-def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int,
-                   budget: _Budget) -> tuple[list[Path], dict]:
+def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, budget: _Budget) -> tuple[list[Path], dict]:
     model = _rate_model(cfg)
     g = cfg.observables.combine(cfg.z_weights)
     theta_g = asymptotic_variance(model.pi, cfg.family.limit, g)
@@ -372,7 +366,6 @@ def cmd_martingale(cfg: ExperimentConfig, out_dir: Path, workers: int,
         cfg.n_grid,
         cfg.trials,
         base_seed=cfg.base_seed,
-        workers=workers,
         theta_value=theta_g,
     )
     budget.check("martingale")
@@ -423,12 +416,12 @@ def _resolve_output_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def run(command: str, config_path: str, workers: int = 1) -> dict:
+def run(command: str, config_path: str) -> dict:
     """Run one command; returns its summary dict.  Raises on failure."""
     cfg = ExperimentConfig.from_file(config_path)
     out_dir = _resolve_output_dir(cfg)
     budget = _Budget(cfg.runtime_budget_seconds)
-    files, summary = COMMANDS[command](cfg, out_dir, workers, budget)
+    files, summary = COMMANDS[command](cfg, out_dir, budget)
     _write_manifest(out_dir, command, cfg, files, budget)
     return summary
 
@@ -442,10 +435,11 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--workers", type=int, default=1, help="worker pool cap")
+        p.add_argument("--workers", type=int, default=1, choices=(1,),
+                       help="1, the only value: Monte Carlo blocks run on one thread")
     args = parser.parse_args(argv)
     try:
-        summary = run(args.command, args.config, args.workers)
+        summary = run(args.command, args.config)
     except (InvalidConfigError, KernelValidationError, ReducibleKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

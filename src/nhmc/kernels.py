@@ -99,7 +99,7 @@ def _config_int(value, name: str) -> int:
 
 
 def _count(value, name: str, low: int, high: int | None = None) -> int:
-    """A count (a step, horizon, state, cap, trial count or seed) as an int in
+    """A count (a step, horizon, state, state count N, cap, trial count or seed) as an int in
     ``low..high``, or ``>= low`` when ``high`` is None: ``_config_int`` refuses a
     fraction or a bool, and a value outside the range is refused by name."""
     value = _config_int(value, name)
@@ -312,6 +312,7 @@ class ObservableSet:
 
 def indicator_observable(state: int, size: int) -> Observable:
     """f = 1{X = state}, 1-based state index."""
+    size = _count(size, "N", 1)
     state = _count(state, "state", 1, size)
     values = np.zeros(size)
     values[state - 1] = 1.0
@@ -320,11 +321,13 @@ def indicator_observable(state: int, size: int) -> Observable:
 
 def capped_identity_observable(cap: int, size: int) -> Observable:
     """f(i) = min(i, cap)."""
+    size = _count(size, "N", 1)
     cap = _count(cap, "cap", 1)
     return Observable(np.minimum(np.arange(1, size + 1), cap).astype(float))
 
 
 def point_mass(state: int, size: int) -> InitialDistribution:
+    size = _count(size, "N", 2)
     state = _count(state, "state", 1, size)
     probs = np.zeros(size)
     probs[state - 1] = 1.0
@@ -332,6 +335,7 @@ def point_mass(state: int, size: int) -> InitialDistribution:
 
 
 def uniform_initial(size: int) -> InitialDistribution:
+    size = _count(size, "N", 2)
     return InitialDistribution(np.full(size, 1.0 / size))
 
 
@@ -581,7 +585,9 @@ def _zeta_structure(kind: str, size: int, tail_policy: TailPolicy) -> _RankOneBa
     return _make_structure(base, pert, last)
 
 
-def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -> None:
+def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -> int:
+    """Refuse parameters the family cannot take; returns N, a count >= 3
+    (the (i-1, i, i+1) band needs three states)."""
     if alpha is None or not 0.5 < alpha < math.inf:
         raise KernelValidationError(f"{kind} requires finite alpha > 1/2, got {alpha}")
     if kind == "zeta4" and (beta is None or not 0.0 < beta < math.inf):
@@ -600,10 +606,7 @@ def _check_zeta_params(kind: str, alpha: float, beta: float | None, size: int) -
                     f"zeta4 with alpha={alpha}, beta={beta} has s({k:.6g}) = {s} > 1, "
                     f"which gives P_{k:.6g} a negative diagonal entry"
                 )
-    if size < 3:
-        raise KernelValidationError(
-            f"N={size} too small to hold the (i-1, i, i+1) band; need N >= 3"
-        )
+    return _count(size, "N", 3)
 
 
 def _zeta_scale(kind: str, alpha: float, beta: float | None, k) -> np.ndarray | float:
@@ -627,10 +630,13 @@ def make_limit_kernel(kind: str, size: int, tail_policy: TailPolicy = TailPolicy
     states and held as its one base row (O(N) memory; see TruncatedKernel)."""
     if kind not in _ZETA_POWER:
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
-    if size < 3:
-        raise KernelValidationError("need N >= 3")
-    row = _zeta_structure(kind, size, tail_policy).base_row
-    return TruncatedKernel(np.broadcast_to(row, (size, size)))
+    return _limit_kernel(_zeta_structure(kind, _count(size, "N", 3), tail_policy))
+
+
+def _limit_kernel(band: _RankOneBand) -> TruncatedKernel:
+    """The limit kernel of a band: its base row at every state, held as that row."""
+    size = band.base_row.size
+    return TruncatedKernel(np.broadcast_to(band.base_row, (size, size)))
 
 
 def make_kernel(
@@ -649,7 +655,7 @@ def make_kernel(
     """
     if kind not in _ZETA_POWER:
         raise KernelValidationError(f"unknown built-in kind {kind!r}")
-    _check_zeta_params(kind, alpha, beta, size)
+    size = _check_zeta_params(kind, alpha, beta, size)
     k = _count(k, "time index k", 1)
     s = _zeta_scale(kind, alpha, beta, k)
     if tail_policy == TailPolicy.LUMP:
@@ -757,20 +763,23 @@ class KernelFamily:
 
 def zeta2_family(alpha: float, size: int, tail_policy: TailPolicy = TailPolicy.LUMP) -> KernelFamily:
     """Built-in family with base row 6/(pi^2 j^2) and perturbation k^(-alpha)."""
-    _check_zeta_params("zeta2", alpha, None, size)
-    limit = make_limit_kernel("zeta2", size, tail_policy)
-    struct = _zeta_structure("zeta2", size, tail_policy)
-    return KernelFamily("zeta2", size, tail_policy, limit, alpha=alpha, structure=struct)
+    return _zeta_family("zeta2", alpha, None, size, tail_policy)
 
 
 def zeta4_family(
     alpha: float, beta: float, size: int, tail_policy: TailPolicy = TailPolicy.LUMP
 ) -> KernelFamily:
     """Built-in family with base row 90/(pi^4 j^4) and perturbation (log k)^beta k^(-alpha)."""
-    _check_zeta_params("zeta4", alpha, beta, size)
-    limit = make_limit_kernel("zeta4", size, tail_policy)
-    struct = _zeta_structure("zeta4", size, tail_policy)
-    return KernelFamily("zeta4", size, tail_policy, limit, alpha=alpha, beta=beta, structure=struct)
+    return _zeta_family("zeta4", alpha, beta, size, tail_policy)
+
+
+def _zeta_family(kind: str, alpha: float, beta: float | None, size: int,
+                 tail_policy: TailPolicy) -> KernelFamily:
+    """A built-in family: its band made once, its limit the band's base row."""
+    size = _check_zeta_params(kind, alpha, beta, size)
+    band = _zeta_structure(kind, size, tail_policy)
+    return KernelFamily(kind, size, tail_policy, _limit_kernel(band), alpha=alpha, beta=beta,
+                        structure=band)
 
 
 def constant_family(kernel: TruncatedKernel) -> KernelFamily:

@@ -8,7 +8,7 @@ outputs ``256k .. 256k+255`` are step k's uniforms: lane j takes output
 uniform per drawn state, and sampling is inverse-CDF per row with the
 convention ``X = min{j : C[j] >= U}``, so a trajectory is a pure function of
 (family, initial distribution, base seed, trial) and is identical however
-trials are partitioned into blocks or workers.  SeedSequence keys each group
+trials are partitioned into blocks.  SeedSequence keys each group
 by (b, g), so no two (base seed, trial) pairs share a stream.  A stream is
 prefix-consistent: the first n+1 steps of a group do not depend on how many
 follow, so a path to horizon n_max holds the path to every shorter horizon.
@@ -72,7 +72,7 @@ def _spans(family: KernelFamily, trials: np.ndarray, count: int, base_seed: int)
     base-CDF indices ``family.structure.search(u)`` (None for a family
     without the structure)."""
     groups, group_of = np.unique(trials // _LANES, return_inverse=True)
-    # one generator per group and call, never shared: blocks may run on threads
+    # one generator per group and call, so no block's draws move another's
     gens = [np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(base_seed, spawn_key=(int(g),)))) for g in groups]
     raw = np.empty((len(groups), _SEARCH_SPAN * _LANES))  # row i: group i's outputs of a span

@@ -1,9 +1,9 @@
 """Monte Carlo experiments and limit-law diagnostics.
 
 Everything here is a pure function of (configuration, base_seed): trial t
-draws from its lane of base_seed's lane-group streams (``sampling``), blocks
-are fixed, and worker pools only change who computes a block, never its
-content, so parallel and sequential runs produce identical output.
+draws from its lane of base_seed's lane-group streams (``sampling``), and
+the blocks of ``iter_seed_blocks`` run one after another in one loop, so a
+block's partition never changes an output.
 
 Centered quantities always use the exact expectation, never a sample mean:
 the band series of ``kernels._band_series`` on lump band families (T terms
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +82,6 @@ CLT_MIN_SAMPLES = 1000  # the fewest samples the normal diagnostic takes
 _SUM_TILE = 256
 
 
-def _map_blocks(fn, blocks, workers: int) -> list:
-    if workers <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
-
-
 # ---------------------------------------------------------------------------
 # sampling-driven sums
 # ---------------------------------------------------------------------------
@@ -101,7 +93,6 @@ def simulate_sums(
     n: int | Sequence[int],
     trials: int,
     base_seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Independent samples of S_n (shape (trials,)) or of the per-observable
     sum vector (shape (trials, m)) when given an ObservableSet.
@@ -121,22 +112,18 @@ def simulate_sums(
     obs = f if isinstance(f, ObservableSet) else ObservableSet((f,))
     _check_sizes(family, mu0, obs)
     vals = obs.value_matrix()
-
-    def one_block(chunk):
+    out = np.empty((len(horizons), trials, len(vals)))
+    for chunk in iter_seed_blocks(np.arange(trials), n_max):
         paths = sample_paths(chunk, mu0, family, n_max, base_seed)
-        out = np.empty((len(horizons), len(chunk), len(vals)))
+        rows = slice(chunk[0], chunk[-1] + 1)
         for l, values in enumerate(vals):
             total = np.zeros(len(chunk))  # sum over the tiles before ``start``
             for start in range(0, n_max + 1, _SUM_TILE):
                 tile = values[paths[:, start + 1 : start + _SUM_TILE + 1]]  # f(X_k) per step
                 for i, h in enumerate(horizons):
                     if start <= h < start + _SUM_TILE:
-                        out[i, :, l] = total + tile[:, : h - start].sum(axis=1)
+                        out[i, rows, l] = total + tile[:, : h - start].sum(axis=1)
                 total += tile.sum(axis=1)
-        return out
-
-    parts = _map_blocks(one_block, list(iter_seed_blocks(np.arange(trials), n_max)), workers)
-    out = np.concatenate(parts, axis=1)
     if np.ndim(n) == 0:
         out = out[0]
     return out if isinstance(f, ObservableSet) else out[..., 0]
@@ -163,13 +150,16 @@ def clt_diagnostic(
     samples: np.ndarray, expected_value: float, theta_value: float, n: int
 ) -> CltDiagnostic:
     """Kolmogorov-Smirnov distance of the standardized sums to N(0, 1), plus
-    the ratio of the sample variance of (S_n - E S_n)/sqrt(n) to theta."""
+    the ratio of the sample variance of (S_n - E S_n)/sqrt(n) to theta.
+    Non-finite samples or a non-finite expected value are refused."""
     n = _count(n, "horizon n", 1)
     samples = np.asarray(samples, dtype=float)
     if samples.size < CLT_MIN_SAMPLES:
         raise KernelValidationError(
             f"need at least {CLT_MIN_SAMPLES} samples for the normal diagnostic")
     theta_value = _theta(theta_value)
+    if not (np.isfinite(samples).all() and math.isfinite(expected_value)):
+        raise KernelValidationError("samples and the expected value must be finite")
     centered = samples - expected_value
     if centered.std() == 0.0:
         raise KernelValidationError("degenerate samples: zero variance")
@@ -215,7 +205,6 @@ def mdp_diagnostic(
     method: str = "exact_dp",
     trials: int = 10**5,
     base_seed: int = 0,
-    workers: int = 1,
 ) -> list[MdpEstimate]:
     """Tail estimates over n_grid x x_grid with the scaled exponent and its
     target, the upper tail's limit ``-inf_{y >= x} y^2 / (2 theta)``: the
@@ -234,7 +223,7 @@ def mdp_diagnostic(
     if method == "exact_dp":  # one DP sweep and one pass of the means serve every horizon
         dists = exact_sum_distribution(mu0, family, f, n_grid)
     else:  # one sampling pass and one pass of the means serve every horizon
-        sampled = simulate_sums(mu0, family, f, n_grid, trials, base_seed, workers)
+        sampled = simulate_sums(mu0, family, f, n_grid, trials, base_seed)
         expected = expected_sum(mu0, family, f, n_grid)
     estimates = []
     for i, n in enumerate(n_grid):
@@ -315,7 +304,6 @@ def martingale_check(
     n_grid,
     trials: int,
     base_seed: int = 0,
-    workers: int = 1,
     *,
     theta_value: float,
 ) -> MartingaleResult:
@@ -369,14 +357,13 @@ def martingale_check(
     # of the walk at a time, so memory is O(N + trials)
     pull_g = _puller(family, g)
     grid_pos = {int(n): i for i, n in enumerate(n_grid)}
-
-    def one_block(chunk):
-        b = len(chunk)
-        drift = np.zeros(b)
-        mart = np.zeros(b)
-        lhs = np.zeros(b)
-        drift_at = np.zeros((b, len(n_grid)))
-        resid = 0.0
+    drift_at = np.zeros((trials, len(n_grid)))
+    residual = 0.0
+    for chunk in iter_seed_blocks(np.arange(trials), n_max, paths=False):
+        rows = slice(chunk[0], chunk[-1] + 1)
+        drift = np.zeros(len(chunk))
+        mart = np.zeros(len(chunk))
+        lhs = np.zeros(len(chunk))
         walk = _walk(family, mu0, n_max, chunk, base_seed)
         prev = next(walk)[2]
         for k, step, state in walk:
@@ -386,13 +373,8 @@ def martingale_check(
             mart += gk - pg_prev
             lhs += gk - step_mean[k - 1]
             if k in grid_pos:
-                drift_at[:, grid_pos[k]] = np.abs(drift) / math.sqrt(k)
-                resid = max(resid, float(np.abs(lhs - mart - drift).max()))
+                drift_at[rows, grid_pos[k]] = np.abs(drift) / math.sqrt(k)
+                residual = max(residual, float(np.abs(lhs - mart - drift).max()))
             prev = state
-        return drift_at, resid
-
-    blocks = list(iter_seed_blocks(np.arange(trials), n_max, paths=False))
-    parts = _map_blocks(one_block, blocks, workers)
-    drift_values = np.concatenate([p[0] for p in parts], axis=0).mean(axis=0)
-    residual = max(p[1] for p in parts)
-    return MartingaleResult(n_grid, drift_values, variance_values, theta_value, residual, trials)
+    return MartingaleResult(n_grid, drift_at.mean(axis=0), variance_values, theta_value,
+                            residual, trials)

@@ -231,7 +231,6 @@ def exact_sum_distribution(
     family: KernelFamily,
     f: Observable,
     n: int | Sequence[int],
-    cell_budget: int = DP_CELL_BUDGET,
 ) -> SumDistribution | list[SumDistribution]:
     """Exact pmf of S_n by forward DP over the live window of partial sums.
 
@@ -244,11 +243,11 @@ def exact_sum_distribution(
 
     Raises KernelValidationError, before allocating anything of the DP's
     size or running any step, when its float64 cells exceed
-    ``cell_budget``: two tables of classes x (n * range + 1) cells for the
-    largest horizon n (on the raw states two more tables' worth of
-    per-step work arrays), the n step scales, and the snapshot pmfs of
-    h * range + 1 cells of each earlier horizon h (the last pmf is made
-    once the second table is released).  Raises
+    ``DP_CELL_BUDGET``, read at each call: two tables of classes x
+    (n * range + 1) cells for the largest horizon n (on the raw states two
+    more tables' worth of per-step work arrays), the n step scales, and the
+    snapshot pmfs of h * range + 1 cells of each earlier horizon h (the last
+    pmf is made once the second table is released).  Raises
     DPConsistencyError, naming the horizon, when a DP mean disagrees with
     the exact expectation.
     """
@@ -273,11 +272,11 @@ def exact_sum_distribution(
     tables = 2 if lumped is not None else 4
     snapshots = sum(h * vrange + 1 for h in grid[:-1])
     cells = tables * m * width + n_max + snapshots
-    if cells > cell_budget:
+    if cells > DP_CELL_BUDGET:
         raise KernelValidationError(
             f"DP budget exceeded at n={n_max}: {tables} tables x {m} states x {width} "
             f"partial sums + {n_max} step scales + {snapshots} snapshot cells "
-            f"= {cells} cells > {cell_budget}"
+            f"= {cells} cells > {DP_CELL_BUDGET}"
         )
 
     rel = values - vmin

@@ -341,10 +341,10 @@ def test_gate_09_truncation_insensitivity():
     assert ok, line
 
 
-def test_gate_10_determinism_across_workers(tmp_path):
-    """Every experiment rerun with the same seed and any worker count yields
-    byte-identical CSVs."""
-    def run_all(sub: str, workers: int) -> dict:
+def test_gate_10_determinism_across_reruns_and_block_partitions(tmp_path, monkeypatch):
+    """Every experiment rerun with the same seed, with its 1500 trials in one
+    block or in six blocks of one lane group each, yields byte-identical CSVs."""
+    def run_all(sub: str) -> dict:
         out = tmp_path / sub
         cfg = {
             "schema_version": 1,
@@ -363,16 +363,18 @@ def test_gate_10_determinism_across_workers(tmp_path):
         path = tmp_path / f"cfg_{sub}.json"
         path.write_text(json.dumps(cfg))
         for command in ("conditions", "clt", "mdp", "martingale"):
-            assert cli.main([command, "--config", str(path), "--workers", str(workers)]) == 0
+            assert cli.main([command, "--config", str(path)]) == 0
         return {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.glob("*.csv"))
         }
 
-    first = run_all("w1", 1)
-    again = run_all("w1b", 1)
-    wide = run_all("w8", 8)
-    ok = first == again == wide and len(first) >= 4
+    first = run_all("whole")
+    again = run_all("again")
+    monkeypatch.setattr(nhmc.sampling, "_MAX_BLOCK", 256)
+    blocks = len(list(nhmc.sampling.iter_seed_blocks(np.arange(1500), 200)))
+    split = run_all("split")
+    ok = first == again == split and len(first) >= 4 and blocks == 6
     line = report(10, ok, f"{len(first)} CSV artifacts byte-identical across reruns "
-                          f"and worker counts 1 vs 8")
+                          f"and block partitions 1 vs {blocks}")
     assert ok, line

@@ -563,19 +563,22 @@ class TestExperiments:
         assert "theta_g" in capsys.readouterr().err
         assert not (tmp_path / "out" / "martingale.csv").exists()
 
-    def test_worker_count_reproduces_csv_bytes(self, tmp_path):
-        digests = {}
-        for workers, sub in ((1, "w1"), (6, "w6")):
-            cfg = base_config(tmp_path / sub, trials=1500, mdp_method="monte_carlo",
-                              n_grid=[60])
-            path = write_config(tmp_path, f"cfg_{sub}.json", cfg)
-            assert cli.main(["mdp", "--config", str(path), "--workers", str(workers)]) == 0
-            assert cli.main(["clt", "--config", str(path), "--workers", str(workers)]) == 0
-            digests[sub] = (
-                sha(tmp_path / sub / "mdp.csv"),
-                sha(tmp_path / sub / "clt_samples.csv"),
-            )
-        assert digests["w1"] == digests["w6"]
+    def test_workers_takes_only_one(self, tmp_path, capsys):
+        """Blocks run on one thread: ``--workers 1`` runs, and any other count
+        exits 2 through argparse, naming the flag, before anything is written."""
+        cfg = base_config(tmp_path / "out", trials=1500, mdp_method="monte_carlo",
+                          n_grid=[60])
+        path = write_config(tmp_path, "cfg.json", cfg)
+        for command in ("mdp", "clt"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--config", str(path), "--workers", "2"])
+            assert exc.value.code == cli.EXIT_INVALID
+            assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        for command in ("mdp", "clt"):
+            assert cli.main([command, "--config", str(path), "--workers", "1"]) == 0
+        assert (tmp_path / "out" / "mdp.csv").exists()
+        assert (tmp_path / "out" / "clt_samples.csv").exists()
 
 
 class TestArtifacts:

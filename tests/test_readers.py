@@ -1,6 +1,6 @@
 """The argument readers every entry point shares, and the result checks.
 
-A count (a step, horizon, state, trial count, cap or seed) is read by
+A count (a step, horizon, state, state count N, trial count, cap or seed) is read by
 ``kernels._count``: a fraction, a bool or a value outside its range is a
 ``KernelValidationError`` that names the argument.  The asymptotic variance θ
 is read by ``rates._theta``: anything but a finite θ > 0, NaN included, is a
@@ -33,6 +33,7 @@ from nhmc import (
     delta_sequence,
     indicator_observable,
     make_kernel,
+    make_limit_kernel,
     martingale_check,
     mdp_diagnostic,
     point_mass,
@@ -43,7 +44,9 @@ from nhmc import (
     simulate_sums,
     stationary,
     table_family,
+    uniform_initial,
     zeta2_family,
+    zeta4_family,
 )
 from nhmc.kernels import expected_step_values
 
@@ -87,6 +90,15 @@ COUNTS = {
     "indicator_observable": (lambda v: indicator_observable(v, SIZE), "state", 1, SIZE),
     "point_mass": (lambda v: point_mass(v, SIZE), "state", 1, SIZE),
     "capped_identity_observable": (lambda v: capped_identity_observable(v, SIZE), "cap", 1, None),
+    # the state count N of each family, limit kernel, start law and observable
+    "zeta2_family_N": (lambda v: zeta2_family(0.75, v), "N", 3, None),
+    "zeta4_family_N": (lambda v: zeta4_family(0.75, 1.0, v), "N", 3, None),
+    "make_limit_kernel_N": (lambda v: make_limit_kernel("zeta2", v), "N", 3, None),
+    "make_kernel_N": (lambda v: make_kernel("zeta2", 1, v, 0.75), "N", 3, None),
+    "uniform_initial_N": (lambda v: uniform_initial(v), "N", 2, None),
+    "point_mass_N": (lambda v: point_mass(1, v), "N", 2, None),
+    "indicator_observable_N": (lambda v: indicator_observable(1, v), "N", 1, None),
+    "capped_identity_observable_N": (lambda v: capped_identity_observable(2, v), "N", 1, None),
 }
 
 

@@ -210,12 +210,12 @@ class TestDeterminism:
                      zeta2_family(0.75, 200).limit),
         constant_family(nhmc.make_limit_kernel("zeta2", 200)),
     ], ids=["band", "renormalize", "table", "constant"])
-    def test_trial_path_does_not_depend_on_trials_blocks_workers_or_horizon(
+    def test_trial_path_does_not_depend_on_trials_blocks_or_horizon(
             self, family, start200, monkeypatch):
         """Trial t's path is the same at 300 and at 1000 trials, picked out
         alone, in blocks of two trials inside a group or of one group, and as
         the prefix of a longer horizon; its indicator sums are the same at 300
-        and 1000 trials with 1 or 2 workers over blocks of one group."""
+        and 1000 trials over blocks of one group."""
         n = 120
         whole = sample_paths(np.arange(1000), start200, family, n, 77)
         np.testing.assert_array_equal(sample_paths(np.arange(300), start200, family, n, 77),
@@ -238,9 +238,8 @@ class TestDeterminism:
         f = indicator_observable(1, 200)
         want = (whole[:, 1:] == 0).sum(axis=1)
         for trials in (300, 1000):
-            for workers in (1, 2):
-                sums = nhmc.simulate_sums(start200, family, f, n, trials, 77, workers)
-                np.testing.assert_array_equal(sums, want[:trials])
+            sums = nhmc.simulate_sums(start200, family, f, n, trials, 77)
+            np.testing.assert_array_equal(sums, want[:trials])
 
     def test_batched_equals_individual(self, zeta2_small, start200):
         batch = sample_paths(np.arange(7), start200, zeta2_small, 64, 50)

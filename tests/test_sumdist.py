@@ -242,30 +242,31 @@ class TestExactSumDistribution:
         with pytest.raises(KernelValidationError):
             exact_sum_distribution(start200, iid_family, f, 5)
 
-    def test_cell_budget_enforced(self, iid_family, start200, ind200):
+    def test_cell_budget_enforced(self, iid_family, start200, ind200, monkeypatch):
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", 10**6)
         with pytest.raises(KernelValidationError):
-            exact_sum_distribution(start200, raw_twin(iid_family), ind200, 10**5,
-                                   cell_budget=10**6)
+            exact_sum_distribution(start200, raw_twin(iid_family), ind200, 10**5)
 
     @pytest.mark.parametrize("merge, states, n", [(True, 3, 2 * 10**4), (False, 201, 10**3)])
     def test_budget_counts_the_tables_before_allocating(self, iid_family, start200,
-                                                        merge, states, n):
+                                                        monkeypatch, merge, states, n):
         """A budget of n * range * states cells (capped_identity(3) has range
         2) cannot hold the DP's tables of states x (n * range + 1) cells
         (1.9 and 3.2 MB for two tables here): it is refused before anything
         of the DP's size is allocated."""
         f, fam = capped_identity_observable(3, 200), raw_twin(iid_family, merge)
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", n * 2 * states)
         tracemalloc.start()
         try:
             with pytest.raises(KernelValidationError, match="budget"):
-                exact_sum_distribution(start200, fam, f, n, cell_budget=n * 2 * states)
+                exact_sum_distribution(start200, fam, f, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
     @pytest.mark.parametrize("kind", ["merged", "raw_band", "raw_dense"])
-    def test_budget_bounds_peak_memory(self, kind):
+    def test_budget_bounds_peak_memory(self, kind, monkeypatch):
         """The budget counts two tables of states x (n * range + 1) cells (four
         on the raw states, whose push holds two work arrays) plus n step
         scales; a DP at exactly its count runs within 10% of that many
@@ -278,11 +279,13 @@ class TestExactSumDistribution:
                           4 * 60 * 1201 + 600),
         }[kind]
         mu0, f = point_mass(1, 60), capped_identity_observable(3, 60)
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", cells - 1)
         with pytest.raises(KernelValidationError, match="budget"):
-            exact_sum_distribution(mu0, fam, f, n, cell_budget=cells - 1)
+            exact_sum_distribution(mu0, fam, f, n)
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", cells)
         tracemalloc.start()
         try:
-            exact_sum_distribution(mu0, fam, f, n, cell_budget=cells)
+            exact_sum_distribution(mu0, fam, f, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,23 +301,25 @@ class TestExactSumDistribution:
 
         monkeypatch.setattr(nhmc.KernelFamily, "steps", no_steps)
         monkeypatch.setattr(nhmc.KernelFamily, "perturbation_scale", no_steps)
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", 10**6)
         f = capped_identity_observable(3, 200)
         with pytest.raises(KernelValidationError, match="budget exceeded at n=100000"):
-            exact_sum_distribution(start200, raw_twin(iid_family, merge), f, [10, 20, 10**5],
-                                   cell_budget=10**6)
+            exact_sum_distribution(start200, raw_twin(iid_family, merge), f, [10, 20, 10**5])
 
-    def test_grid_budget_counts_earlier_snapshots(self):
+    def test_grid_budget_counts_earlier_snapshots(self, monkeypatch):
         """The grid's count is the largest horizon's tables and step scales
         plus the earlier horizons' pmfs; a sweep at exactly that count runs
         within 10% of that many float64s."""
         fam, grid = zeta2_family(0.75, 60), [1000, 3000, 5000]
         mu0, f = point_mass(1, 60), capped_identity_observable(3, 60)
         cells = 2 * 3 * 10001 + 5000 + 2001 + 6001
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", cells - 1)
         with pytest.raises(KernelValidationError, match="budget"):
-            exact_sum_distribution(mu0, fam, f, grid, cell_budget=cells - 1)
+            exact_sum_distribution(mu0, fam, f, grid)
+        monkeypatch.setattr(nhmc.sumdist, "DP_CELL_BUDGET", cells)
         tracemalloc.start()
         try:
-            dists = exact_sum_distribution(mu0, fam, f, grid, cell_budget=cells)
+            dists = exact_sum_distribution(mu0, fam, f, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
