@@ -78,7 +78,8 @@ class SpeedFunction:
 
 CLT_MIN_SAMPLES = 1000  # the fewest samples the normal diagnostic takes
 
-# steps per partial sum in simulate_sums: fixed, so no sum depends on block sizes
+# trials and steps per summing tile in simulate_sums: the steps fixed, so no
+# sum depends on block sizes, the trials so a tile stays 1 MiB beside the table
 _SUM_TILE = 256
 
 
@@ -102,9 +103,10 @@ def simulate_sums(
     in ascending order, so row i pairs with row i of ``expected_sum`` on the
     same grid; all are read off one set of paths to the largest horizon:
     trial t's S_n is the same at any grid it is part of.  Each observable is
-    summed on its own, tile by tile of ``_SUM_TILE`` steps counted from step
-    1, so an observable's sums do not depend on the other observables it is
-    passed with, nor on how trials are split into blocks.
+    summed on its own, tile by tile of ``_SUM_TILE`` trials x ``_SUM_TILE``
+    steps counted from step 1, so an observable's sums do not depend on the
+    other observables it is passed with, nor on how trials are split into
+    blocks, and a block holds its path table plus one tile (at most 1 MiB).
     """
     trials = _count(trials, "trials", 1)
     horizons = _Horizons(n, "horizons")
@@ -115,15 +117,17 @@ def simulate_sums(
     out = np.empty((len(horizons), trials, len(vals)))
     for chunk in iter_seed_blocks(np.arange(trials), n_max):
         paths = sample_paths(chunk, mu0, family, n_max, base_seed)
-        rows = slice(chunk[0], chunk[-1] + 1)
-        for l, values in enumerate(vals):
-            total = np.zeros(len(chunk))  # sum over the tiles before ``start``
-            for start in range(0, n_max + 1, _SUM_TILE):
-                tile = values[paths[:, start + 1 : start + _SUM_TILE + 1]]  # f(X_k) per step
-                for i, h in enumerate(horizons):
-                    if start <= h < start + _SUM_TILE:
-                        out[i, rows, l] = total + tile[:, : h - start].sum(axis=1)
-                total += tile.sum(axis=1)
+        for r in range(0, len(chunk), _SUM_TILE):
+            block = paths[r : r + _SUM_TILE]
+            rows = slice(chunk[0] + r, chunk[0] + r + len(block))
+            for l, values in enumerate(vals):
+                total = np.zeros(len(block))  # sum over the tiles before ``start``
+                for start in range(0, n_max + 1, _SUM_TILE):
+                    tile = values[block[:, start + 1 : start + _SUM_TILE + 1]]  # f(X_k) per step
+                    for i, h in enumerate(horizons):
+                        if start <= h < start + _SUM_TILE:
+                            out[i, rows, l] = total + tile[:, : h - start].sum(axis=1)
+                    total += tile.sum(axis=1)
     if np.ndim(n) == 0:
         out = out[0]
     return out if isinstance(f, ObservableSet) else out[..., 0]
@@ -151,9 +155,12 @@ def clt_diagnostic(
 ) -> CltDiagnostic:
     """Kolmogorov-Smirnov distance of the standardized sums to N(0, 1), plus
     the ratio of the sample variance of (S_n - E S_n)/sqrt(n) to theta.
-    Non-finite samples or a non-finite expected value are refused."""
+    Samples that are not 1-D, non-finite samples or a non-finite expected
+    value are refused."""
     n = _count(n, "horizon n", 1)
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise KernelValidationError(f"samples must be 1-D, not shape {samples.shape}")
     if samples.size < CLT_MIN_SAMPLES:
         raise KernelValidationError(
             f"need at least {CLT_MIN_SAMPLES} samples for the normal diagnostic")
@@ -217,7 +224,11 @@ def mdp_diagnostic(
         raise KernelValidationError(f"unknown method {method!r}")
     trials = _count(trials, "trials", 1)
     theta_value = _theta(theta_value)
-    if not np.isfinite(np.asarray(x_grid, dtype=float)).all():
+    xs = np.asarray(x_grid, dtype=float)
+    if xs.ndim != 1:
+        raise KernelValidationError(
+            f"x_grid must be a flat sequence of numbers, not shape {xs.shape}")
+    if not np.isfinite(xs).all():
         raise KernelValidationError("x_grid entries must be finite")
     n_grid = _Horizons(n_grid, "n_grid")
     if method == "exact_dp":  # one DP sweep and one pass of the means serve every horizon

@@ -378,3 +378,34 @@ class TestPathTable:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * table
+
+    def test_sums_hold_the_table_and_one_tile_of_256_trials(self):
+        """Past 256 trials the sums gather 256 trials x 256 steps at a time:
+        an intp window and a float64 tile of at most 1 MiB together, not 16
+        bytes per trial-step of the block (6.1 MB at 1500 trials)."""
+        fam = zeta2_family(0.75, 1000)
+        mu0 = point_mass(1, 1000)
+        f = indicator_observable(1, 1000)
+        trials, n = 1500, 2000
+        table = trials * (n + 1) * 2
+        tracemalloc.start()
+        try:
+            nhmc.simulate_sums(mu0, fam, f, n, trials, base_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= table + 2.5 * 2**20
+
+    def test_row_tiles_keep_the_bits(self, monkeypatch):
+        """700 trials sum in row tiles of 256, 256 and 188; a real-valued
+        observable's sums, at a horizon inside a step tile and at tile ends,
+        equal byte for byte those of blocks of 256 trials, each one row tile."""
+        fam = zeta2_family(0.75, 50)
+        mu0 = uniform_initial(50)
+        f = nhmc.Observable(np.sin(np.arange(1.0, 51.0)) * 1.7)
+        grid = [37, 256, 300, 512]
+        whole = nhmc.simulate_sums(mu0, fam, f, grid, 700, base_seed=9)
+        monkeypatch.setattr(sampling, "_MAX_BLOCK", 256)
+        split = nhmc.simulate_sums(mu0, fam, f, grid, 700, base_seed=9)
+        assert whole.shape == (4, 700)
+        assert whole.tobytes() == split.tobytes()

@@ -194,6 +194,12 @@ class TestCltDiagnostic:
         with pytest.raises(KernelValidationError):
             clt_diagnostic(np.arange(10.0), 0.0, 1.0, 10)
 
+    @pytest.mark.parametrize("shape", [(1000, 2), (1000, 1)])
+    def test_samples_not_1d_rejected(self, shape):
+        samples = np.random.default_rng(0).normal(size=shape)
+        with pytest.raises(KernelValidationError, match=r"1-D, not shape \(1000, \d\)"):
+            clt_diagnostic(samples, 0.0, 1.0, 1)
+
     def test_degenerate_samples_rejected(self):
         with pytest.raises(KernelValidationError):
             clt_diagnostic(np.full(2000, 3.0), 3.0, 1.0, 10)
@@ -279,6 +285,15 @@ class TestMdpDiagnostic:
         with pytest.raises(KernelValidationError, match="x_grid entries must be finite"):
             mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6),
                            [0.0, float("nan")], [50], theta_iid, method=method)
+
+    @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
+    @pytest.mark.parametrize("x_grid, shape", [([[0.1, 0.2]], r"\(1, 2\)"), (0.3, r"\(\)")],
+                             ids=["nested", "scalar"])
+    def test_x_grid_not_flat_rejected(self, iid_family, start200, ind200, theta_iid,
+                                      method, x_grid, shape):
+        with pytest.raises(KernelValidationError, match=f"x_grid must be a flat.*shape {shape}"):
+            mdp_diagnostic(iid_family, start200, ind200, SpeedFunction(0.6), x_grid, [50],
+                           theta_iid, method=method, trials=100)
 
     @pytest.mark.parametrize("method", ["exact_dp", "monte_carlo"])
     def test_huge_thresholds_have_certain_tails(self, iid_family, start200, ind200,
